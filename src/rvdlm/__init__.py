@@ -6,7 +6,7 @@ from .dlm_core import (HyperParams, ModelClass, NormalGammaPosterior, OneStepSta
                        limiting_dof, price_update, rv_update,
                        sv_volatility_update_path)
 from .distributions import (GammaParams, ScaledFParams, StudentTParams,
-                            gamma_cdf, gamma_logpdf, gamma_quantile, log_gamma_fn,
+                            gamma_cdf, gamma_logpdf, gamma_quantile,
                             sample_gamma, sample_scaled_f, sample_student_t,
                             scaled_f_logpdf, student_t_logpdf, student_t_quantile)
 from .errors import ConfigError, DataError, DomainError, NumericalError, RvdlmError
@@ -21,7 +21,7 @@ from .pipeline import (ModelSpec, RunConfig, SeriesSpec, load_config,
 from .rv_measures import (DEFAULT_RV_FLOOR, OhlcBar, realized_sd,
                           rogers_satchell, validate_bar)
 from .scoring import (ScoreLedger, log_bayes_factor, log_bayes_factor_path,
-                      log_score_y, log_score_z_path, reinitialize_window)
+                      log_score_z_path, reinitialize_window)
 from .smoothing import SmoothedEstimates, backward_sample, smooth
 from .synthetic import (SyntheticParams, SyntheticTruth, generate_synthetic,
                         slowly_varying_theta)

@@ -81,11 +81,6 @@ class GammaParams:
         _require_positive("rate", self.rate)
 
 
-def log_gamma_fn(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    return special.log_gamma(x)
-
-
 def student_t_logpdf(y: float, p: StudentTParams) -> float:
     y = _require_finite("y", y)
     half = 0.5 * (p.dof + 1.0)

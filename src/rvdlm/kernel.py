@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import special
-from .dlm_core import (HyperParams, ModelClass, NormalGammaPosterior, OneStepStats,
-                       PriorMoments, RvUpdatedPrior)
+from .dlm_core import HyperParams, ModelClass, PriorMoments, RvUpdatedPrior
 from .errors import DataError, DomainError, NumericalError
 
 _LOG_PI = math.log(math.pi)
@@ -73,15 +72,6 @@ class FilterTrajectory:
         r_til = (pr.n_star + alpha * float(self.z[t]) / pr.s_prev) / n_til
         return RvUpdatedPrior(pr.a, pr.R, n_til, r_til * pr.s_prev)
 
-    def posterior_at(self, t: int) -> NormalGammaPosterior:
-        return NormalGammaPosterior(self.m[t].copy(), self.C[t].copy(),
-                                    float(self.n[t]), float(self.s[t]))
-
-    def stats_at(self, t: int) -> OneStepStats:
-        rvp = self.rv_prior_at(t)
-        return OneStepStats(float(self.forecast[t]), float(self.scale[t]),
-                            float(self.error[t]), rvp.n_tilde, float(self.log_density[t]))
-
 
 def dof_sequences(hp: HyperParams, n_star_1: float, T: int, uses_rv: bool):
     """Data-independent (n*_t, n~_t, n_t) paths for T days."""
@@ -136,6 +126,13 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
         raise DomainError("series arrays must share one length")
     if T == 0:
         raise DataError("cannot filter an empty series")
+    finite = np.isfinite(np.stack((y, z, x, y_prev, x_prev)))
+    if not finite.all():
+        t = int(np.argmin(finite.all(axis=0)))
+        name = ("log price y", "realized variance z", "realized SD x",
+                "lagged log price", "lagged realized SD")[int(np.argmin(finite[:, t]))]
+        raise DataError(f"non-finite {name} at step {t}",
+                        date=dates[t] if dates is not None else None)
     if init.dim != variant.dim:
         raise DomainError(f"initial prior dimension {init.dim} does not match "
                           f"{variant.value} layout ({variant.dim})")

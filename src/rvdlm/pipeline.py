@@ -28,7 +28,7 @@ from .errors import ConfigError, DataError, NumericalError, RvdlmError
 from .ingestion import CsvSchema, SeriesFrame, apply_split, build_series, parse_csv
 from .kernel import FilterTrajectory, run_filter
 from .rv_measures import DEFAULT_RV_FLOOR
-from .scoring import ScoreLedger, log_bayes_factor_path, log_score_z_path
+from .scoring import ScoreLedger, log_score_z_path
 from .special import student_t_quantile
 
 _FMT = "%.17g"
@@ -82,7 +82,6 @@ class RunConfig:
     out_dir: str
     seed: int = 0
     floor_eps: float = DEFAULT_RV_FLOOR
-    mc_samples: int = 100_000  # reserved for predictive-simulation tooling
     schema: CsvSchema = field(default_factory=CsvSchema)
 
     def __post_init__(self):
@@ -159,7 +158,6 @@ def load_config(path_or_dict, out_dir_override=None, seed_override=None) -> RunC
         out_dir=out_dir,
         seed=int(seed_override if seed_override is not None else raw.get("seed", 0)),
         floor_eps=float(raw.get("floor_eps", DEFAULT_RV_FLOOR)),
-        mc_samples=int(raw.get("mc_samples", 100_000)),
         schema=schema,
     )
 
@@ -249,6 +247,29 @@ def _write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
+def _write_bayes_factors(out_dir: str, ticker: str, scores: dict) -> dict:
+    """Write `{ticker}__BF__{hi}_over_{lo}.csv` for every model pair, in
+    config order, from per-model (dates, score increments) over the scored
+    window; dates are written as `str(date)`, the ISO form. Returns
+    {pair name: (path, final cumulative log BF)}."""
+    names = list(scores)
+    out = {}
+    for i, lo in enumerate(names):
+        for hi in names[i + 1:]:
+            (dates, hi_inc), (lo_dates, lo_inc) = scores[hi], scores[lo]
+            if dates != lo_dates:
+                raise DataError(f"{ticker}: scored dates differ between {hi!r} and {lo!r}")
+            total, rows = 0.0, []
+            for d, a, b in zip(dates, hi_inc, lo_inc):
+                total += a - b
+                rows.append([str(d), _FMT % total])
+            name = f"{hi}_over_{lo}"
+            path = os.path.join(out_dir, f"{ticker}__BF__{name}.csv")
+            _write_csv(path, ["date_iso", "cum_log_bf_nats"], rows)
+            out[name] = (path, total)
+    return out
+
+
 def run_series_model(frame: SeriesFrame, mspec: ModelSpec, s1: float):
     """Filter one series under one model and build its score ledger."""
     init = mspec.initial_prior(s1)
@@ -291,14 +312,14 @@ def run_filter_pipeline(config: RunConfig) -> dict:
             "models": {},
             "log_bayes_factors": {},
         }
-        ledgers = {}
+        scores = {}
         for mspec in config.models:
             try:
                 traj, ledger = run_series_model(frame, mspec, sspec.s1)
             except RvdlmError as exc:
                 raise type(exc)(
                     f"series {sspec.ticker!r} model {mspec.name!r} [filter]: {exc}") from exc
-            ledgers[mspec.name] = ledger
+            scores[mspec.name] = (ledger.dates, ledger.increments)
             header, rows = _trajectory_rows(frame, mspec, traj, cache)
             _write_csv(os.path.join(config.out_dir, f"{sspec.ticker}__{mspec.name}.csv"),
                        header, rows)
@@ -316,16 +337,9 @@ def run_filter_pipeline(config: RunConfig) -> dict:
                 model_entry["cumulative_log_score_z"] = float(zs[in_window].sum()) \
                     if in_window else 0.0
             entry["models"][mspec.name] = model_entry
-        for i in range(len(config.models)):
-            for j in range(i + 1, len(config.models)):
-                lo, hi = config.models[i].name, config.models[j].name
-                path_rows = log_bayes_factor_path(ledgers[hi], ledgers[lo])
-                name = f"{hi}_over_{lo}"
-                _write_csv(
-                    os.path.join(config.out_dir, f"{sspec.ticker}__BF__{name}.csv"),
-                    ["date_iso", "cum_log_bf_nats"],
-                    [[d.isoformat(), _FMT % v] for d, v in path_rows])
-                entry["log_bayes_factors"][name] = (path_rows[-1][1] if path_rows else 0.0)
+        for name, (_, total) in _write_bayes_factors(config.out_dir, sspec.ticker,
+                                                     scores).items():
+            entry["log_bayes_factors"][name] = total
         summary["series"][sspec.ticker] = entry
     with open(os.path.join(config.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -348,7 +362,6 @@ def _echo_config(config: RunConfig) -> dict:
         "eval_start": config.eval_start.isoformat(),
         "out_dir": config.out_dir,
         "floor_eps": config.floor_eps,
-        "mc_samples": config.mc_samples,
     }
 
 
@@ -366,7 +379,7 @@ def recompute_bayes_factors(run_dir: str) -> list[str]:
     model_names = [m["name"] for m in summary["config"]["models"]]
     written = []
     for ticker in summary["series"]:
-        per_model = {}
+        scores = {}
         for name in model_names:
             path = os.path.join(run_dir, f"{ticker}__{name}.csv")
             header, rows = read_csv_rows(path)
@@ -374,21 +387,9 @@ def recompute_bayes_factors(run_dir: str) -> list[str]:
             for col in ("date_iso", "log_score_nats", "scored"):
                 if col not in idx:
                     raise DataError(f"{path}: missing column {col!r}")
-            per_model[name] = [(r[idx["date_iso"]], float(r[idx["log_score_nats"]]))
-                               for r in rows if r[idx["scored"]] == "1"]
-        for i in range(len(model_names)):
-            for j in range(i + 1, len(model_names)):
-                lo, hi = model_names[i], model_names[j]
-                hi_rows, lo_rows = per_model[hi], per_model[lo]
-                if [d for d, _ in hi_rows] != [d for d, _ in lo_rows]:
-                    raise DataError(f"{ticker}: scored dates differ between "
-                                    f"{hi!r} and {lo!r}")
-                total = 0.0
-                out_rows = []
-                for (d, a), (_, b) in zip(hi_rows, lo_rows):
-                    total += a - b
-                    out_rows.append([d, _FMT % total])
-                path = os.path.join(run_dir, f"{ticker}__BF__{hi}_over_{lo}.csv")
-                _write_csv(path, ["date_iso", "cum_log_bf_nats"], out_rows)
-                written.append(path)
+            scored = [r for r in rows if r[idx["scored"]] == "1"]
+            scores[name] = ([r[idx["date_iso"]] for r in scored],
+                            [float(r[idx["log_score_nats"]]) for r in scored])
+        written += [path for path, _ in
+                    _write_bayes_factors(run_dir, ticker, scores).values()]
     return written

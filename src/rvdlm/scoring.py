@@ -13,16 +13,7 @@ import math
 import numpy as np
 
 from . import special
-from .dlm_core import OneStepStats
 from .errors import DomainError, NumericalError
-
-
-def log_score_y(stats: OneStepStats) -> float:
-    """The day's scoring ingredient: the one-step log predictive density."""
-    lp = stats.log_density
-    if not math.isfinite(lp):
-        raise NumericalError(f"one-step log density is not finite: {lp!r}")
-    return lp
 
 
 def log_score_z_path(traj) -> np.ndarray:
@@ -87,9 +78,6 @@ class ScoreLedger:
     def cumulative(self) -> float:
         return self._cumulative
 
-    def cumulative_through(self, date) -> float:
-        return sum(inc for d, inc in zip(self._dates, self._increments) if d <= date)
-
     def check_consistency(self) -> None:
         total = math.fsum(self._increments)
         if abs(total - self._cumulative) > 1e-9 * max(1.0, abs(total)):
@@ -100,7 +88,7 @@ class ScoreLedger:
         return len(self._dates)
 
 
-def log_bayes_factor(ledger_m: ScoreLedger, ledger_m2: ScoreLedger, date=None) -> float:
+def log_bayes_factor(ledger_m: ScoreLedger, ledger_m2: ScoreLedger) -> float:
     """Cumulative log Bayes factor of the first model over the second.
 
     Requires identical windows and date coverage: comparisons are only
@@ -110,9 +98,7 @@ def log_bayes_factor(ledger_m: ScoreLedger, ledger_m2: ScoreLedger, date=None) -
         raise ValueError("ledgers were built over different evaluation windows")
     if ledger_m.dates != ledger_m2.dates:
         raise ValueError("ledgers do not cover the same dates")
-    if date is None:
-        return ledger_m.cumulative - ledger_m2.cumulative
-    return ledger_m.cumulative_through(date) - ledger_m2.cumulative_through(date)
+    return ledger_m.cumulative - ledger_m2.cumulative
 
 
 def log_bayes_factor_path(ledger_m: ScoreLedger, ledger_m2: ScoreLedger):

@@ -147,6 +147,31 @@ def run_grid_filter(y, z, F, delta, beta, alpha, a1, R1, n_star_1, s0, **kw):
     return out
 
 
+def gain_smoother(m, C, s, n, delta, beta):
+    """Fixed-interval smoother by the general backward recursion, solving for
+    the gain at every step: B_t = C_t R_{t+1}^{-1} with R_{t+1} = C_t/delta,
+    m*_t = m_t + B_t (m*_{t+1} - a_{t+1}) with a_{t+1} = m_t, and
+    C*_t = C_t - B_t (R_{t+1} - C*_{t+1}) B_t'. The volatility recursions
+    1/s_bar_t = (1-beta)/s_t + beta/s_bar_{t+1} and
+    n_bar_t = (1-beta) n_t + beta n_bar_{t+1} run on numpy scalars.
+
+    Returns (m_star, C_star, s_bar, n_bar) over the filtered arrays given.
+    """
+    T = len(s)
+    m_star, C_star = np.array(m, dtype=float), np.array(C, dtype=float)
+    s_bar, n_bar = np.array(s, dtype=float), np.array(n, dtype=float)
+    for t in range(T - 2, -1, -1):
+        R_next = C[t] / delta
+        R_next = 0.5 * (R_next + R_next.T)
+        B = np.linalg.solve(R_next, C[t].T).T
+        m_star[t] = m[t] + B @ (m_star[t + 1] - m[t])
+        Cs = C[t] - B @ (R_next - C_star[t + 1]) @ B.T
+        C_star[t] = 0.5 * (Cs + Cs.T)
+        s_bar[t] = 1.0 / ((1.0 - beta) / s[t] + beta / s_bar[t + 1])
+        n_bar[t] = (1.0 - beta) * n[t] + beta * n_bar[t + 1]
+    return m_star, C_star, s_bar, n_bar
+
+
 def static_joint_smoother(y, z, F, delta, alpha, a1, R1, n_star_1, s0, W_seq,
                           theta_lo, theta_hi, n_theta=700, phi_nodes=40):
     """Smoothed E/V of theta_t and E[phi] for the constant-precision model

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from rvdlm import (DomainError, GammaParams, ScaledFParams, StudentTParams,
-                   gamma_cdf, gamma_quantile, log_gamma_fn, sample_gamma,
+                   gamma_cdf, gamma_quantile, sample_gamma,
                    sample_scaled_f, scaled_f_logpdf, student_t_logpdf,
                    student_t_quantile)
 
@@ -25,7 +25,7 @@ class TestStudentTLogpdf:
     def test_mode_value_formula(self):
         for dof, loc, scale in [(3.0, 1.5, 2.0), (17.5, -0.3, 0.25)]:
             got = student_t_logpdf(loc, StudentTParams(dof, loc, scale))
-            want = (log_gamma_fn(0.5 * (dof + 1)) - log_gamma_fn(0.5 * dof)
+            want = (math.lgamma(0.5 * (dof + 1)) - math.lgamma(0.5 * dof)
                     - 0.5 * math.log(dof * math.pi * scale))
             assert got == pytest.approx(want, rel=1e-14)
 
@@ -195,7 +195,7 @@ def test_every_logpdf_normalizes():
     assert t_total == pytest.approx(1.0, abs=1e-4)
     g = GammaParams(1.375, 1.375)
     g_total, _ = integrate.quad(
-        lambda x: math.exp((g.shape * math.log(g.rate) - log_gamma_fn(g.shape)
+        lambda x: math.exp((g.shape * math.log(g.rate) - math.lgamma(g.shape)
                             + (g.shape - 1.0) * math.log(x) - g.rate * x)),
         0.0, np.inf, limit=400)
     assert g_total == pytest.approx(1.0, abs=1e-4)

@@ -1,3 +1,4 @@
+import datetime as dt
 import math
 
 import numpy as np
@@ -72,8 +73,6 @@ def test_trajectory_accessors_reconstruct_priors():
     ref = rv_update(pr, float(z[10]), hp.alpha)
     assert rvp.n_tilde == pytest.approx(ref.n_tilde)
     assert rvp.s_tilde == pytest.approx(ref.s_tilde, rel=1e-14)
-    stats = traj.stats_at(10)
-    assert stats.log_density == traj.log_density[10]
 
 
 def test_dof_sequences_recursion_and_limit():
@@ -105,6 +104,21 @@ def test_rejects_nonpositive_rv():
     z[7] = 0.0
     with pytest.raises(DataError):
         run_filter(variant, hp, init, y, z, x, y_prev, x_prev)
+
+
+@pytest.mark.parametrize("variant", [ModelClass.SVDLM, ModelClass.RVDLM])
+@pytest.mark.parametrize("column", range(5))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_input_is_a_dated_data_error(variant, column, bad):
+    hp = hp_for(variant)
+    init = default_init(variant, hp)
+    cols = [c.copy() for c in make_series(200)]
+    cols[column][101] = bad
+    dates = [dt.date(2001, 1, 1) + dt.timedelta(days=t) for t in range(200)]
+    with pytest.raises(DataError) as info:
+        run_filter(variant, hp, init, *cols, dates=dates)
+    assert info.value.date == dates[101]
+    assert "2001-04-12" in str(info.value)
 
 
 def test_positive_scale_and_dof_growth_along_path():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rvdlm import (DomainError, HyperParams, ModelClass, NumericalError,
-                   OneStepStats, PriorMoments, ScaledFParams, ScoreLedger,
-                   log_bayes_factor, log_bayes_factor_path, log_score_y,
+from rvdlm import (DomainError, HyperParams, ModelClass, PriorMoments,
+                   ScaledFParams, ScoreLedger,
+                   log_bayes_factor, log_bayes_factor_path,
                    log_score_z_path, reinitialize_window, run_filter,
                    scaled_f_logpdf)
 
@@ -15,16 +15,6 @@ def filled_ledger(name, incs, start=None):
     for d, v in incs:
         led.record(d, v)
     return led
-
-
-class TestLogScoreY:
-    def test_passes_through_log_density(self):
-        stats = OneStepStats(0.0, 1.0, 0.0, 1.0, -1.1447298858494002)
-        assert log_score_y(stats) == pytest.approx(-math.log(math.pi), abs=1e-12)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NumericalError):
-            log_score_y(OneStepStats(0.0, 1.0, 0.0, 1.0, math.nan))
 
 
 class TestLedger:
@@ -69,11 +59,6 @@ class TestLogBayesFactor:
         bc = log_bayes_factor(leds[1], leds[2])
         ac = log_bayes_factor(leds[0], leds[2])
         assert ac == pytest.approx(ab + bc, abs=1e-12)
-
-    def test_through_date(self):
-        a = filled_ledger("a", [(1, 1.0), (2, 1.0), (3, 1.0)])
-        b = filled_ledger("b", [(1, 0.5), (2, 0.5), (3, 0.5)])
-        assert log_bayes_factor(a, b, date=2) == pytest.approx(1.0)
 
     def test_window_mismatch_rejected(self):
         a = filled_ledger("a", [(1, 1.0)], start=1)

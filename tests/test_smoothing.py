@@ -1,15 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from rvdlm import (FilterTrajectory, HyperParams, ModelClass, PriorMoments,
-                   backward_sample, build_regressor, evolve, price_update,
-                   run_filter, rv_update, smooth, sv_volatility_update_path)
-from rvdlm.kernel import dof_sequences
+from rvdlm import (FilterTrajectory, HyperParams, ModelClass, NumericalError,
+                   PriorMoments, SyntheticParams, backward_sample, build_series,
+                   evolve, generate_synthetic, price_update, run_filter, rv_update,
+                   smooth, sv_volatility_update_path)
 
-from oracles import phi_chain_smoother, static_joint_smoother
+from oracles import gain_smoother, phi_chain_smoother, static_joint_smoother
 
 
 def assemble_trajectory(hp, init, y, z, F_seq, alpha):
@@ -127,6 +128,32 @@ class TestSmoothBasics:
         assert np.array_equal(a.s_bar, b.s_bar)
 
 
+def synthetic_run(variant, delta, T=1000, seed=6):
+    theta = np.tile([0.0046, 0.998, -0.35, 0.30], (T, 1))
+    params = SyntheticParams(model=ModelClass.RVLDLM, theta=theta, v0=1.3e-4)
+    frame = build_series(generate_synthetic(params, np.random.default_rng(seed))[0])
+    hp = HyperParams(delta, 0.925 if variant is ModelClass.SVDLM else 0.875,
+                     2.75 if variant.uses_rv else 0.0)
+    d = variant.dim
+    init = PriorMoments(np.array([0.0, 1.0, 0.0, 0.0][:d]),
+                        np.diag([0.10, 0.01, 0.05, 0.05][:d]) / delta, hp.beta, 1.3e-4)
+    return run_filter(variant, hp, init, frame.y, frame.z, frame.x,
+                      frame.y_prev, frame.x_prev, dates=frame.dates)
+
+
+@pytest.mark.parametrize("delta", [0.95, 0.999, 1.0])
+@pytest.mark.parametrize("variant", list(ModelClass))
+def test_closed_form_matches_gain_recursion(variant, delta):
+    traj = synthetic_run(variant, delta)
+    sm = smooth(traj)
+    m_ref, C_ref, s_ref, n_ref = gain_smoother(traj.m, traj.C, traj.s, traj.n,
+                                               delta, traj.hp.beta)
+    for got, want in ((sm.m_star, m_ref), (sm.C_star, C_ref)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert np.array_equal(sm.s_bar, s_ref)
+    assert np.array_equal(sm.n_bar, n_ref)
+
+
 class TestSmoothAgainstJointQuadrature:
     def test_three_step_scalar_toy(self):
         hp, init, traj, F_seq = anchored_scalar_case()
@@ -199,6 +226,23 @@ class TestBackwardSample:
         a = backward_sample(traj, rng=np.random.default_rng(33), n_samples=50)
         b = backward_sample(traj, rng=np.random.default_rng(33), n_samples=50)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_static_state_draws_one_path(self):
+        # delta = 1: the backward conditional scale is exactly zero
+        traj = synthetic_run(ModelClass.RVLDLM, 1.0, T=200)
+        theta, _ = backward_sample(traj, rng=np.random.default_rng(7), n_samples=20)
+        assert np.array_equal(theta, np.broadcast_to(theta[:, -1:, :], theta.shape))
+
+    def test_non_positive_definite_scale_names_its_day(self):
+        traj = synthetic_run(ModelClass.RVDLM, 0.999, T=60)
+        C = traj.C.copy()
+        C[17] = -C[17]
+        bad = dataclasses.replace(traj, C=C)
+        with pytest.raises(NumericalError, match=f"step 17 \\(date {traj.dates[17]}\\)"):
+            backward_sample(bad, rng=np.random.default_rng(0))
+        bad.dates = None
+        with pytest.raises(NumericalError, match="step 17$"):
+            backward_sample(bad, rng=np.random.default_rng(0))
 
     def test_requires_generator(self):
         hp, traj = rvl_run(T=5)
