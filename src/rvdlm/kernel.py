@@ -80,7 +80,11 @@ def dof_sequences(hp: HyperParams, n_star_1: float, T: int, uses_rv: bool):
     ns = n_star_1
     for _ in range(T):
         vals.append(ns)
-        ns = hp.beta * (ns + alpha + 1.0)
+        nxt = hp.beta * (ns + alpha + 1.0)
+        if nxt == ns:  # floating-point fixed point: the rest of the path is constant
+            vals += [ns] * (T - len(vals))
+            break
+        ns = nxt
     n_star = np.asarray(vals)
     n_tilde = n_star + alpha
     return n_star, n_tilde, n_tilde + 1.0
@@ -88,23 +92,27 @@ def dof_sequences(hp: HyperParams, n_star_1: float, T: int, uses_rv: bool):
 
 def _score_constants(n_tilde: np.ndarray) -> np.ndarray:
     # lnG((v+1)/2) - lnG(v/2) - 0.5 ln(v pi), the q-independent part of the
-    # one-step t log density.
-    return (special.log_gamma_array(0.5 * (n_tilde + 1.0))
-            - special.log_gamma_array(0.5 * n_tilde)
-            - 0.5 * np.log(n_tilde * math.pi))
-
-
-_PACK3 = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_PACK4 = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
-
-
-def _unpack_sym(packed: np.ndarray, d: int) -> np.ndarray:
-    pairs = _PACK3 if d == 3 else _PACK4
-    out = np.empty((packed.shape[0], d, d))
-    for k, (i, j) in enumerate(pairs):
-        out[:, i, j] = packed[:, k]
-        out[:, j, i] = packed[:, k]
+    # one-step t log density. Evaluated up to the last change of dof; the
+    # constant tail repeats the final value.
+    changes = np.flatnonzero(n_tilde != n_tilde[-1])
+    head = n_tilde[:changes[-1] + 2 if changes.size else 1]
+    out = np.empty_like(n_tilde)
+    out[:head.size] = (special.log_gamma_array(0.5 * (head + 1.0))
+                       - special.log_gamma_array(0.5 * head)
+                       - 0.5 * np.log(head * math.pi))
+    out[head.size:] = out[head.size - 1]
     return out
+
+
+def _sym_gather(d: int) -> np.ndarray:
+    # index into the row-major packed upper triangle for each entry of a d x d matrix
+    slot = {}
+    for k, (i, j) in enumerate((i, j) for i in range(d) for j in range(i, d)):
+        slot[i, j] = slot[j, i] = k
+    return np.array([slot[i, j] for i in range(d) for j in range(d)])
+
+
+_SYM_GATHER = {d: _sym_gather(d) for d in (3, 4)}
 
 
 def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
@@ -144,22 +152,24 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
             raise DataError("realized variance must be positive everywhere (apply the floor)")
     alpha = hp.alpha if uses_rv else 0.0
 
-    n_star_seq, n_tilde_seq, _ = dof_sequences(hp, init.n_star, T, uses_rv)
+    n_star_seq, n_tilde_seq, n_arr = dof_sequences(hp, init.n_star, T, uses_rv)
     consts = _score_constants(n_tilde_seq)
 
-    # plain-list views: elementwise float indexing is several times faster
+    # plain-list views: elementwise float iteration is several times faster
     # than numpy scalar extraction inside the sequential loop
-    loop = _loop_d4 if variant.dim == 4 else _loop_d3
-    F2 = x.tolist() if variant is ModelClass.RVLDLM else None
-    m_rows, c_rows, scal = loop(
-        T, hp.delta, alpha,
-        init.a, init.R, float(init.s_prev),
-        n_star_seq.tolist(), n_tilde_seq.tolist(), consts.tolist(),
-        y.tolist(), z.tolist(), y_prev.tolist(), F2, x_prev.tolist())
-
-    m = np.asarray(m_rows)
-    C = _unpack_sym(np.asarray(c_rows), variant.dim)
-    n_arr, s_arr, f_arr, q_arr, e_arr, lp_arr = (np.asarray(col) for col in zip(*scal))
+    d = variant.dim
+    loop = _loop_d4 if d == 4 else _loop_d3
+    regressors = (y_prev.tolist(), x.tolist(), x_prev.tolist()) if d == 4 \
+        else (y_prev.tolist(), x_prev.tolist())
+    flat = loop(hp.delta, alpha, init.a, init.R, float(init.s_prev),
+                zip(y.tolist(), z.tolist(), *regressors, n_star_seq.tolist(),
+                    n_tilde_seq.tolist(), n_arr.tolist(), consts.tolist()))
+    # one row per day: m (d), packed upper triangle of C, then s, f, q, e, lp
+    npack = d * (d + 1) // 2
+    rows = np.fromiter(flat, dtype=float, count=len(flat)).reshape(T, d + npack + 5)
+    m = rows[:, :d].copy()
+    C = rows[:, d + _SYM_GATHER[d]].reshape(T, d, d)
+    s_arr, f_arr, q_arr, e_arr, lp_arr = (rows[:, k].copy() for k in range(d + npack, d + npack + 5))
     if not np.all(np.isfinite(s_arr)) or not np.all(s_arr > 0.0):
         raise NumericalError("volatility scale left the positive reals during filtering")
     return FilterTrajectory(variant, hp, init, y, z, x, y_prev, x_prev,
@@ -168,84 +178,58 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
                             list(dates) if dates is not None else None)
 
 
-def _loop_d3(T, delta, alpha, a0, R0, s0, n_star_seq, n_tilde_seq, consts,
-             y, z, y_prev, _unused, x_prev):
+def _nonpositive_q(q, flat, width):
+    return NumericalError(f"nonpositive one-step scale q={q!r} at step {len(flat) // width}")
+
+
+def _loop_d3(delta, alpha, a0, R0, s, days):
     inv_delta = 1.0 / delta
     log = math.log
     m0, m1, m2 = (float(v) for v in a0)
-    C00, C01, C02 = float(R0[0, 0]), float(R0[0, 1]), float(R0[0, 2])
-    C11, C12 = float(R0[1, 1]), float(R0[1, 2])
-    C22 = float(R0[2, 2])
-    s = s0
-    m_rows, c_rows, scal = [], [], []
-    first = True
-    for t in range(T):
-        if first:
-            R00, R01, R02, R11, R12, R22 = C00, C01, C02, C11, C12, C22
-            first = False
-        else:
-            R00 = C00 * inv_delta; R01 = C01 * inv_delta; R02 = C02 * inv_delta
-            R11 = C11 * inv_delta; R12 = C12 * inv_delta
-            R22 = C22 * inv_delta
-        n_til = n_tilde_seq[t]
-        if alpha > 0.0:
-            s_til = (n_star_seq[t] + alpha * z[t] / s) / n_til * s
-        else:
-            s_til = s
-        F1 = y_prev[t]; F2 = x_prev[t]
+    R00, R01, R02 = float(R0[0, 0]), float(R0[0, 1]), float(R0[0, 2])
+    R11, R12 = float(R0[1, 1]), float(R0[1, 2])
+    R22 = float(R0[2, 2])
+    flat = []
+    push = flat.extend
+    for yt, zt, F1, F2, ns, n_til, n, c in days:
+        s_til = (ns + alpha * zt / s) / n_til * s if alpha > 0.0 else s
         RF0 = R00 + R01 * F1 + R02 * F2
         RF1 = R01 + R11 * F1 + R12 * F2
         RF2 = R02 + R12 * F1 + R22 * F2
         f = m0 + m1 * F1 + m2 * F2
         q = s_til + RF0 + RF1 * F1 + RF2 * F2
         if not q > 0.0:
-            raise NumericalError(f"nonpositive one-step scale q={q!r} at step {t}")
-        e = y[t] - f
+            raise _nonpositive_q(q, flat, 14)
+        e = yt - f
         iq = 1.0 / q
         A0 = RF0 * iq; A1 = RF1 * iq; A2 = RF2 * iq
         m0 += A0 * e; m1 += A1 * e; m2 += A2 * e
-        C00 = R00 - q * A0 * A0; C01 = R01 - q * A0 * A1; C02 = R02 - q * A0 * A2
-        C11 = R11 - q * A1 * A1; C12 = R12 - q * A1 * A2
-        C22 = R22 - q * A2 * A2
-        n = n_til + 1.0
-        s = (n_til + e * e * iq) / n * s_til
-        lp = consts[t] - 0.5 * log(q) - 0.5 * (n_til + 1.0) * log(1.0 + e * e * iq / n_til)
-        m_rows.append((m0, m1, m2))
-        c_rows.append((C00, C01, C02, C11, C12, C22))
-        scal.append((n, s, f, q, e, lp))
-    return m_rows, c_rows, scal
+        qA0 = q * A0; qA1 = q * A1; qA2 = q * A2
+        C00 = R00 - qA0 * A0; C01 = R01 - qA0 * A1; C02 = R02 - qA0 * A2
+        C11 = R11 - qA1 * A1; C12 = R12 - qA1 * A2
+        C22 = R22 - qA2 * A2
+        u = e * e * iq
+        s = (n_til + u) / n * s_til
+        lp = c - 0.5 * log(q) - 0.5 * n * log(1.0 + u / n_til)
+        push((m0, m1, m2, C00, C01, C02, C11, C12, C22, s, f, q, e, lp))
+        R00 = C00 * inv_delta; R01 = C01 * inv_delta; R02 = C02 * inv_delta
+        R11 = C11 * inv_delta; R12 = C12 * inv_delta
+        R22 = C22 * inv_delta
+    return flat
 
 
-def _loop_d4(T, delta, alpha, a0, R0, s0, n_star_seq, n_tilde_seq, consts,
-             y, z, y_prev, x_now, x_prev):
+def _loop_d4(delta, alpha, a0, R0, s, days):
     inv_delta = 1.0 / delta
     log = math.log
     m0, m1, m2, m3 = (float(v) for v in a0)
-    C00, C01, C02, C03 = float(R0[0, 0]), float(R0[0, 1]), float(R0[0, 2]), float(R0[0, 3])
-    C11, C12, C13 = float(R0[1, 1]), float(R0[1, 2]), float(R0[1, 3])
-    C22, C23 = float(R0[2, 2]), float(R0[2, 3])
-    C33 = float(R0[3, 3])
-    s = s0
-    m_rows, c_rows, scal = [], [], []
-    first = True
-    for t in range(T):
-        if first:
-            R00, R01, R02, R03 = C00, C01, C02, C03
-            R11, R12, R13 = C11, C12, C13
-            R22, R23 = C22, C23
-            R33 = C33
-            first = False
-        else:
-            R00 = C00 * inv_delta; R01 = C01 * inv_delta; R02 = C02 * inv_delta; R03 = C03 * inv_delta
-            R11 = C11 * inv_delta; R12 = C12 * inv_delta; R13 = C13 * inv_delta
-            R22 = C22 * inv_delta; R23 = C23 * inv_delta
-            R33 = C33 * inv_delta
-        n_til = n_tilde_seq[t]
-        if alpha > 0.0:
-            s_til = (n_star_seq[t] + alpha * z[t] / s) / n_til * s
-        else:
-            s_til = s
-        F1 = y_prev[t]; F2 = x_now[t]; F3 = x_prev[t]
+    R00, R01, R02, R03 = float(R0[0, 0]), float(R0[0, 1]), float(R0[0, 2]), float(R0[0, 3])
+    R11, R12, R13 = float(R0[1, 1]), float(R0[1, 2]), float(R0[1, 3])
+    R22, R23 = float(R0[2, 2]), float(R0[2, 3])
+    R33 = float(R0[3, 3])
+    flat = []
+    push = flat.extend
+    for yt, zt, F1, F2, F3, ns, n_til, n, c in days:
+        s_til = (ns + alpha * zt / s) / n_til * s if alpha > 0.0 else s
         RF0 = R00 + R01 * F1 + R02 * F2 + R03 * F3
         RF1 = R01 + R11 * F1 + R12 * F2 + R13 * F3
         RF2 = R02 + R12 * F1 + R22 * F2 + R23 * F3
@@ -253,19 +237,23 @@ def _loop_d4(T, delta, alpha, a0, R0, s0, n_star_seq, n_tilde_seq, consts,
         f = m0 + m1 * F1 + m2 * F2 + m3 * F3
         q = s_til + RF0 + RF1 * F1 + RF2 * F2 + RF3 * F3
         if not q > 0.0:
-            raise NumericalError(f"nonpositive one-step scale q={q!r} at step {t}")
-        e = y[t] - f
+            raise _nonpositive_q(q, flat, 19)
+        e = yt - f
         iq = 1.0 / q
         A0 = RF0 * iq; A1 = RF1 * iq; A2 = RF2 * iq; A3 = RF3 * iq
         m0 += A0 * e; m1 += A1 * e; m2 += A2 * e; m3 += A3 * e
-        C00 = R00 - q * A0 * A0; C01 = R01 - q * A0 * A1; C02 = R02 - q * A0 * A2; C03 = R03 - q * A0 * A3
-        C11 = R11 - q * A1 * A1; C12 = R12 - q * A1 * A2; C13 = R13 - q * A1 * A3
-        C22 = R22 - q * A2 * A2; C23 = R23 - q * A2 * A3
-        C33 = R33 - q * A3 * A3
-        n = n_til + 1.0
-        s = (n_til + e * e * iq) / n * s_til
-        lp = consts[t] - 0.5 * log(q) - 0.5 * (n_til + 1.0) * log(1.0 + e * e * iq / n_til)
-        m_rows.append((m0, m1, m2, m3))
-        c_rows.append((C00, C01, C02, C03, C11, C12, C13, C22, C23, C33))
-        scal.append((n, s, f, q, e, lp))
-    return m_rows, c_rows, scal
+        qA0 = q * A0; qA1 = q * A1; qA2 = q * A2; qA3 = q * A3
+        C00 = R00 - qA0 * A0; C01 = R01 - qA0 * A1; C02 = R02 - qA0 * A2; C03 = R03 - qA0 * A3
+        C11 = R11 - qA1 * A1; C12 = R12 - qA1 * A2; C13 = R13 - qA1 * A3
+        C22 = R22 - qA2 * A2; C23 = R23 - qA2 * A3
+        C33 = R33 - qA3 * A3
+        u = e * e * iq
+        s = (n_til + u) / n * s_til
+        lp = c - 0.5 * log(q) - 0.5 * n * log(1.0 + u / n_til)
+        push((m0, m1, m2, m3, C00, C01, C02, C03, C11, C12, C13, C22, C23, C33,
+              s, f, q, e, lp))
+        R00 = C00 * inv_delta; R01 = C01 * inv_delta; R02 = C02 * inv_delta; R03 = C03 * inv_delta
+        R11 = C11 * inv_delta; R12 = C12 * inv_delta; R13 = C13 * inv_delta
+        R22 = C22 * inv_delta; R23 = C23 * inv_delta
+        R33 = C33 * inv_delta
+    return flat

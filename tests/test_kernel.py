@@ -6,7 +6,8 @@ import pytest
 
 from rvdlm import (DataError, HyperParams, ModelClass, PriorMoments,
                    build_regressor, dof_sequences, evolve, price_update,
-                   run_filter, rv_update, sv_volatility_update_path)
+                   run_filter, rv_update, special, sv_volatility_update_path)
+from rvdlm.kernel import _score_constants
 
 
 def make_series(T, seed=42):
@@ -82,6 +83,29 @@ def test_dof_sequences_recursion_and_limit():
     assert n_tilde[0] == hp.beta + 2.75
     np.testing.assert_allclose(n_star[1:], hp.beta * n[:-1], rtol=1e-15)
     assert n[-1] == pytest.approx(30.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("beta,alpha,uses_rv", [(0.875, 2.75, True), (0.925, 0.0, False),
+                                                (0.999, 2.75, True)])
+def test_dof_path_and_score_constants_match_full_evaluation(beta, alpha, uses_rv):
+    # the fixed-point shortcut in dof_sequences and the constant-tail reuse in
+    # _score_constants must reproduce the day-by-day evaluation bit for bit
+    hp = HyperParams(0.999, beta, alpha)
+    T = 3000
+    a = alpha if uses_rv else 0.0
+    vals, ns = [], beta
+    for _ in range(T):
+        vals.append(ns)
+        ns = beta * (ns + a + 1.0)
+    n_star, n_tilde, n = dof_sequences(hp, beta, T, uses_rv)
+    assert np.array_equal(n_star, np.asarray(vals))
+    assert np.array_equal(n, n_star + a + 1.0)
+    consts = _score_constants(n_tilde)
+    full = (special.log_gamma_array(0.5 * (n_tilde + 1.0))
+            - special.log_gamma_array(0.5 * n_tilde) - 0.5 * np.log(n_tilde * math.pi))
+    assert np.array_equal(consts, full)
+    each = np.array([_score_constants(n_tilde[t:t + 1])[0] for t in range(0, T, 97)])
+    assert np.array_equal(consts[::97], each)
 
 
 def test_determinism_bit_exact():
