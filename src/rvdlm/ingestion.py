@@ -9,6 +9,7 @@ bars become N-1 modeled rows.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import datetime as dt
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .rv_measures import (DEFAULT_RV_FLOOR, OhlcBar, realized_sd,
-                          rogers_satchell, validate_bar)
+from .rv_measures import DEFAULT_RV_FLOOR, OhlcBar, realized_sd, rogers_satchell
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,19 @@ class SeriesFrame:
     def n_train(self) -> int:
         if self.train_end is None:
             return 0
-        return sum(1 for d in self.dates if d <= self.train_end)
+        return bisect.bisect_right(self.dates, self.train_end)
+
+    @property
+    def first_eval(self) -> int:
+        """Index of the first evaluation day: dates strictly increase, so the
+        scored window is the suffix `dates[first_eval:]`."""
+        if self.eval_start is None:
+            return len(self.dates)
+        return bisect.bisect_left(self.dates, self.eval_start)
 
     @property
     def n_eval(self) -> int:
-        if self.eval_start is None:
-            return 0
-        return sum(1 for d in self.dates if d >= self.eval_start)
+        return len(self.dates) - self.first_eval
 
 
 def build_series(bars: list[OhlcBar], floor_eps: float = DEFAULT_RV_FLOOR,
@@ -148,9 +154,9 @@ def build_series(bars: list[OhlcBar], floor_eps: float = DEFAULT_RV_FLOOR,
         raise DataError(f"need at least 2 bars to build a series, got {len(bars)}")
     if not floor_eps > 0.0:
         raise ConfigError(f"realized-variance floor must be positive, got {floor_eps!r}")
-    bars = [validate_bar(b) for b in bars]
-    y_all = np.array([math.log(b.close) for b in bars])
+    # rogers_satchell validates (and clamps) each bar; clamping never moves the close
     z_all = np.array([max(rogers_satchell(b), floor_eps) for b in bars])
+    y_all = np.array([math.log(b.close) for b in bars])
     x_all = np.array([realized_sd(z) for z in z_all])
     return SeriesFrame(
         ticker=ticker,

@@ -149,7 +149,9 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
         if hp.alpha <= 0.0:
             raise DomainError(f"{variant.value} requires alpha > 0")
         if not np.all(z > 0.0):
-            raise DataError("realized variance must be positive everywhere (apply the floor)")
+            t = int(np.argmin(z > 0.0))
+            raise DataError(f"nonpositive realized variance at step {t} (apply the floor)",
+                            date=dates[t] if dates is not None else None)
     alpha = hp.alpha if uses_rv else 0.0
 
     n_star_seq, n_tilde_seq, n_arr = dof_sequences(hp, init.n_star, T, uses_rv)
@@ -172,6 +174,16 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
     s_arr, f_arr, q_arr, e_arr, lp_arr = (rows[:, k].copy() for k in range(d + npack, d + npack + 5))
     if not np.all(np.isfinite(s_arr)) or not np.all(s_arr > 0.0):
         raise NumericalError("volatility scale left the positive reals during filtering")
+    # the step composition's PSD check, once for all days: R_t = C_{t-1}/delta, R_1 = init.R.
+    # Day-major (d, T) copy: numpy reduces a short trailing axis slowly.
+    diag_C = np.diagonal(C, axis1=1, axis2=2).T.copy()
+    diag_R_max = np.concatenate(([np.diag(init.R).max()], diag_C[:, :-1].max(axis=0) / hp.delta))
+    lost = diag_C.min(axis=0) < -1e-10 * np.maximum(1.0, diag_R_max)
+    if lost.any():
+        t = int(np.argmax(lost))
+        raise NumericalError(f"posterior scale lost positive semidefiniteness at step {t} "
+                             f"(min diag {diag_C[:, t].min()!r})"
+                             + (f" [date={dates[t]}]" if dates is not None else ""))
     return FilterTrajectory(variant, hp, init, y, z, x, y_prev, x_prev,
                             m, C, n_arr, s_arr, n_star_seq,
                             f_arr, q_arr, e_arr, lp_arr,

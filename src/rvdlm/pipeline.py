@@ -13,7 +13,6 @@ supplied.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as dt
 import json
 import math
@@ -24,7 +23,7 @@ import numpy as np
 
 from .dlm_core import HyperParams, ModelClass, PriorMoments
 from .distributions import GammaParams, gamma_quantile
-from .errors import ConfigError, DataError, NumericalError, RvdlmError
+from .errors import ConfigError, DataError, RvdlmError
 from .ingestion import CsvSchema, SeriesFrame, apply_split, build_series, parse_csv
 from .kernel import FilterTrajectory, run_filter
 from .rv_measures import DEFAULT_RV_FLOOR
@@ -162,89 +161,56 @@ def load_config(path_or_dict, out_dir_override=None, seed_override=None) -> RunC
     )
 
 
-class _QuantileCache:
-    """Gamma and t quantile multipliers keyed by degrees of freedom.
+def _trajectory_columns(iso_dates, scored, mspec: ModelSpec, traj: FilterTrajectory,
+                        quantiles: dict):
+    """Header and whole-series columns of one `{ticker}__{model}.csv`, plus
+    the realized-variance log scores (None for the price-only model).
 
-    The dof sequence converges geometrically, so a handful of solves serves
-    thousands of days. Gamma quantiles of G(n/2, n s/2) factor as g(n)/s.
+    The dof path is data-independent and converges, so the quantile
+    multipliers are solved once per distinct dof and memoised in `quantiles`:
+    dof -> (gamma 0.50, 0.95, 0.05 quantiles of G(n/2, n/2), t 0.95 quantile).
     """
-
-    def __init__(self):
-        self._gamma: dict[tuple[float, float], float] = {}
-        self._t: dict[tuple[float, float], float] = {}
-
-    def phi_quantile(self, u: float, n: float, s: float) -> float:
-        key = (u, n)
-        g = self._gamma.get(key)
-        if g is None:
-            g = gamma_quantile(u, GammaParams(0.5 * n, 0.5 * n))
-            self._gamma[key] = g
-        return g / s
-
-    def t_mult(self, u: float, n: float) -> float:
-        key = (u, n)
-        t = self._t.get(key)
-        if t is None:
-            t = student_t_quantile(u, n)
-            self._t[key] = t
-        return t
-
-
-def _trajectory_rows(frame: SeriesFrame, mspec: ModelSpec, traj: FilterTrajectory,
-                     cache: _QuantileCache):
-    names = mspec.variant.coefficient_names
+    dofs, day = np.unique(traj.n, return_inverse=True)
+    for n in dofs.tolist():
+        if n not in quantiles:
+            g = GammaParams(0.5 * n, 0.5 * n)
+            quantiles[n] = (gamma_quantile(0.50, g), gamma_quantile(0.95, g),
+                            gamma_quantile(0.05, g), student_t_quantile(0.95, n))
+    g_med, g_hi, g_lo, tmult = np.array([quantiles[n] for n in dofs.tolist()])[day].T
+    s = traj.s
     header = ["date_iso", "y_log_price", "z_realized_var", "x_realized_sd",
               "forecast_log_price", "forecast_scale_var", "forecast_error",
               "log_score_nats", "scored", "dof_n", "vol_scale_s_var",
               "sd_daily_med", "sd_daily_lo05", "sd_daily_hi95"]
-    for c in names:
+    # quantiles of phi ~ G(n/2, n s/2) are g(n)/s; sqrt(v) = 1/sqrt(phi) flips them
+    cols = [iso_dates, traj.y, traj.z, traj.x, traj.forecast, traj.scale, traj.error,
+            traj.log_density, scored, traj.n, s,
+            1.0 / np.sqrt(g_med / s), 1.0 / np.sqrt(g_hi / s), 1.0 / np.sqrt(g_lo / s)]
+    half = tmult[:, None] * np.sqrt(np.maximum(np.diagonal(traj.C, axis1=1, axis2=2), 0.0))
+    for i, c in enumerate(mspec.variant.coefficient_names):
         header += [f"coef_{c}_med", f"coef_{c}_lo05", f"coef_{c}_hi95"]
-    rvl = mspec.variant is ModelClass.RVLDLM
-    if rvl:
+        med = traj.m[:, i]
+        cols += [med, med - half[:, i], med + half[:, i]]
+    if mspec.variant is ModelClass.RVLDLM:
+        now = traj.m[:, 2] * traj.x
         header += ["price_effect_med", "net_rv_med"]
+        # math.exp per day: np.exp may differ from libm in the last ulp
+        cols += [np.array([math.exp(v) for v in now.tolist()]), now + traj.m[:, 3] * traj.x_prev]
     z_scores = None
     if mspec.variant.uses_rv:
-        header.append("log_score_z_nats")
         z_scores = log_score_z_path(traj)
-    ix_now = 2 if rvl else None
-    ix_lag = 3 if rvl else 2
-    rows = []
-    for t in range(len(traj)):
-        date = frame.dates[t]
-        n, s = float(traj.n[t]), float(traj.s[t])
-        scored = int(frame.eval_start is not None and date >= frame.eval_start)
-        # sqrt(v) = 1/sqrt(phi): quantiles flip under the decreasing map
-        phi_lo = cache.phi_quantile(0.05, n, s)
-        phi_med = cache.phi_quantile(0.50, n, s)
-        phi_hi = cache.phi_quantile(0.95, n, s)
-        row = [date.isoformat(),
-               _FMT % traj.y[t], _FMT % traj.z[t], _FMT % traj.x[t],
-               _FMT % traj.forecast[t], _FMT % traj.scale[t], _FMT % traj.error[t],
-               _FMT % traj.log_density[t], str(scored),
-               _FMT % n, _FMT % s,
-               _FMT % (1.0 / math.sqrt(phi_med)),
-               _FMT % (1.0 / math.sqrt(phi_hi)),
-               _FMT % (1.0 / math.sqrt(phi_lo))]
-        tmult = cache.t_mult(0.95, n)
-        for i in range(mspec.variant.dim):
-            med = float(traj.m[t, i])
-            half = tmult * math.sqrt(max(float(traj.C[t, i, i]), 0.0))
-            row += [_FMT % med, _FMT % (med - half), _FMT % (med + half)]
-        if rvl:
-            row.append(_FMT % math.exp(float(traj.m[t, ix_now]) * float(traj.x[t])))
-            row.append(_FMT % (float(traj.m[t, ix_now]) * float(traj.x[t])
-                               + float(traj.m[t, ix_lag]) * float(traj.x_prev[t])))
-        if z_scores is not None:
-            row.append(_FMT % z_scores[t])
-        rows.append(row)
-    return header, rows
+        header.append("log_score_z_nats")
+        cols.append(z_scores)
+    return header, cols, z_scores
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """Write one row per day; numpy columns as %.17g, other columns as str."""
+    line = ",".join(_FMT if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(line % row for row in zip(*columns))
 
 
 def _write_bayes_factors(out_dir: str, ticker: str, scores: dict) -> dict:
@@ -259,14 +225,12 @@ def _write_bayes_factors(out_dir: str, ticker: str, scores: dict) -> dict:
             (dates, hi_inc), (lo_dates, lo_inc) = scores[hi], scores[lo]
             if dates != lo_dates:
                 raise DataError(f"{ticker}: scored dates differ between {hi!r} and {lo!r}")
-            total, rows = 0.0, []
-            for d, a, b in zip(dates, hi_inc, lo_inc):
-                total += a - b
-                rows.append([str(d), _FMT % total])
+            # cumsum accumulates in order (no pairwise summation): exact running sums
+            bf = np.cumsum(np.subtract(hi_inc, lo_inc))
             name = f"{hi}_over_{lo}"
             path = os.path.join(out_dir, f"{ticker}__BF__{name}.csv")
-            _write_csv(path, ["date_iso", "cum_log_bf_nats"], rows)
-            out[name] = (path, total)
+            _write_csv(path, ["date_iso", "cum_log_bf_nats"], [dates, bf])
+            out[name] = (path, float(bf[-1]) if bf.size else 0.0)
     return out
 
 
@@ -277,8 +241,8 @@ def run_series_model(frame: SeriesFrame, mspec: ModelSpec, s1: float):
                       frame.y, frame.z, frame.x, frame.y_prev, frame.x_prev,
                       dates=frame.dates)
     ledger = ScoreLedger(mspec.name, window_start=frame.eval_start)
-    for t, date in enumerate(frame.dates):
-        ledger.record(date, float(traj.log_density[t]))
+    for date, lp in zip(frame.dates, traj.log_density.tolist()):
+        ledger.record(date, lp)
     ledger.check_consistency()
     return traj, ledger
 
@@ -290,7 +254,7 @@ def run_filter_pipeline(config: RunConfig) -> dict:
     identical config and inputs yield byte-identical outputs.
     """
     os.makedirs(config.out_dir, exist_ok=True)
-    cache = _QuantileCache()
+    quantiles = {}  # dof -> quantile multipliers, see _trajectory_columns
     summary = {
         "config": _echo_config(config),
         "seed": config.seed,
@@ -312,6 +276,9 @@ def run_filter_pipeline(config: RunConfig) -> dict:
             "models": {},
             "log_bayes_factors": {},
         }
+        first = frame.first_eval
+        iso_dates = [d.isoformat() for d in frame.dates]
+        scored = ["0"] * first + ["1"] * (len(frame) - first)
         scores = {}
         for mspec in config.models:
             try:
@@ -320,22 +287,19 @@ def run_filter_pipeline(config: RunConfig) -> dict:
                 raise type(exc)(
                     f"series {sspec.ticker!r} model {mspec.name!r} [filter]: {exc}") from exc
             scores[mspec.name] = (ledger.dates, ledger.increments)
-            header, rows = _trajectory_rows(frame, mspec, traj, cache)
+            header, cols, z_scores = _trajectory_columns(iso_dates, scored, mspec, traj,
+                                                         quantiles)
             _write_csv(os.path.join(config.out_dir, f"{sspec.ticker}__{mspec.name}.csv"),
-                       header, rows)
+                       header, cols)
             model_entry = {
                 "cumulative_log_score": ledger.cumulative,
                 "scored_days": len(ledger),
                 "final_n": float(traj.n[-1]),
                 "final_s": float(traj.s[-1]),
             }
-            if mspec.variant.uses_rv:
+            if z_scores is not None:
                 # diagnostic second tally on the realized-variance margin
-                zs = log_score_z_path(traj)
-                in_window = [t for t, d in enumerate(frame.dates)
-                             if frame.eval_start is not None and d >= frame.eval_start]
-                model_entry["cumulative_log_score_z"] = float(zs[in_window].sum()) \
-                    if in_window else 0.0
+                model_entry["cumulative_log_score_z"] = float(z_scores[first:].sum())
             entry["models"][mspec.name] = model_entry
         for name, (_, total) in _write_bayes_factors(config.out_dir, sspec.ticker,
                                                      scores).items():

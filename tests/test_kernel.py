@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rvdlm import (DataError, HyperParams, ModelClass, PriorMoments,
-                   build_regressor, dof_sequences, evolve, price_update,
-                   run_filter, rv_update, special, sv_volatility_update_path)
+from rvdlm import (DataError, HyperParams, ModelClass, NumericalError, OhlcBar,
+                   PriorMoments, build_regressor, build_series, dof_sequences, evolve,
+                   price_update, run_filter, rv_update, special,
+                   sv_volatility_update_path)
 from rvdlm.kernel import _score_constants
 
 
@@ -33,13 +35,8 @@ def hp_for(variant):
     return HyperParams(0.999, 0.925, 0.0)
 
 
-@pytest.mark.parametrize("variant", list(ModelClass))
-def test_fused_kernel_equals_step_composition(variant):
-    hp = hp_for(variant)
-    init = default_init(variant, hp)
-    y, z, x, y_prev, x_prev = make_series(300)
+def assert_matches_step_composition(variant, hp, init, y, z, x, y_prev, x_prev):
     traj = run_filter(variant, hp, init, y, z, x, y_prev, x_prev)
-
     prior, post = init, None
     for t in range(y.size):
         if t > 0:
@@ -57,6 +54,39 @@ def test_fused_kernel_equals_step_composition(variant):
         assert traj.log_density[t] == pytest.approx(stats.log_density, abs=1e-8)
         assert traj.forecast[t] == pytest.approx(stats.forecast, abs=1e-10)
         assert traj.scale[t] == pytest.approx(stats.scale, rel=1e-9)
+
+
+@pytest.mark.parametrize("variant", list(ModelClass))
+def test_fused_kernel_equals_step_composition(variant):
+    hp = hp_for(variant)
+    assert_matches_step_composition(variant, hp, default_init(variant, hp), *make_series(300))
+
+
+# bar shapes: a bar with wicks, a price move with no wicks (Rogers-Satchell
+# variance 0, floored), and a flat bar (no move, floored)
+BAR_KINDS = st.sampled_from(["wick", "no_wick", "flat"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(list(ModelClass)),
+       delta=st.one_of(st.just(1.0), st.floats(0.9, 1.0)),
+       beta=st.one_of(st.just(1.0), st.floats(0.8, 1.0)),
+       alpha=st.floats(0.5, 5.0),
+       kinds=st.lists(BAR_KINDS, min_size=3, max_size=30),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_equals_step_composition_property(variant, delta, beta, alpha, kinds, seed):
+    rng = np.random.default_rng(seed)
+    bars, c = [], 100.0
+    for t, kind in enumerate(kinds):
+        o = c
+        c = o if kind == "flat" else o * math.exp(rng.normal(0.0, 0.01))
+        wick = math.exp(abs(rng.normal(0.0, 0.004))) if kind == "wick" else 1.0
+        bars.append(OhlcBar(dt.date(2001, 1, 1) + dt.timedelta(days=t), o,
+                            max(o, c) * wick, min(o, c) / wick, c))
+    frame = build_series(bars, floor_eps=1e-12)
+    hp = HyperParams(delta, beta, alpha if variant.uses_rv else 0.0)
+    assert_matches_step_composition(variant, hp, default_init(variant, hp, s1=1e-4),
+                                    frame.y, frame.z, frame.x, frame.y_prev, frame.x_prev)
 
 
 def test_trajectory_accessors_reconstruct_priors():
@@ -126,8 +156,32 @@ def test_rejects_nonpositive_rv():
     y, z, x, y_prev, x_prev = make_series(20)
     z = z.copy()
     z[7] = 0.0
-    with pytest.raises(DataError):
-        run_filter(variant, hp, init, y, z, x, y_prev, x_prev)
+    dates = [dt.date(2001, 1, 1) + dt.timedelta(days=t) for t in range(20)]
+    with pytest.raises(DataError) as info:
+        run_filter(variant, hp, init, y, z, x, y_prev, x_prev, dates=dates)
+    assert info.value.date == dates[7]
+
+
+@pytest.mark.parametrize("variant", list(ModelClass))
+def test_lost_positive_semidefiniteness_is_a_dated_numerical_error(variant):
+    # a negative prior variance on the lagged-RV coefficient keeps q > 0 but
+    # drives that diagonal entry of C below zero on the first day
+    hp = hp_for(variant)
+    init = default_init(variant, hp)
+    R = init.R.copy()
+    R[-1, -1] = -1e-4
+    init = PriorMoments(init.a, R, init.n_star, init.s_prev)
+    y, z, x, y_prev, x_prev = make_series(20)
+    F = build_regressor(variant, y_prev[0], x[0], x_prev[0])
+    with pytest.raises(NumericalError, match="positive semidefiniteness"):
+        if variant.uses_rv:
+            price_update(rv_update(init, float(z[0]), hp.alpha), float(y[0]), F)
+        else:
+            sv_volatility_update_path(init, float(y[0]), F)
+    dates = [dt.date(2001, 1, 1) + dt.timedelta(days=t) for t in range(20)]
+    with pytest.raises(NumericalError, match="positive semidefiniteness at step 0") as info:
+        run_filter(variant, hp, init, y, z, x, y_prev, x_prev, dates=dates)
+    assert "2001-01-01" in str(info.value)
 
 
 @pytest.mark.parametrize("variant", [ModelClass.SVDLM, ModelClass.RVDLM])

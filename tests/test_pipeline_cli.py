@@ -1,14 +1,16 @@
 import datetime as dt
+import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rvdlm import (ConfigError, ModelClass, SyntheticParams, generate_synthetic,
-                   load_config, run_filter_pipeline, slowly_varying_theta,
-                   write_csv)
+from rvdlm import (ConfigError, ModelClass, OhlcBar, SyntheticParams,
+                   generate_synthetic, load_config, run_filter_pipeline,
+                   slowly_varying_theta, write_csv)
 from rvdlm.cli import main
 from rvdlm.ingestion import read_csv_rows
 
@@ -210,3 +212,110 @@ class TestCli:
         os.remove(bf_path)
         assert main(["score", "--run-dir", out]) == 0
         assert open(bf_path).read() == before
+
+
+GOLDEN_MODELS = [
+    {"name": "svdlm", "variant": "svdlm"},
+    {"name": "rvdlm", "variant": "rvdlm"},
+    {"name": "rvldlm", "variant": "rvldlm"},
+    {"name": "rvl_static", "variant": "rvldlm", "delta": 1.0},
+    {"name": "sv_beta1", "variant": "svdlm", "beta": 1.0},
+    {"name": "rv_beta1", "variant": "rvdlm", "beta": 1.0, "delta": 0.97},
+]
+
+# sha256 of every output file of the two runs in test_golden_output_digests; any
+# change to an emitted byte (formatting, rounding, file set) must update them on purpose
+GOLDEN_DIGESTS = {
+    "out/TIC__BF__rv_beta1_over_rvdlm.csv":
+        "00981af479e2dd33e2b07f6cc18cfe9388ae50aad5e148eeadd5c8595d72ba92",
+    "out/TIC__BF__rv_beta1_over_rvl_static.csv":
+        "92717d035ed6cae50fe7ded619f069b9fb5bee8ca7c320084dfe000ee12deef9",
+    "out/TIC__BF__rv_beta1_over_rvldlm.csv":
+        "0acb26c573ba623858eae75b1cd48bfa8993c5afc0840c2a90f903822dd2b5fa",
+    "out/TIC__BF__rv_beta1_over_sv_beta1.csv":
+        "6b8449dc426eaf36cc4ed8a5731940f89b3bdbcc24d8eee7699d84a1f5c73e01",
+    "out/TIC__BF__rv_beta1_over_svdlm.csv":
+        "fb1b26eea1ce0d66f8b214a10b36f3d2b850ff7238a3261ecf9b83f1eb85d8ce",
+    "out/TIC__BF__rvdlm_over_svdlm.csv":
+        "7c27b50e34d729fc01bd6cf2e1b1aa0b829ce01b6a1c599eec15b5d5fbfbbc55",
+    "out/TIC__BF__rvl_static_over_rvdlm.csv":
+        "ec7798a90f71df370b82e919f05d16707049c29635e1b4d03b1aa617565bc924",
+    "out/TIC__BF__rvl_static_over_rvldlm.csv":
+        "b0e52ff23a78c304df75668e758e4e5541c518fcb76d6e5659d13b906f63ba89",
+    "out/TIC__BF__rvl_static_over_svdlm.csv":
+        "2e3c4dd1e6bd09fb81e2921e9d2b13e9ded3a2bc8dc4e558620c6a0639fc03da",
+    "out/TIC__BF__rvldlm_over_rvdlm.csv":
+        "b4448e169240c2067121d82144076717cd92c60dcf55993cc1fd282bef343a73",
+    "out/TIC__BF__rvldlm_over_svdlm.csv":
+        "6317dff90f5e63e3d864d484418f17f727ebb081274522266879b302687f9992",
+    "out/TIC__BF__sv_beta1_over_rvdlm.csv":
+        "692de3cbc33b9b54de961864bcad84e8b4fcddd1537e514e1a7da2492cda61f4",
+    "out/TIC__BF__sv_beta1_over_rvl_static.csv":
+        "4266f1c6760996c6a3f653586de3164dd5f11bb7c01b070745d4865e86a1a260",
+    "out/TIC__BF__sv_beta1_over_rvldlm.csv":
+        "535aa6367f9c4822b25acb2ea949aed6f34e97b1c4240ee275bb0ab5a4a96350",
+    "out/TIC__BF__sv_beta1_over_svdlm.csv":
+        "be5cafc649ce8e5bbeb9bb563324fc69461134ace2afefe71a6c74a85a314ada",
+    "out/TIC__rv_beta1.csv":
+        "5af840b91600553d7e77532c2e527d5ed1aeb5bb78c7ca4c189a003dc9988965",
+    "out/TIC__rvdlm.csv":
+        "31c4207d4e5da22cbc3a0d7acbdbe314a8a96e44d0d175a032e115ff3f48d9e9",
+    "out/TIC__rvl_static.csv":
+        "cfd5bdf9c8f283938db1c3cb370b5cc5ec5dac77a1ec0a82f132993161618b97",
+    "out/TIC__rvldlm.csv":
+        "8d9a722b0be0c9fa25fddc438f056d579ca14d0637732c20f5c2c2983b553ceb",
+    "out/TIC__sv_beta1.csv":
+        "9340b4350938a5beabe032369ad4e8415951a9f3979b4209d12e5cff4dbe537f",
+    "out/TIC__svdlm.csv":
+        "0ebbcddcfdf40ba9797fc6263d3723440246509982b3f91cc289f53a4646123c",
+    "out/summary.json":
+        "24778563c84fcf9491e68e62b61e5ebb2342f2c9bdcf423cfd6ea6d6729df4a6",
+    "out_empty/TIC__BF__rvdlm_over_svdlm.csv":
+        "1801fa3c1544b7df02fc14ea66b0b4b2f94cd7cc412ec12a61f76f6cf877053d",
+    "out_empty/TIC__BF__rvldlm_over_rvdlm.csv":
+        "1801fa3c1544b7df02fc14ea66b0b4b2f94cd7cc412ec12a61f76f6cf877053d",
+    "out_empty/TIC__BF__rvldlm_over_svdlm.csv":
+        "1801fa3c1544b7df02fc14ea66b0b4b2f94cd7cc412ec12a61f76f6cf877053d",
+    "out_empty/TIC__rvdlm.csv":
+        "555918584675b559ddd64ccb1381ba4ef6482ea3451370f0474dde71d3a78be1",
+    "out_empty/TIC__rvldlm.csv":
+        "1317dd9e4d9e48df1d0013d8cad5c268dd0135ded8d68c39ecac39d26d051b4e",
+    "out_empty/TIC__svdlm.csv":
+        "25ccc66cc85dde40d3c8ddb26772f38967be8487050f86b47f6cc36d51fb7a6b",
+    "out_empty/summary.json":
+        "7f4cfda2ddabb42f8c117d2ed2eb6886f55b1e1640bd3bff250c668d8ebfb1da",
+}
+
+
+def _golden_inputs():
+    theta = slowly_varying_theta(ModelClass.RVLDLM, 240,
+                                 base=[0.0046, 0.999, -0.4, 0.3],
+                                 amplitude=[0.0, 0.0, 0.1, 0.1])
+    bars, _ = generate_synthetic(SyntheticParams(model=ModelClass.RVLDLM, theta=theta),
+                                 np.random.default_rng(31))
+    # a flat bar: zero Rogers-Satchell variance, floored on input
+    b = bars[100]
+    bars[100] = OhlcBar(b.date, b.close, b.close, b.close, b.close)
+    write_csv("tic.csv", bars)
+    return bars
+
+
+def _digests(out_dir):
+    return {f"{out_dir}/{name}": hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(out_dir))}
+
+
+def test_golden_output_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    bars = _golden_inputs()
+    raw = base_config("tic.csv", "out", models=GOLDEN_MODELS)
+    raw["train_end"] = bars[120].date.isoformat()
+    raw["eval_start"] = bars[121].date.isoformat()
+    run_filter_pipeline(load_config(raw))
+    last = bars[-1].date
+    raw.update(out_dir="out_empty", models=GOLDEN_MODELS[:3], train_end=last.isoformat(),
+               eval_start=(last + dt.timedelta(days=1)).isoformat())
+    with pytest.warns(UserWarning):
+        run_filter_pipeline(load_config(raw))
+    got = {**_digests("out"), **_digests("out_empty")}
+    assert got == GOLDEN_DIGESTS
