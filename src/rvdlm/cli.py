@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,10 +19,8 @@ import numpy as np
 from .dlm_core import ModelClass
 from .errors import ConfigError, RvdlmError
 from .ingestion import write_csv
-from .pipeline import load_config, recompute_bayes_factors, run_filter_pipeline
+from .pipeline import _write_csv, load_config, recompute_bayes_factors, run_filter_pipeline
 from .synthetic import SyntheticParams, generate_synthetic, slowly_varying_theta
-
-_FMT = "%.17g"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,16 +94,10 @@ def _cmd_synth(args) -> int:
     bars, truth = generate_synthetic(params, rng)
     write_csv(args.out, bars)
     if args.truth_out:
-        d = params.model.dim
-        header = ["date_iso"] + [f"theta_{i}" for i in range(d)] + \
+        header = ["date_iso"] + [f"theta_{i}" for i in range(params.model.dim)] + \
                  ["obs_variance_v", "y_log_price", "z_realized_var"]
-        with open(args.truth_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for t, date in enumerate(truth.dates):
-                row = [date.isoformat()]
-                row += [_FMT % truth.theta[t, i] for i in range(d)]
-                row += [_FMT % truth.v[t], _FMT % truth.y[t], _FMT % truth.z[t]]
-                fh.write(",".join(row) + "\n")
+        _write_csv(args.truth_out, header, [[d.isoformat() for d in truth.dates],
+                                            *truth.theta.T, truth.v, truth.y, truth.z])
     print(f"wrote {len(bars)} bars to {args.out} (seed={args.seed})")
     return 0
 

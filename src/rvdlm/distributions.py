@@ -17,8 +17,6 @@ import numpy as np
 from . import special
 from .errors import DomainError
 
-_LOG_PI = math.log(math.pi)
-
 
 def _require_finite(name: str, value: float) -> float:
     v = float(value)

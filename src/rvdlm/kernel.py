@@ -1,15 +1,17 @@
 """Fused sequential filter: the O(T d^2) hot path.
 
-The per-day recursions from `dlm_core` are unrolled for the d=3 and d=4
-regressor layouts and run on plain floats, which keeps a three-model pass
-over a 6,500-day series in the tens of milliseconds. The degrees-of-freedom
-sequence is data-independent, so the Student-t scoring constants are
-precomputed in one vectorized sweep. `run_filter` is asserted equivalent to
-the step-by-step `dlm_core` composition by the test suite.
+The per-day recursions from `dlm_core` are written once in index form
+(`_loop_source`) and generated, unrolled over named scalars, for each
+regressor layout dimension; the loop runs on plain floats, which keeps a
+three-model pass over a 6,500-day series in the tens of milliseconds. The
+degrees-of-freedom sequence is data-independent, so the Student-t scoring
+constants are precomputed in one vectorized sweep. `run_filter` is asserted
+equivalent to the step-by-step `dlm_core` composition by the test suite.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, field
 
@@ -18,8 +20,6 @@ import numpy as np
 from . import special
 from .dlm_core import HyperParams, ModelClass, PriorMoments, RvUpdatedPrior
 from .errors import DataError, DomainError, NumericalError
-
-_LOG_PI = math.log(math.pi)
 
 
 @dataclass
@@ -115,6 +115,10 @@ def _sym_gather(d: int) -> np.ndarray:
 _SYM_GATHER = {d: _sym_gather(d) for d in (3, 4)}
 
 
+def _dated(message: str, t: int, dates) -> str:
+    return message + (f" [date={dates[t]}]" if dates is not None else "")
+
+
 def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
                y, z, x, y_prev, x_prev, dates=None) -> FilterTrajectory:
     """Filter one series under one model; returns the full trajectory.
@@ -159,19 +163,24 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
 
     # plain-list views: elementwise float iteration is several times faster
     # than numpy scalar extraction inside the sequential loop
+    regressors = (y_prev, x, x_prev) if variant.uses_contemporaneous_rv else (y_prev, x_prev)
     d = variant.dim
-    loop = _loop_d4 if d == 4 else _loop_d3
-    regressors = (y_prev.tolist(), x.tolist(), x_prev.tolist()) if d == 4 \
-        else (y_prev.tolist(), x_prev.tolist())
-    flat = loop(hp.delta, alpha, init.a, init.R, float(init.s_prev),
-                zip(y.tolist(), z.tolist(), *regressors, n_star_seq.tolist(),
-                    n_tilde_seq.tolist(), n_arr.tolist(), consts.tolist()))
-    # one row per day: m (d), packed upper triangle of C, then s, f, q, e, lp
     npack = d * (d + 1) // 2
-    rows = np.fromiter(flat, dtype=float, count=len(flat)).reshape(T, d + npack + 5)
+    width = d + npack + 5
+    flat = []
+    bad_q = _LOOPS[d](hp.delta, alpha, init.a, init.R, float(init.s_prev), flat,
+                      zip(y.tolist(), z.tolist(), *(r.tolist() for r in regressors),
+                          n_star_seq.tolist(), n_tilde_seq.tolist(), n_arr.tolist(),
+                          consts.tolist()))
+    if bad_q is not None:
+        t = len(flat) // width
+        raise NumericalError(_dated(f"nonpositive one-step scale q={bad_q!r} at step {t}",
+                                    t, dates))
+    # one row per day: m (d), packed upper triangle of C, then s, f, q, e, lp
+    rows = np.fromiter(flat, dtype=float, count=len(flat)).reshape(T, width)
     m = rows[:, :d].copy()
     C = rows[:, d + _SYM_GATHER[d]].reshape(T, d, d)
-    s_arr, f_arr, q_arr, e_arr, lp_arr = (rows[:, k].copy() for k in range(d + npack, d + npack + 5))
+    s_arr, f_arr, q_arr, e_arr, lp_arr = (rows[:, k].copy() for k in range(d + npack, width))
     if not np.all(np.isfinite(s_arr)) or not np.all(s_arr > 0.0):
         raise NumericalError("volatility scale left the positive reals during filtering")
     # the step composition's PSD check, once for all days: R_t = C_{t-1}/delta, R_1 = init.R.
@@ -181,91 +190,69 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
     lost = diag_C.min(axis=0) < -1e-10 * np.maximum(1.0, diag_R_max)
     if lost.any():
         t = int(np.argmax(lost))
-        raise NumericalError(f"posterior scale lost positive semidefiniteness at step {t} "
-                             f"(min diag {diag_C[:, t].min()!r})"
-                             + (f" [date={dates[t]}]" if dates is not None else ""))
+        raise NumericalError(_dated(f"posterior scale lost positive semidefiniteness at step {t} "
+                                    f"(min diag {float(diag_C[:, t].min())!r})", t, dates))
     return FilterTrajectory(variant, hp, init, y, z, x, y_prev, x_prev,
                             m, C, n_arr, s_arr, n_star_seq,
                             f_arr, q_arr, e_arr, lp_arr,
                             list(dates) if dates is not None else None)
 
 
-def _nonpositive_q(q, flat, width):
-    return NumericalError(f"nonpositive one-step scale q={q!r} at step {len(flat) // width}")
+def _loop_source(d: int) -> str:
+    """Source of the per-day filter recursion for a d-coefficient layout.
+
+    Index form, unrolled over named scalars: F_0 = 1 and F_1..F_{d-1} come
+    from `days`; R and C are kept as their packed upper triangles (R_ij with
+    i <= j). Sums run left to right over j, which fixes every float operation.
+    Appends one row per day to `flat`: m, packed C, s, f, q, e, lp. Returns
+    None, or the first one-step scale q that is not positive (its day is the
+    row count of `flat`).
+    """
+    idx = range(d)
+    upper = [(i, j) for i in idx for j in range(i, d)]
+
+    def dot(terms):  # sum_j terms_j F_j
+        return " + ".join(v if j == 0 else f"{v} * F{j}" for j, v in enumerate(terms))
+
+    m = ", ".join(f"m{i}" for i in idx)
+    F = ", ".join(f"F{j}" for j in range(1, d))
+    C = ", ".join(f"C{i}{j}" for i, j in upper)
+    return "\n".join([
+        "def loop(delta, alpha, a0, R0, s, flat, days):",
+        "    inv_delta = 1.0 / delta",
+        "    log = math.log",
+        f"    {m} = (float(v) for v in a0)",
+        *(f"    R{i}{j} = float(R0[{i}, {j}])" for i, j in upper),
+        "    push = flat.extend",
+        f"    for yt, zt, {F}, ns, n_til, n, c in days:",
+        "        s_til = (ns + alpha * zt / s) / n_til * s if alpha > 0.0 else s",
+        *(f"        RF{i} = " + dot(f"R{min(i, j)}{max(i, j)}" for j in idx) for i in idx),
+        "        f = " + dot(f"m{j}" for j in idx),
+        "        q = s_til + " + dot(f"RF{j}" for j in idx),
+        "        if not q > 0.0:",
+        "            return q",
+        "        e = yt - f",
+        "        iq = 1.0 / q",
+        *(f"        A{i} = RF{i} * iq" for i in idx),
+        *(f"        m{i} += A{i} * e" for i in idx),
+        *(f"        qA{i} = q * A{i}" for i in idx),
+        *(f"        C{i}{j} = R{i}{j} - qA{i} * A{j}" for i, j in upper),
+        "        u = e * e * iq",
+        "        s = (n_til + u) / n * s_til",
+        "        lp = c - 0.5 * log(q) - 0.5 * n * log(1.0 + u / n_til)",
+        f"        push(({m}, {C}, s, f, q, e, lp))",
+        *(f"        R{i}{j} = C{i}{j} * inv_delta" for i, j in upper),
+    ]) + "\n"
 
 
-def _loop_d3(delta, alpha, a0, R0, s, days):
-    inv_delta = 1.0 / delta
-    log = math.log
-    m0, m1, m2 = (float(v) for v in a0)
-    R00, R01, R02 = float(R0[0, 0]), float(R0[0, 1]), float(R0[0, 2])
-    R11, R12 = float(R0[1, 1]), float(R0[1, 2])
-    R22 = float(R0[2, 2])
-    flat = []
-    push = flat.extend
-    for yt, zt, F1, F2, ns, n_til, n, c in days:
-        s_til = (ns + alpha * zt / s) / n_til * s if alpha > 0.0 else s
-        RF0 = R00 + R01 * F1 + R02 * F2
-        RF1 = R01 + R11 * F1 + R12 * F2
-        RF2 = R02 + R12 * F1 + R22 * F2
-        f = m0 + m1 * F1 + m2 * F2
-        q = s_til + RF0 + RF1 * F1 + RF2 * F2
-        if not q > 0.0:
-            raise _nonpositive_q(q, flat, 14)
-        e = yt - f
-        iq = 1.0 / q
-        A0 = RF0 * iq; A1 = RF1 * iq; A2 = RF2 * iq
-        m0 += A0 * e; m1 += A1 * e; m2 += A2 * e
-        qA0 = q * A0; qA1 = q * A1; qA2 = q * A2
-        C00 = R00 - qA0 * A0; C01 = R01 - qA0 * A1; C02 = R02 - qA0 * A2
-        C11 = R11 - qA1 * A1; C12 = R12 - qA1 * A2
-        C22 = R22 - qA2 * A2
-        u = e * e * iq
-        s = (n_til + u) / n * s_til
-        lp = c - 0.5 * log(q) - 0.5 * n * log(1.0 + u / n_til)
-        push((m0, m1, m2, C00, C01, C02, C11, C12, C22, s, f, q, e, lp))
-        R00 = C00 * inv_delta; R01 = C01 * inv_delta; R02 = C02 * inv_delta
-        R11 = C11 * inv_delta; R12 = C12 * inv_delta
-        R22 = C22 * inv_delta
-    return flat
+def _compile_loop(d: int):
+    source = _loop_source(d)
+    filename = f"<rvdlm.kernel loop d={d}>"
+    # tracebacks and profilers read generated lines from the linecache
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), {"math": math}, namespace)
+    return namespace["loop"]
 
 
-def _loop_d4(delta, alpha, a0, R0, s, days):
-    inv_delta = 1.0 / delta
-    log = math.log
-    m0, m1, m2, m3 = (float(v) for v in a0)
-    R00, R01, R02, R03 = float(R0[0, 0]), float(R0[0, 1]), float(R0[0, 2]), float(R0[0, 3])
-    R11, R12, R13 = float(R0[1, 1]), float(R0[1, 2]), float(R0[1, 3])
-    R22, R23 = float(R0[2, 2]), float(R0[2, 3])
-    R33 = float(R0[3, 3])
-    flat = []
-    push = flat.extend
-    for yt, zt, F1, F2, F3, ns, n_til, n, c in days:
-        s_til = (ns + alpha * zt / s) / n_til * s if alpha > 0.0 else s
-        RF0 = R00 + R01 * F1 + R02 * F2 + R03 * F3
-        RF1 = R01 + R11 * F1 + R12 * F2 + R13 * F3
-        RF2 = R02 + R12 * F1 + R22 * F2 + R23 * F3
-        RF3 = R03 + R13 * F1 + R23 * F2 + R33 * F3
-        f = m0 + m1 * F1 + m2 * F2 + m3 * F3
-        q = s_til + RF0 + RF1 * F1 + RF2 * F2 + RF3 * F3
-        if not q > 0.0:
-            raise _nonpositive_q(q, flat, 19)
-        e = yt - f
-        iq = 1.0 / q
-        A0 = RF0 * iq; A1 = RF1 * iq; A2 = RF2 * iq; A3 = RF3 * iq
-        m0 += A0 * e; m1 += A1 * e; m2 += A2 * e; m3 += A3 * e
-        qA0 = q * A0; qA1 = q * A1; qA2 = q * A2; qA3 = q * A3
-        C00 = R00 - qA0 * A0; C01 = R01 - qA0 * A1; C02 = R02 - qA0 * A2; C03 = R03 - qA0 * A3
-        C11 = R11 - qA1 * A1; C12 = R12 - qA1 * A2; C13 = R13 - qA1 * A3
-        C22 = R22 - qA2 * A2; C23 = R23 - qA2 * A3
-        C33 = R33 - qA3 * A3
-        u = e * e * iq
-        s = (n_til + u) / n * s_til
-        lp = c - 0.5 * log(q) - 0.5 * n * log(1.0 + u / n_til)
-        push((m0, m1, m2, m3, C00, C01, C02, C03, C11, C12, C13, C22, C23, C33,
-              s, f, q, e, lp))
-        R00 = C00 * inv_delta; R01 = C01 * inv_delta; R02 = C02 * inv_delta; R03 = C03 * inv_delta
-        R11 = C11 * inv_delta; R12 = C12 * inv_delta; R13 = C13 * inv_delta
-        R22 = C22 * inv_delta; R23 = C23 * inv_delta
-        R33 = C33 * inv_delta
-    return flat
+_LOOPS = {d: _compile_loop(d) for d in (3, 4)}

@@ -48,8 +48,9 @@ class SeriesSpec:
     s1: float
 
     def __post_init__(self):
-        if not self.s1 > 0.0:
-            raise ConfigError(f"series {self.ticker!r}: s1 must be positive, got {self.s1!r}")
+        if not (math.isfinite(self.s1) and self.s1 > 0.0):
+            raise ConfigError(f"series {self.ticker!r}: s1 must be finite and positive, "
+                              f"got {self.s1!r}")
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,31 @@ class ModelSpec:
     r1_diag: tuple = None
     n_star_1: float = None
 
+    def __post_init__(self):
+        d = self.variant.dim
+        for key, vec, rule, ok in (
+                ("a1", self.a1, "finite", np.isfinite),
+                ("r1_diag", self.r1_diag, "finite and >= 0",
+                 lambda v: np.isfinite(v) & (v >= 0.0))):
+            if vec is None:
+                continue
+            v = np.asarray(vec, dtype=float)
+            if v.shape != (d,):
+                raise ConfigError(f"model {self.name!r}: {key} must have length {d}, "
+                                  f"got {list(vec)}")
+            if not ok(v).all():
+                raise ConfigError(f"model {self.name!r}: {key} entries must be {rule}, "
+                                  f"got {list(vec)}")
+        n1 = self.n_star_1
+        if n1 is not None and not (math.isfinite(n1) and n1 > 0.0):
+            raise ConfigError(f"model {self.name!r}: n_star_1 must be finite and positive, "
+                              f"got {n1!r}")
+
     def initial_prior(self, s1: float) -> PriorMoments:
         d = self.variant.dim
         a = np.array(self.a1 if self.a1 is not None else DEFAULT_A1[d], dtype=float)
         diag = np.array(self.r1_diag if self.r1_diag is not None else DEFAULT_R1_DIAG[d],
                         dtype=float)
-        if a.size != d or diag.size != d:
-            raise ConfigError(f"model {self.name!r}: prior vectors must have length {d}")
         n1 = self.n_star_1 if self.n_star_1 is not None else self.hp.beta
         return PriorMoments(a, np.diag(diag / self.hp.delta), n1, s1)
 

@@ -1,4 +1,5 @@
 import datetime as dt
+import inspect
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from rvdlm import (DataError, HyperParams, ModelClass, NumericalError, OhlcBar,
                    PriorMoments, build_regressor, build_series, dof_sequences, evolve,
                    price_update, run_filter, rv_update, special,
                    sv_volatility_update_path)
-from rvdlm.kernel import _score_constants
+from rvdlm.kernel import _LOOPS, _loop_source, _score_constants
 
 
 def make_series(T, seed=42):
@@ -182,6 +183,32 @@ def test_lost_positive_semidefiniteness_is_a_dated_numerical_error(variant):
     with pytest.raises(NumericalError, match="positive semidefiniteness at step 0") as info:
         run_filter(variant, hp, init, y, z, x, y_prev, x_prev, dates=dates)
     assert "2001-01-01" in str(info.value)
+    assert "np.float64" not in str(info.value)
+
+
+def test_generated_loops_show_their_source():
+    # tracebacks and profilers read the generated loop through linecache
+    for d, loop in _LOOPS.items():
+        assert inspect.getsource(loop) == _loop_source(d)
+
+
+@pytest.mark.parametrize("variant", list(ModelClass))
+def test_nonpositive_one_step_scale_is_a_dated_numerical_error(variant):
+    # a prior variance of -1 on the lagged-RV coefficient is inert on day 0
+    # (x_prev = 0) and drives q below zero on day 1 (x_prev = 10), so the
+    # reported step also pins the row width of the layout's loop
+    hp = hp_for(variant)
+    init = default_init(variant, hp)
+    R = init.R.copy()
+    R[-1, -1] = -1.0
+    init = PriorMoments(init.a, R, init.n_star, init.s_prev)
+    y, z, x, y_prev, _ = make_series(20)
+    x_prev = np.full(20, 10.0)
+    x_prev[0] = 0.0
+    dates = [dt.date(2001, 1, 1) + dt.timedelta(days=t) for t in range(20)]
+    with pytest.raises(NumericalError, match="nonpositive one-step scale") as info:
+        run_filter(variant, hp, init, y, z, x, y_prev, x_prev, dates=dates)
+    assert "at step 1 [date=2001-01-02]" in str(info.value)
 
 
 @pytest.mark.parametrize("variant", [ModelClass.SVDLM, ModelClass.RVDLM])

@@ -75,6 +75,33 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(raw)
 
+    @pytest.mark.parametrize("field,value", [
+        ("r1_diag", [0.10, -0.01, 0.05]),
+        ("r1_diag", [0.10, math.nan, 0.05]),
+        ("a1", [0.0, math.nan, 0.0]),
+        ("a1", [0.0, 1.0]),
+        ("n_star_1", 0.0),
+        ("n_star_1", -1.0),
+        ("n_star_1", math.nan),
+    ])
+    def test_invalid_model_prior_is_config_error(self, data_csv, tmp_path, capsys,
+                                                 field, value):
+        raw = base_config(data_csv[0], str(tmp_path / "o"),
+                          models=[{"name": "m", "variant": "rvdlm", field: value}])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["filter", "--config", str(cfg)]) == 2
+        assert f"'m': {field}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_infinite_s1_is_config_error(self, data_csv, tmp_path, capsys):
+        raw = base_config(data_csv[0], str(tmp_path / "o"))
+        raw["series"][0]["s1"] = math.inf
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["filter", "--config", str(cfg)]) == 2
+        assert "s1 must be finite" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_outputs_complete_and_consistent(self, data_csv, tmp_path):
