@@ -19,7 +19,7 @@ import numpy as np
 from .dlm_core import ModelClass
 from .errors import ConfigError, RvdlmError
 from .ingestion import write_csv
-from .pipeline import _write_csv, load_config, recompute_bayes_factors, run_filter_pipeline
+from .pipeline import load_config, recompute_bayes_factors, run_filter_pipeline, write_columns_csv
 from .synthetic import SyntheticParams, generate_synthetic, slowly_varying_theta
 
 
@@ -96,8 +96,8 @@ def _cmd_synth(args) -> int:
     if args.truth_out:
         header = ["date_iso"] + [f"theta_{i}" for i in range(params.model.dim)] + \
                  ["obs_variance_v", "y_log_price", "z_realized_var"]
-        _write_csv(args.truth_out, header, [[d.isoformat() for d in truth.dates],
-                                            *truth.theta.T, truth.v, truth.y, truth.z])
+        write_columns_csv(args.truth_out, header, [[d.isoformat() for d in truth.dates],
+                                                   *truth.theta.T, truth.v, truth.y, truth.z])
     print(f"wrote {len(bars)} bars to {args.out} (seed={args.seed})")
     return 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import linecache
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -223,7 +223,7 @@ def _trajectory_columns(iso_dates, scored, mspec: ModelSpec, traj: FilterTraject
     return header, cols, z_scores
 
 
-def _write_csv(path, header, columns):
+def write_columns_csv(path, header, columns):
     """Write one row per day; numpy columns as %.17g, other columns as str."""
     line = ",".join(_FMT if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
     columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
@@ -248,7 +248,7 @@ def _write_bayes_factors(out_dir: str, ticker: str, scores: dict) -> dict:
             bf = np.cumsum(np.subtract(hi_inc, lo_inc))
             name = f"{hi}_over_{lo}"
             path = os.path.join(out_dir, f"{ticker}__BF__{name}.csv")
-            _write_csv(path, ["date_iso", "cum_log_bf_nats"], [dates, bf])
+            write_columns_csv(path, ["date_iso", "cum_log_bf_nats"], [dates, bf])
             out[name] = (path, float(bf[-1]) if bf.size else 0.0)
     return out
 
@@ -308,7 +308,7 @@ def run_filter_pipeline(config: RunConfig) -> dict:
             scores[mspec.name] = (ledger.dates, ledger.increments)
             header, cols, z_scores = _trajectory_columns(iso_dates, scored, mspec, traj,
                                                          quantiles)
-            _write_csv(os.path.join(config.out_dir, f"{sspec.ticker}__{mspec.name}.csv"),
+            write_columns_csv(os.path.join(config.out_dir, f"{sspec.ticker}__{mspec.name}.csv"),
                        header, cols)
             model_entry = {
                 "cumulative_log_score": ledger.cumulative,
