@@ -6,18 +6,15 @@ from .dlm_core import (HyperParams, ModelClass, NormalGammaPosterior, OneStepSta
                        limiting_dof, price_update, rv_update,
                        sv_volatility_update_path)
 from .distributions import (GammaParams, ScaledFParams, StudentTParams,
-                            gamma_cdf, gamma_logpdf, gamma_quantile,
-                            sample_gamma, sample_scaled_f, sample_student_t,
+                            gamma_cdf, gamma_quantile, sample_gamma, sample_scaled_f,
                             scaled_f_logpdf, student_t_logpdf, student_t_quantile)
 from .errors import ConfigError, DataError, DomainError, NumericalError, RvdlmError
-from .forecast import (JointPredictive, RegressorInputs, joint_predictive,
-                       net_rv_contribution, predictive_y_given_z, predictive_z,
-                       price_scale_effect, sample_joint)
+from .forecast import (RegressorInputs, net_rv_contribution, predictive_y_given_z,
+                       predictive_z, price_scale_effect, sample_joint)
 from .ingestion import (CsvSchema, SeriesFrame, apply_split, build_series,
                         parse_csv, write_csv)
 from .kernel import FilterTrajectory, dof_sequences, run_filter
-from .pipeline import (ModelSpec, RunConfig, SeriesSpec, load_config,
-                       run_filter_pipeline, run_series_model)
+from .pipeline import ModelSpec, RunConfig, SeriesSpec, load_config, run_filter_pipeline
 from .rv_measures import (DEFAULT_RV_FLOOR, OhlcBar, realized_sd,
                           rogers_satchell, validate_bar)
 from .scoring import (ScoreLedger, log_bayes_factor, log_bayes_factor_path,

@@ -18,8 +18,8 @@ import numpy as np
 
 from .dlm_core import ModelClass
 from .errors import ConfigError, RvdlmError
-from .ingestion import write_csv
-from .pipeline import load_config, recompute_bayes_factors, run_filter_pipeline, write_columns_csv
+from .ingestion import write_columns_csv, write_csv
+from .pipeline import load_config, recompute_bayes_factors, run_filter_pipeline
 from .synthetic import SyntheticParams, generate_synthetic, slowly_varying_theta
 
 

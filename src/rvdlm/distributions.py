@@ -100,14 +100,6 @@ def scaled_f_logpdf(z: float, p: ScaledFParams) -> float:
             - math.log(p.scale))
 
 
-def gamma_logpdf(x: float, p: GammaParams) -> float:
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"gamma support is x > 0, got {x!r}")
-    return (p.shape * math.log(p.rate) - special.log_gamma(p.shape)
-            + (p.shape - 1.0) * math.log(x) - p.rate * x)
-
-
 def gamma_cdf(x: float, p: GammaParams) -> float:
     if x <= 0.0:
         return 0.0
@@ -153,14 +145,6 @@ def sample_gamma(p: GammaParams, rng: np.random.Generator, size: int | None = No
     """Draws from Gamma(shape, rate). Returns a float when size is None."""
     n = 1 if size is None else int(size)
     draws = _gamma_draws_unit_rate(p.shape, rng, n) / p.rate
-    return float(draws[0]) if size is None else draws
-
-
-def sample_student_t(p: StudentTParams, rng: np.random.Generator, size: int | None = None):
-    """Draws from the location-scale t via normal over sqrt of a mean-one gamma."""
-    n = 1 if size is None else int(size)
-    w = _gamma_draws_unit_rate(0.5 * p.dof, rng, n) / (0.5 * p.dof)
-    draws = p.location + math.sqrt(p.scale) * rng.standard_normal(n) / np.sqrt(w)
     return float(draws[0]) if size is None else draws
 
 

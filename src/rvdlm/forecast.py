@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .distributions import (GammaParams, ScaledFParams, StudentTParams,
-                            _gamma_draws_unit_rate)
+from .distributions import ScaledFParams, StudentTParams, _gamma_draws_unit_rate
 from .dlm_core import ModelClass, PriorMoments, build_regressor, rv_update
 from .errors import DomainError
 from .rv_measures import DEFAULT_RV_FLOOR
@@ -32,14 +30,6 @@ class RegressorInputs:
     y_prev: float
     x_prev: float
     floor_eps: float = DEFAULT_RV_FLOOR
-
-
-@dataclass(frozen=True)
-class JointPredictive:
-    """One-step joint law: the z margin plus the map z -> t-params for y."""
-
-    z_margin: ScaledFParams
-    y_conditional: Callable[[float], StudentTParams]
 
 
 def predictive_z(prior: PriorMoments, alpha: float) -> ScaledFParams:
@@ -66,13 +56,6 @@ def predictive_y_given_z(prior: PriorMoments, alpha: float, z: float,
     f = float(F @ prior.a)
     q = scale0 + float(F @ (prior.R @ F))
     return StudentTParams(dof, f, q)
-
-
-def joint_predictive(prior: PriorMoments, alpha: float, reg: RegressorInputs) -> JointPredictive:
-    return JointPredictive(
-        z_margin=predictive_z(prior, alpha),
-        y_conditional=lambda z: predictive_y_given_z(prior, alpha, z, reg),
-    )
 
 
 def sample_joint(prior: PriorMoments, alpha: float, reg: RegressorInputs,

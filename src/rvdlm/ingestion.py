@@ -47,6 +47,17 @@ def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+def write_columns_csv(path, header, columns) -> None:
+    """The one CSV writer: a header, then one row per entry of the columns.
+    numpy columns are written as %.17g, other columns as `str` of each item
+    (for floats, including numpy floats, the shortest round-trip form)."""
+    line = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in zip(*columns))
+
+
 def _parse_date(text: str, path, line: int) -> dt.date:
     try:
         return dt.date.fromisoformat(text.strip())
@@ -97,14 +108,11 @@ def parse_csv(path, schema: CsvSchema = CsvSchema()) -> list[OhlcBar]:
     return bars
 
 
-def write_csv(path, bars: list[OhlcBar], schema: CsvSchema = CsvSchema()) -> None:
+def write_csv(path, bars: list[OhlcBar]) -> None:
     """Serialize bars in the ingestion format (round-trips through parse_csv)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([schema.date, schema.open, schema.high, schema.low, schema.close])
-        for b in bars:
-            writer.writerow([b.date.isoformat(),
-                             repr(b.open), repr(b.high), repr(b.low), repr(b.close)])
+    write_columns_csv(path, ["date", "open", "high", "low", "close"],
+                      [[b.date.isoformat() for b in bars], [b.open for b in bars],
+                       [b.high for b in bars], [b.low for b in bars], [b.close for b in bars]])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .dlm_core import HyperParams, ModelClass, PriorMoments, RvUpdatedPrior
+from .dlm_core import HyperParams, ModelClass, PriorMoments, RvUpdatedPrior, rv_update
 from .errors import DataError, DomainError, NumericalError
 
 
@@ -67,10 +67,7 @@ class FilterTrajectory:
         pr = self.prior_at(t)
         if not self.variant.uses_rv:
             return RvUpdatedPrior(pr.a, pr.R, pr.n_star, pr.s_prev)
-        alpha = self.hp.alpha
-        n_til = pr.n_star + alpha
-        r_til = (pr.n_star + alpha * float(self.z[t]) / pr.s_prev) / n_til
-        return RvUpdatedPrior(pr.a, pr.R, n_til, r_til * pr.s_prev)
+        return rv_update(pr, float(self.z[t]), self.hp.alpha)
 
 
 def dof_sequences(hp: HyperParams, n_star_1: float, T: int, uses_rv: bool):
@@ -181,8 +178,13 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
     m = rows[:, :d].copy()
     C = rows[:, d + _SYM_GATHER[d]].reshape(T, d, d)
     s_arr, f_arr, q_arr, e_arr, lp_arr = (rows[:, k].copy() for k in range(d + npack, width))
-    if not np.all(np.isfinite(s_arr)) or not np.all(s_arr > 0.0):
-        raise NumericalError("volatility scale left the positive reals during filtering")
+    # the finite s and score that the step composition and ScoreLedger.record check per day
+    bad = ~((s_arr > 0.0) & (s_arr < math.inf) & np.isfinite(lp_arr))
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise NumericalError(_dated(f"filter left the finite range at step {t} (volatility scale "
+                                    f"s={float(s_arr[t])!r}, log density {float(lp_arr[t])!r})",
+                                    t, dates))
     # the step composition's PSD check, once for all days: R_t = C_{t-1}/delta, R_1 = init.R.
     # Day-major (d, T) copy: numpy reduces a short trailing axis slowly.
     diag_C = np.diagonal(C, axis1=1, axis2=2).T.copy()
@@ -205,8 +207,8 @@ def _loop_source(d: int) -> str:
     from `days`; R and C are kept as their packed upper triangles (R_ij with
     i <= j). Sums run left to right over j, which fixes every float operation.
     Appends one row per day to `flat`: m, packed C, s, f, q, e, lp. Returns
-    None, or the first one-step scale q that is not positive (its day is the
-    row count of `flat`).
+    None, or the first one-step scale q that is not finite and positive (its
+    day is the row count of `flat`).
     """
     idx = range(d)
     upper = [(i, j) for i in idx for j in range(i, d)]
@@ -229,7 +231,7 @@ def _loop_source(d: int) -> str:
         *(f"        RF{i} = " + dot(f"R{min(i, j)}{max(i, j)}" for j in idx) for i in idx),
         "        f = " + dot(f"m{j}" for j in idx),
         "        q = s_til + " + dot(f"RF{j}" for j in idx),
-        "        if not q > 0.0:",
+        "        if not 0.0 < q < inf:",
         "            return q",
         "        e = yt - f",
         "        iq = 1.0 / q",
@@ -251,7 +253,7 @@ def _compile_loop(d: int):
     # tracebacks and profilers read generated lines from the linecache
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
-    exec(compile(source, filename, "exec"), {"math": math}, namespace)
+    exec(compile(source, filename, "exec"), {"math": math, "inf": math.inf}, namespace)
     return namespace["loop"]
 
 

@@ -13,24 +13,26 @@ supplied.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import json
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dlm_core import HyperParams, ModelClass, PriorMoments
 from .distributions import GammaParams, gamma_quantile
-from .errors import ConfigError, DataError, RvdlmError
-from .ingestion import CsvSchema, SeriesFrame, apply_split, build_series, parse_csv
+from .errors import ConfigError, DataError, DomainError, RvdlmError
+from .ingestion import (CsvSchema, apply_split, build_series, parse_csv, read_csv_rows,
+                        write_columns_csv)
 from .kernel import FilterTrajectory, run_filter
 from .rv_measures import DEFAULT_RV_FLOOR
-from .scoring import ScoreLedger, log_score_z_path
+from .scoring import log_score_z_path, running_log_bayes_factor
 from .special import student_t_quantile
-
-_FMT = "%.17g"
 
 DEFAULT_HYPERPARAMS = {
     ModelClass.SVDLM: HyperParams(0.999, 0.925, 0.0),
@@ -55,6 +57,10 @@ class SeriesSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """One configured model. A prior field left as None takes its default
+    (`DEFAULT_A1`, `DEFAULT_R1_DIAG`, n*_1 = beta); given values are kept as
+    given, so the summary echoes them unchanged."""
+
     name: str
     variant: ModelClass
     hp: HyperParams
@@ -64,12 +70,14 @@ class ModelSpec:
 
     def __post_init__(self):
         d = self.variant.dim
+        for key, default in (("a1", DEFAULT_A1[d]), ("r1_diag", DEFAULT_R1_DIAG[d]),
+                             ("n_star_1", self.hp.beta)):
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, default)
         for key, vec, rule, ok in (
                 ("a1", self.a1, "finite", np.isfinite),
                 ("r1_diag", self.r1_diag, "finite and >= 0",
                  lambda v: np.isfinite(v) & (v >= 0.0))):
-            if vec is None:
-                continue
             v = np.asarray(vec, dtype=float)
             if v.shape != (d,):
                 raise ConfigError(f"model {self.name!r}: {key} must have length {d}, "
@@ -78,17 +86,14 @@ class ModelSpec:
                 raise ConfigError(f"model {self.name!r}: {key} entries must be {rule}, "
                                   f"got {list(vec)}")
         n1 = self.n_star_1
-        if n1 is not None and not (math.isfinite(n1) and n1 > 0.0):
+        if not (math.isfinite(n1) and n1 > 0.0):
             raise ConfigError(f"model {self.name!r}: n_star_1 must be finite and positive, "
                               f"got {n1!r}")
 
     def initial_prior(self, s1: float) -> PriorMoments:
-        d = self.variant.dim
-        a = np.array(self.a1 if self.a1 is not None else DEFAULT_A1[d], dtype=float)
-        diag = np.array(self.r1_diag if self.r1_diag is not None else DEFAULT_R1_DIAG[d],
-                        dtype=float)
-        n1 = self.n_star_1 if self.n_star_1 is not None else self.hp.beta
-        return PriorMoments(a, np.diag(diag / self.hp.delta), n1, s1)
+        return PriorMoments(np.array(self.a1, dtype=float),
+                            np.diag(np.array(self.r1_diag, dtype=float) / self.hp.delta),
+                            self.n_star_1, s1)
 
 
 @dataclass(frozen=True)
@@ -130,21 +135,34 @@ def _model_from_dict(entry: dict) -> ModelSpec:
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"model entry {entry!r}: unknown or missing variant "
                           f"(expected one of {[m.value for m in ModelClass]})") from exc
+    name = str(entry.get("name", variant.value))
     base = DEFAULT_HYPERPARAMS[variant]
-    hp = HyperParams(float(entry.get("delta", base.delta)),
-                     float(entry.get("beta", base.beta)),
-                     float(entry.get("alpha", base.alpha)))
+    try:
+        hp = HyperParams(float(entry.get("delta", base.delta)),
+                         float(entry.get("beta", base.beta)),
+                         float(entry.get("alpha", base.alpha)))
+    except DomainError as exc:
+        raise ConfigError(f"model {name!r}: {exc}") from exc
     if variant.uses_rv and hp.alpha <= 0.0:
-        raise ConfigError(f"model {entry.get('name', variant.value)!r}: "
-                          f"{variant.value} requires alpha > 0")
+        raise ConfigError(f"model {name!r}: {variant.value} requires alpha > 0")
     return ModelSpec(
-        name=str(entry.get("name", variant.value)),
+        name=name,
         variant=variant,
         hp=hp,
         a1=tuple(entry["a1"]) if "a1" in entry else None,
         r1_diag=tuple(entry["r1_diag"]) if "r1_diag" in entry else None,
         n_star_1=float(entry["n_star_1"]) if "n_star_1" in entry else None,
     )
+
+
+def _convert(raw: dict, key: str, convert, default):
+    """`convert(raw[key])`, or `default` when the key is absent."""
+    if key not in raw:
+        return default
+    try:
+        return convert(raw[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: invalid value {raw[key]!r} ({exc})") from exc
 
 
 def load_config(path_or_dict, out_dir_override=None, seed_override=None) -> RunConfig:
@@ -170,13 +188,12 @@ def load_config(path_or_dict, out_dir_override=None, seed_override=None) -> RunC
         if isinstance(exc, RvdlmError):
             raise
         raise ConfigError(f"malformed config: {exc}") from exc
-    schema = CsvSchema(**raw["schema"]) if "schema" in raw else CsvSchema()
     return RunConfig(
         series=series, models=models, train_end=train_end, eval_start=eval_start,
         out_dir=out_dir,
-        seed=int(seed_override if seed_override is not None else raw.get("seed", 0)),
-        floor_eps=float(raw.get("floor_eps", DEFAULT_RV_FLOOR)),
-        schema=schema,
+        seed=int(seed_override) if seed_override is not None else _convert(raw, "seed", int, 0),
+        floor_eps=_convert(raw, "floor_eps", float, DEFAULT_RV_FLOOR),
+        schema=_convert(raw, "schema", lambda v: CsvSchema(**v), CsvSchema()),
     )
 
 
@@ -223,15 +240,6 @@ def _trajectory_columns(iso_dates, scored, mspec: ModelSpec, traj: FilterTraject
     return header, cols, z_scores
 
 
-def write_columns_csv(path, header, columns):
-    """Write one row per day; numpy columns as %.17g, other columns as str."""
-    line = ",".join(_FMT if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in zip(*columns))
-
-
 def _write_bayes_factors(out_dir: str, ticker: str, scores: dict) -> dict:
     """Write `{ticker}__BF__{hi}_over_{lo}.csv` for every model pair, in
     config order, from per-model (dates, score increments) over the scored
@@ -244,8 +252,7 @@ def _write_bayes_factors(out_dir: str, ticker: str, scores: dict) -> dict:
             (dates, hi_inc), (lo_dates, lo_inc) = scores[hi], scores[lo]
             if dates != lo_dates:
                 raise DataError(f"{ticker}: scored dates differ between {hi!r} and {lo!r}")
-            # cumsum accumulates in order (no pairwise summation): exact running sums
-            bf = np.cumsum(np.subtract(hi_inc, lo_inc))
+            bf = running_log_bayes_factor(hi_inc, lo_inc)
             name = f"{hi}_over_{lo}"
             path = os.path.join(out_dir, f"{ticker}__BF__{name}.csv")
             write_columns_csv(path, ["date_iso", "cum_log_bf_nats"], [dates, bf])
@@ -253,26 +260,35 @@ def _write_bayes_factors(out_dir: str, ticker: str, scores: dict) -> dict:
     return out
 
 
-def run_series_model(frame: SeriesFrame, mspec: ModelSpec, s1: float):
-    """Filter one series under one model and build its score ledger."""
-    init = mspec.initial_prior(s1)
-    traj = run_filter(mspec.variant, mspec.hp, init,
-                      frame.y, frame.z, frame.x, frame.y_prev, frame.x_prev,
-                      dates=frame.dates)
-    ledger = ScoreLedger(mspec.name, window_start=frame.eval_start)
-    for date, lp in zip(frame.dates, traj.log_density.tolist()):
-        ledger.record(date, lp)
-    ledger.check_consistency()
-    return traj, ledger
+@contextlib.contextmanager
+def _staged(out_dir: str):
+    """Yield a temporary directory beside `out_dir`. On success every file
+    in it is moved into `out_dir` (summary.json last); the temporary
+    directory is removed either way, so a failed run leaves nothing."""
+    parent = os.path.dirname(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".rvdlm-", dir=parent)
+    try:
+        yield stage
+        os.makedirs(out_dir, exist_ok=True)
+        for name in sorted(os.listdir(stage), key=lambda n: n == "summary.json"):
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def run_filter_pipeline(config: RunConfig) -> dict:
     """Run every (series, model) pair and write all output files.
 
     Returns the summary dict (also written as summary.json). Deterministic:
-    identical config and inputs yield byte-identical outputs.
+    identical config and inputs yield byte-identical outputs. All or
+    nothing: the files reach `out_dir` only once every pair has run.
     """
-    os.makedirs(config.out_dir, exist_ok=True)
+    with _staged(config.out_dir) as stage:
+        return _run_into(config, stage)
+
+
+def _run_into(config: RunConfig, out_dir: str) -> dict:
     quantiles = {}  # dof -> quantile multipliers, see _trajectory_columns
     summary = {
         "config": _echo_config(config),
@@ -295,24 +311,29 @@ def run_filter_pipeline(config: RunConfig) -> dict:
             "models": {},
             "log_bayes_factors": {},
         }
+        # the scored window is the suffix from first_eval: its dates and score increments
         first = frame.first_eval
         iso_dates = [d.isoformat() for d in frame.dates]
         scored = ["0"] * first + ["1"] * (len(frame) - first)
         scores = {}
         for mspec in config.models:
             try:
-                traj, ledger = run_series_model(frame, mspec, sspec.s1)
+                traj = run_filter(mspec.variant, mspec.hp, mspec.initial_prior(sspec.s1),
+                                  frame.y, frame.z, frame.x, frame.y_prev, frame.x_prev,
+                                  dates=frame.dates)
             except RvdlmError as exc:
                 raise type(exc)(
                     f"series {sspec.ticker!r} model {mspec.name!r} [filter]: {exc}") from exc
-            scores[mspec.name] = (ledger.dates, ledger.increments)
+            increments = traj.log_density[first:]
+            scores[mspec.name] = (frame.dates[first:], increments)
             header, cols, z_scores = _trajectory_columns(iso_dates, scored, mspec, traj,
                                                          quantiles)
-            write_columns_csv(os.path.join(config.out_dir, f"{sspec.ticker}__{mspec.name}.csv"),
-                       header, cols)
+            write_columns_csv(os.path.join(out_dir, f"{sspec.ticker}__{mspec.name}.csv"),
+                              header, cols)
+            running = np.cumsum(increments)  # adds in order, like a running total
             model_entry = {
-                "cumulative_log_score": ledger.cumulative,
-                "scored_days": len(ledger),
+                "cumulative_log_score": float(running[-1]) if running.size else 0.0,
+                "scored_days": frame.n_eval,
                 "final_n": float(traj.n[-1]),
                 "final_s": float(traj.s[-1]),
             }
@@ -320,11 +341,10 @@ def run_filter_pipeline(config: RunConfig) -> dict:
                 # diagnostic second tally on the realized-variance margin
                 model_entry["cumulative_log_score_z"] = float(z_scores[first:].sum())
             entry["models"][mspec.name] = model_entry
-        for name, (_, total) in _write_bayes_factors(config.out_dir, sspec.ticker,
-                                                     scores).items():
+        for name, (_, total) in _write_bayes_factors(out_dir, sspec.ticker, scores).items():
             entry["log_bayes_factors"][name] = total
         summary["series"][sspec.ticker] = entry
-    with open(os.path.join(config.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
@@ -336,10 +356,7 @@ def _echo_config(config: RunConfig) -> dict:
         "models": [{
             "name": m.name, "variant": m.variant.value,
             "delta": m.hp.delta, "beta": m.hp.beta, "alpha": m.hp.alpha,
-            "a1": list(m.a1) if m.a1 is not None else list(DEFAULT_A1[m.variant.dim]),
-            "r1_diag": list(m.r1_diag) if m.r1_diag is not None
-                       else list(DEFAULT_R1_DIAG[m.variant.dim]),
-            "n_star_1": m.n_star_1 if m.n_star_1 is not None else m.hp.beta,
+            "a1": list(m.a1), "r1_diag": list(m.r1_diag), "n_star_1": m.n_star_1,
         } for m in config.models],
         "train_end": config.train_end.isoformat(),
         "eval_start": config.eval_start.isoformat(),
@@ -351,8 +368,6 @@ def _echo_config(config: RunConfig) -> dict:
 def recompute_bayes_factors(run_dir: str) -> list[str]:
     """Rebuild the pairwise log-BF trajectory files from the per-day score
     increments already emitted in `run_dir` (the `score` subcommand)."""
-    from .ingestion import read_csv_rows
-
     summary_path = os.path.join(run_dir, "summary.json")
     try:
         with open(summary_path, "r", encoding="utf-8") as fh:

@@ -101,15 +101,19 @@ def log_bayes_factor(ledger_m: ScoreLedger, ledger_m2: ScoreLedger) -> float:
     return ledger_m.cumulative - ledger_m2.cumulative
 
 
+def running_log_bayes_factor(increments_m, increments_m2) -> np.ndarray:
+    """Cumulative log BF of the first model over the second after each day,
+    from aligned per-day score increments. `np.cumsum` adds in order (no
+    pairwise summation), so each entry equals a running `+=` total."""
+    return np.cumsum(np.subtract(increments_m, increments_m2))
+
+
 def log_bayes_factor_path(ledger_m: ScoreLedger, ledger_m2: ScoreLedger):
     """(date, cumulative log BF) trajectory over the shared window."""
     if ledger_m.dates != ledger_m2.dates:
         raise ValueError("ledgers do not cover the same dates")
-    out, total = [], 0.0
-    for d, a, b in zip(ledger_m.dates, ledger_m.increments, ledger_m2.increments):
-        total += a - b
-        out.append((d, total))
-    return out
+    bf = running_log_bayes_factor(ledger_m.increments, ledger_m2.increments)
+    return list(zip(ledger_m.dates, bf.tolist()))
 
 
 def reinitialize_window(ledger: ScoreLedger, start_date) -> ScoreLedger:

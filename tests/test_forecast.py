@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from rvdlm import (HyperParams, ModelClass, PriorMoments, RegressorInputs,
-                   StudentTParams, joint_predictive, net_rv_contribution,
+                   StudentTParams, net_rv_contribution,
                    predictive_y_given_z, predictive_z, price_scale_effect,
                    rv_update, sample_joint, scaled_f_logpdf, student_t_logpdf)
 
@@ -171,12 +171,11 @@ class TestJointFactorization:
         for g, r in zip(got, ref):
             assert g == pytest.approx(float(r), abs=1e-5)
 
-    def test_joint_predictive_builder(self):
+    def test_margin_and_conditional_builders(self):
         pr = PriorMoments(np.array([0.1, 0.9, 0.0]), 0.2 * np.eye(3), 8.0, 1.0)
         reg = RegressorInputs(ModelClass.RVDLM, y_prev=0.4, x_prev=0.05)
-        jp = joint_predictive(pr, 2.0, reg)
-        assert jp.z_margin.dof_den == 8.0
-        p1, p2 = jp.y_conditional(0.5), jp.y_conditional(2.0)
+        assert predictive_z(pr, 2.0).dof_den == 8.0
+        p1, p2 = (predictive_y_given_z(pr, 2.0, z, reg) for z in (0.5, 2.0))
         # non-contemporaneous layout: location fixed, scale moves through s~
         assert p1.location == p2.location
         assert p1.scale != p2.scale

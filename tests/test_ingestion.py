@@ -106,6 +106,15 @@ class TestParseCsv:
         write_csv(p2, again)
         assert p1.read_text() == p2.read_text()
 
+    def test_round_trip_numpy_float_prices(self, tmp_path):
+        # under numpy 2, repr(np.float64(100.0)) is "np.float64(100.0)"
+        bars = [OhlcBar(b.date, *map(np.float64, (b.open, b.high, b.low, b.close)))
+                for b in mk_bars(10)]
+        path = tmp_path / "np.csv"
+        write_csv(path, bars)
+        assert "np.float64" not in path.read_text()
+        assert parse_csv(path) == bars
+
 
 class TestBuildSeries:
     def test_flat_bars_floor(self):

@@ -211,6 +211,38 @@ def test_nonpositive_one_step_scale_is_a_dated_numerical_error(variant):
     assert "at step 1 [date=2001-01-02]" in str(info.value)
 
 
+@pytest.mark.parametrize("T", [1, 5])
+def test_infinite_one_step_scale_is_a_dated_numerical_error(T):
+    # a huge prior variance on the y_prev coefficient makes F'RF overflow to
+    # +inf on day 0; the step composition rejects that q as well
+    variant = ModelClass.RVDLM
+    hp = hp_for(variant)
+    init = PriorMoments(np.array([0.0, 1.0, 0.0]), np.diag([1e-2, 1e308, 1e-2]), hp.beta, 1.4e-4)
+    y, z, x, y_prev, x_prev = make_series(T)
+    F = build_regressor(variant, y_prev[0], x[0], x_prev[0])
+    with pytest.raises(NumericalError, match="q=inf"), np.errstate(over="ignore"):
+        price_update(rv_update(init, float(z[0]), hp.alpha), float(y[0]), F)
+    dates = [dt.date(2001, 1, 1) + dt.timedelta(days=t) for t in range(T)]
+    with pytest.raises(NumericalError, match="nonpositive one-step scale q=inf") as info:
+        run_filter(variant, hp, init, y, z, x, y_prev, x_prev, dates=dates)
+    assert "at step 0 [date=2001-01-01]" in str(info.value)
+
+
+@pytest.mark.parametrize("variant", list(ModelClass))
+def test_overflowing_volatility_scale_is_a_dated_numerical_error(variant):
+    # a finite but absurd last price overflows e^2/q: s and the log density
+    # leave the finite range on the last day, after the loop's q check
+    hp = hp_for(variant)
+    init = default_init(variant, hp)
+    y, z, x, y_prev, x_prev = make_series(20)
+    y = y.copy()
+    y[-1] = 1e200
+    dates = [dt.date(2001, 1, 1) + dt.timedelta(days=t) for t in range(20)]
+    with pytest.raises(NumericalError, match="left the finite range at step 19") as info:
+        run_filter(variant, hp, init, y, z, x, y_prev, x_prev, dates=dates)
+    assert "[date=2001-01-20]" in str(info.value)
+
+
 @pytest.mark.parametrize("variant", [ModelClass.SVDLM, ModelClass.RVDLM])
 @pytest.mark.parametrize("column", range(5))
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -94,6 +94,28 @@ class TestConfig:
         assert f"'m': {field}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("model,field,value", [
+        (None, "schema", {"dat": "Day"}),
+        (None, "floor_eps", "abc"),
+        (None, "seed", "x"),
+        ("rvdlm", "delta", 1.5),
+        ("rvdlm", "beta", 0.0),
+        ("rvdlm", "alpha", math.nan),
+    ])
+    def test_malformed_field_is_config_error(self, data_csv, tmp_path, capsys,
+                                             model, field, value):
+        raw = base_config(data_csv[0], str(tmp_path / "o"))
+        entry = raw if model is None else next(m for m in raw["models"] if m["name"] == model)
+        entry[field] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["filter", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        if model is not None:
+            assert f"model {model!r}" in err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_infinite_s1_is_config_error(self, data_csv, tmp_path, capsys):
         raw = base_config(data_csv[0], str(tmp_path / "o"))
         raw["series"][0]["s1"] = math.inf
@@ -211,6 +233,20 @@ class TestCli:
         assert main(["filter", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "TIC" in err and "2020-01-02" in err
+
+    def test_failed_run_leaves_no_outputs(self, data_csv, tmp_path, capsys):
+        # the first series filters fine; the second has a bar with high < low
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("date,open,high,low,close\n2020-01-02,100,90,99,100\n"
+                           "2020-01-03,100,101,99,100\n")
+        raw = base_config(data_csv[0], str(tmp_path / "o"))
+        raw["series"].append({"ticker": "BAD", "path": str(bad_csv), "s1": 1e-4})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        before = sorted(os.listdir(tmp_path))
+        assert main(["filter", "--config", str(cfg)]) == 3
+        assert "BAD" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_synth_roundtrip_and_replay(self, tmp_path, capsys):
         out1, out2 = str(tmp_path / "s1.csv"), str(tmp_path / "s2.csv")

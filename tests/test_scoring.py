@@ -44,6 +44,20 @@ class TestLogBayesFactor:
         assert log_bayes_factor(a, b) == 0.0
         assert all(v == 0.0 for _, v in log_bayes_factor_path(a, b))
 
+    def test_path_is_the_in_order_running_sum(self):
+        # reference: the running `+=` total the BF files are defined by, bit for bit
+        rng = np.random.default_rng(3)
+        a = filled_ledger("a", [(t, float(v)) for t, v in enumerate(rng.normal(size=300))])
+        b = filled_ledger("b", [(t, float(v)) for t, v in enumerate(rng.normal(size=300))])
+        want, total = [], 0.0
+        for d, x, y in zip(a.dates, a.increments, b.increments):
+            total += x - y
+            want.append((d, total))
+        got = log_bayes_factor_path(a, b)
+        assert got == want
+        assert all(type(v) is float for _, v in got)
+        assert log_bayes_factor_path(ScoreLedger("a"), ScoreLedger("b")) == []
+
     def test_antisymmetry(self):
         rng = np.random.default_rng(1)
         incs_a = [(t, float(v)) for t, v in enumerate(rng.normal(size=50))]
