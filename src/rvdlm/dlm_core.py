@@ -234,6 +234,9 @@ def _observe_price(a: np.ndarray, R: np.ndarray, dof: float, vol_scale: float,
     n = dof + 1.0
     r = (dof + e * e / q) / n
     s = r * vol_scale
+    if not 0.0 < s < math.inf:
+        raise NumericalError(f"filter left the finite range (volatility scale s={s!r}, "
+                             f"forecast error e={e!r}, q={q!r})")
     logpdf = student_t_logpdf(y, StudentTParams(dof, f, q))
     return (NormalGammaPosterior(m, C, n, s),
             OneStepStats(f, q, e, dof, logpdf))

@@ -47,11 +47,22 @@ def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+#: Text form of numpy float columns in every written CSV; `float()` of it is exact.
+FLOAT_FORMAT = "%.17g"
+
+
+def format_floats(values: np.ndarray) -> list[str]:
+    """The text `write_columns_csv` writes for a numpy column, so a column
+    shared by several files is formatted once and passed as strings."""
+    return [FLOAT_FORMAT % v for v in values.tolist()]
+
+
 def write_columns_csv(path, header, columns) -> None:
     """The one CSV writer: a header, then one row per entry of the columns.
-    numpy columns are written as %.17g, other columns as `str` of each item
-    (for floats, including numpy floats, the shortest round-trip form)."""
-    line = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    numpy columns are written as FLOAT_FORMAT, other columns as `str` of each
+    item (for floats, including numpy floats, the shortest round-trip form).
+    Fields are never quoted."""
+    line = ",".join(FLOAT_FORMAT if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
     columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")

@@ -116,6 +116,11 @@ def _dated(message: str, t: int, dates) -> str:
     return message + (f" [date={dates[t]}]" if dates is not None else "")
 
 
+def _finite_range_error(t: int, s: float, lp: float, dates) -> NumericalError:
+    return NumericalError(_dated(f"filter left the finite range at step {t} (volatility scale "
+                                 f"s={s!r}, log density {lp!r})", t, dates))
+
+
 def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
                y, z, x, y_prev, x_prev, dates=None) -> FilterTrajectory:
     """Filter one series under one model; returns the full trajectory.
@@ -171,6 +176,12 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
                           consts.tolist()))
     if bad_q is not None:
         t = len(flat) // width
+        if t > 0:
+            # day t-1 leaving the finite range (an overflowed s) is what made q bad
+            row = flat[(t - 1) * width:]
+            s_prev, lp_prev = row[d + npack], row[-1]
+            if not (0.0 < s_prev < math.inf and math.isfinite(lp_prev)):
+                raise _finite_range_error(t - 1, s_prev, lp_prev, dates)
         raise NumericalError(_dated(f"nonpositive one-step scale q={bad_q!r} at step {t}",
                                     t, dates))
     # one row per day: m (d), packed upper triangle of C, then s, f, q, e, lp
@@ -182,9 +193,7 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
     bad = ~((s_arr > 0.0) & (s_arr < math.inf) & np.isfinite(lp_arr))
     if bad.any():
         t = int(np.argmax(bad))
-        raise NumericalError(_dated(f"filter left the finite range at step {t} (volatility scale "
-                                    f"s={float(s_arr[t])!r}, log density {float(lp_arr[t])!r})",
-                                    t, dates))
+        raise _finite_range_error(t, float(s_arr[t]), float(lp_arr[t]), dates)
     # the step composition's PSD check, once for all days: R_t = C_{t-1}/delta, R_1 = init.R.
     # Day-major (d, T) copy: numpy reduces a short trailing axis slowly.
     diag_C = np.diagonal(C, axis1=1, axis2=2).T.copy()

@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dlm_core import HyperParams, ModelClass, PriorMoments
-from .distributions import GammaParams, gamma_quantile
 from .errors import ConfigError, DataError, DomainError, RvdlmError
-from .ingestion import (CsvSchema, apply_split, build_series, parse_csv, read_csv_rows,
+from .ingestion import (CsvSchema, apply_split, build_series, format_floats, parse_csv,
                         write_columns_csv)
 from .kernel import FilterTrajectory, run_filter
 from .rv_measures import DEFAULT_RV_FLOOR
 from .scoring import log_score_z_path, running_log_bayes_factor
-from .special import student_t_quantile
+from .special import inv_reg_lower_gamma_lanes, student_t_quantile_lanes
 
 DEFAULT_HYPERPARAMS = {
     ModelClass.SVDLM: HyperParams(0.999, 0.925, 0.0),
@@ -43,6 +42,17 @@ DEFAULT_A1 = {3: (0.0, 1.0, 0.0), 4: (0.0, 1.0, 0.0, 0.0)}
 DEFAULT_R1_DIAG = {3: (0.10, 0.01, 0.05), 4: (0.10, 0.01, 0.05, 0.05)}
 
 
+def _check_name(what: str, name: str, banned=()) -> None:
+    """Tickers and model names become parts of output file names, where `__`
+    separates the parts and `_over_` the two models of a Bayes-factor file;
+    a name may not hold a separator or anything that leaves `out_dir`."""
+    if not name:
+        raise ConfigError(f"{what} must be non-empty")
+    for part in ("/", "\\", "\0", "..", "__", *banned):
+        if part in name:
+            raise ConfigError(f"{what} {name!r} must not contain {part!r}")
+
+
 @dataclass(frozen=True)
 class SeriesSpec:
     ticker: str
@@ -50,6 +60,7 @@ class SeriesSpec:
     s1: float
 
     def __post_init__(self):
+        _check_name("series ticker", self.ticker)
         if not (math.isfinite(self.s1) and self.s1 > 0.0):
             raise ConfigError(f"series {self.ticker!r}: s1 must be finite and positive, "
                               f"got {self.s1!r}")
@@ -69,6 +80,7 @@ class ModelSpec:
     n_star_1: float = None
 
     def __post_init__(self):
+        _check_name("model name", self.name, banned=("_over_",))
         d = self.variant.dim
         for key, default in (("a1", DEFAULT_A1[d]), ("r1_diag", DEFAULT_R1_DIAG[d]),
                              ("n_star_1", self.hp.beta)):
@@ -115,6 +127,18 @@ class RunConfig:
         names = [m.name for m in self.models]
         if len(set(names)) != len(names):
             raise ConfigError(f"model names must be unique, got {names}")
+        tickers = [s.ticker for s in self.series]
+        if len(set(tickers)) != len(tickers):
+            raise ConfigError(f"series tickers must be unique, got {tickers}")
+        # names joined into file names can still meet: ('A_', 'm') and ('A', '_m')
+        files = [_trajectory_file(t, m) for t in tickers for m in names]
+        files += [_bf_file(t, hi, lo) for t in tickers for hi, lo in _model_pairs(names)]
+        seen = set()
+        for f in files:
+            if f in seen:
+                raise ConfigError(f"output file name {f!r} would be written twice; "
+                                  f"rename a series ticker or model")
+            seen.add(f)
         if not self.floor_eps > 0.0:
             raise ConfigError(f"floor_eps must be positive, got {self.floor_eps!r}")
         for s in self.series:
@@ -138,10 +162,9 @@ def _model_from_dict(entry: dict) -> ModelSpec:
     name = str(entry.get("name", variant.value))
     base = DEFAULT_HYPERPARAMS[variant]
     try:
-        hp = HyperParams(float(entry.get("delta", base.delta)),
-                         float(entry.get("beta", base.beta)),
-                         float(entry.get("alpha", base.alpha)))
-    except DomainError as exc:
+        hp = HyperParams(*(_convert(entry, key, _json_number, getattr(base, key))
+                           for key in ("delta", "beta", "alpha")))
+    except (ConfigError, DomainError) as exc:
         raise ConfigError(f"model {name!r}: {exc}") from exc
     if variant.uses_rv and hp.alpha <= 0.0:
         raise ConfigError(f"model {name!r}: {variant.value} requires alpha > 0")
@@ -153,6 +176,18 @@ def _model_from_dict(entry: dict) -> ModelSpec:
         r1_diag=tuple(entry["r1_diag"]) if "r1_diag" in entry else None,
         n_star_1=float(entry["n_star_1"]) if "n_star_1" in entry else None,
     )
+
+
+def _json_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {type(value).__name__}")
+    return float(value)
+
+
+def _json_integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {type(value).__name__}")
+    return value
 
 
 def _convert(raw: dict, key: str, convert, default):
@@ -191,36 +226,53 @@ def load_config(path_or_dict, out_dir_override=None, seed_override=None) -> RunC
     return RunConfig(
         series=series, models=models, train_end=train_end, eval_start=eval_start,
         out_dir=out_dir,
-        seed=int(seed_override) if seed_override is not None else _convert(raw, "seed", int, 0),
+        seed=(int(seed_override) if seed_override is not None
+              else _convert(raw, "seed", _json_integer, 0)),
         floor_eps=_convert(raw, "floor_eps", float, DEFAULT_RV_FLOOR),
         schema=_convert(raw, "schema", lambda v: CsvSchema(**v), CsvSchema()),
     )
 
 
-def _trajectory_columns(iso_dates, scored, mspec: ModelSpec, traj: FilterTrajectory,
+def _fill_quantiles(quantiles: dict, dofs: list) -> None:
+    """Add to `quantiles` every dof not yet in it: dof -> (gamma 0.50, 0.95,
+    0.05 quantiles of G(n/2, n/2), t 0.95 quantile, the dof's CSV text).
+    One lane-parallel solve per level covers all the new dofs."""
+    new = [n for n in dofs if n not in quantiles]
+    if not new:
+        return
+    n = np.array(new)
+    half = 0.5 * n
+    # the gamma_quantile of G(n/2, n/2): the unit-rate quantile over the rate
+    g_med, g_hi, g_lo = (inv_reg_lower_gamma_lanes(half, u) / half for u in (0.50, 0.95, 0.05))
+    tmult = student_t_quantile_lanes(0.95, n)
+    quantiles.update(zip(new, zip(g_med.tolist(), g_hi.tolist(), g_lo.tolist(),
+                                  tmult.tolist(), format_floats(n))))
+
+
+def _trajectory_columns(iso_dates, scored, inputs, mspec: ModelSpec, traj: FilterTrajectory,
                         quantiles: dict):
     """Header and whole-series columns of one `{ticker}__{model}.csv`, plus
     the realized-variance log scores (None for the price-only model).
+    `inputs` holds the series' y, z, x columns, already formatted.
 
     The dof path is data-independent and converges, so the quantile
-    multipliers are solved once per distinct dof and memoised in `quantiles`:
-    dof -> (gamma 0.50, 0.95, 0.05 quantiles of G(n/2, n/2), t 0.95 quantile).
+    multipliers are solved once per distinct dof and memoised in `quantiles`
+    (see `_fill_quantiles`).
     """
     dofs, day = np.unique(traj.n, return_inverse=True)
-    for n in dofs.tolist():
-        if n not in quantiles:
-            g = GammaParams(0.5 * n, 0.5 * n)
-            quantiles[n] = (gamma_quantile(0.50, g), gamma_quantile(0.95, g),
-                            gamma_quantile(0.05, g), student_t_quantile(0.95, n))
-    g_med, g_hi, g_lo, tmult = np.array([quantiles[n] for n in dofs.tolist()])[day].T
+    dofs = dofs.tolist()
+    _fill_quantiles(quantiles, dofs)
+    table = [quantiles[n] for n in dofs]
+    g_med, g_hi, g_lo, tmult = np.array([row[:4] for row in table])[day].T
+    dof_text = [table[k][4] for k in day.tolist()]
     s = traj.s
     header = ["date_iso", "y_log_price", "z_realized_var", "x_realized_sd",
               "forecast_log_price", "forecast_scale_var", "forecast_error",
               "log_score_nats", "scored", "dof_n", "vol_scale_s_var",
               "sd_daily_med", "sd_daily_lo05", "sd_daily_hi95"]
     # quantiles of phi ~ G(n/2, n s/2) are g(n)/s; sqrt(v) = 1/sqrt(phi) flips them
-    cols = [iso_dates, traj.y, traj.z, traj.x, traj.forecast, traj.scale, traj.error,
-            traj.log_density, scored, traj.n, s,
+    cols = [iso_dates, *inputs, traj.forecast, traj.scale, traj.error,
+            traj.log_density, scored, dof_text, s,
             1.0 / np.sqrt(g_med / s), 1.0 / np.sqrt(g_hi / s), 1.0 / np.sqrt(g_lo / s)]
     half = tmult[:, None] * np.sqrt(np.maximum(np.diagonal(traj.C, axis1=1, axis2=2), 0.0))
     for i, c in enumerate(mspec.variant.coefficient_names):
@@ -240,23 +292,34 @@ def _trajectory_columns(iso_dates, scored, mspec: ModelSpec, traj: FilterTraject
     return header, cols, z_scores
 
 
+def _trajectory_file(ticker: str, model: str) -> str:
+    return f"{ticker}__{model}.csv"
+
+
+def _bf_file(ticker: str, hi: str, lo: str) -> str:
+    return f"{ticker}__BF__{hi}_over_{lo}.csv"
+
+
+def _model_pairs(names: list) -> list[tuple[str, str]]:
+    """(hi, lo) for every model pair, in config order: each later model over
+    each earlier one."""
+    return [(hi, lo) for i, lo in enumerate(names) for hi in names[i + 1:]]
+
+
 def _write_bayes_factors(out_dir: str, ticker: str, scores: dict) -> dict:
     """Write `{ticker}__BF__{hi}_over_{lo}.csv` for every model pair, in
     config order, from per-model (dates, score increments) over the scored
     window; dates are written as `str(date)`, the ISO form. Returns
     {pair name: (path, final cumulative log BF)}."""
-    names = list(scores)
     out = {}
-    for i, lo in enumerate(names):
-        for hi in names[i + 1:]:
-            (dates, hi_inc), (lo_dates, lo_inc) = scores[hi], scores[lo]
-            if dates != lo_dates:
-                raise DataError(f"{ticker}: scored dates differ between {hi!r} and {lo!r}")
-            bf = running_log_bayes_factor(hi_inc, lo_inc)
-            name = f"{hi}_over_{lo}"
-            path = os.path.join(out_dir, f"{ticker}__BF__{name}.csv")
-            write_columns_csv(path, ["date_iso", "cum_log_bf_nats"], [dates, bf])
-            out[name] = (path, float(bf[-1]) if bf.size else 0.0)
+    for hi, lo in _model_pairs(list(scores)):
+        (dates, hi_inc), (lo_dates, lo_inc) = scores[hi], scores[lo]
+        if dates != lo_dates:
+            raise DataError(f"{ticker}: scored dates differ between {hi!r} and {lo!r}")
+        bf = running_log_bayes_factor(hi_inc, lo_inc)
+        path = os.path.join(out_dir, _bf_file(ticker, hi, lo))
+        write_columns_csv(path, ["date_iso", "cum_log_bf_nats"], [dates, bf])
+        out[f"{hi}_over_{lo}"] = (path, float(bf[-1]) if bf.size else 0.0)
     return out
 
 
@@ -315,6 +378,7 @@ def _run_into(config: RunConfig, out_dir: str) -> dict:
         first = frame.first_eval
         iso_dates = [d.isoformat() for d in frame.dates]
         scored = ["0"] * first + ["1"] * (len(frame) - first)
+        inputs = [format_floats(v) for v in (frame.y, frame.z, frame.x)]  # same in every model
         scores = {}
         for mspec in config.models:
             try:
@@ -326,9 +390,9 @@ def _run_into(config: RunConfig, out_dir: str) -> dict:
                     f"series {sspec.ticker!r} model {mspec.name!r} [filter]: {exc}") from exc
             increments = traj.log_density[first:]
             scores[mspec.name] = (frame.dates[first:], increments)
-            header, cols, z_scores = _trajectory_columns(iso_dates, scored, mspec, traj,
-                                                         quantiles)
-            write_columns_csv(os.path.join(out_dir, f"{sspec.ticker}__{mspec.name}.csv"),
+            header, cols, z_scores = _trajectory_columns(iso_dates, scored, inputs, mspec,
+                                                         traj, quantiles)
+            write_columns_csv(os.path.join(out_dir, _trajectory_file(sspec.ticker, mspec.name)),
                               header, cols)
             running = np.cumsum(increments)  # adds in order, like a running total
             model_entry = {
@@ -377,17 +441,44 @@ def recompute_bayes_factors(run_dir: str) -> list[str]:
     model_names = [m["name"] for m in summary["config"]["models"]]
     written = []
     for ticker in summary["series"]:
-        scores = {}
-        for name in model_names:
-            path = os.path.join(run_dir, f"{ticker}__{name}.csv")
-            header, rows = read_csv_rows(path)
-            idx = {h: k for k, h in enumerate(header)}
-            for col in ("date_iso", "log_score_nats", "scored"):
-                if col not in idx:
-                    raise DataError(f"{path}: missing column {col!r}")
-            scored = [r for r in rows if r[idx["scored"]] == "1"]
-            scores[name] = ([r[idx["date_iso"]] for r in scored],
-                            [float(r[idx["log_score_nats"]]) for r in scored])
+        scores = {name: _scored_increments(os.path.join(run_dir, _trajectory_file(ticker, name)))
+                  for name in model_names}
         written += [path for path, _ in
                     _write_bayes_factors(run_dir, ticker, scores).values()]
     return written
+
+
+def _scored_increments(path: str) -> tuple[list, list]:
+    """(dates, log score increments) of the scored rows of one trajectory
+    CSV. Only the leading fields up to the last of the three columns used
+    are split off each line: `write_columns_csv` never quotes."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        idx = {h: k for k, h in enumerate(fh.readline().rstrip("\r\n").split(","))}
+        for col in ("date_iso", "log_score_nats", "scored"):
+            if col not in idx:
+                raise DataError(f"{path}: missing column {col!r}")
+        i_date, i_score, i_flag = idx["date_iso"], idx["log_score_nats"], idx["scored"]
+        last = max(i_date, i_score, i_flag)
+        dates, increments = [], []
+        for line_no, line in enumerate(fh, start=2):
+            fields = line.rstrip("\r\n").split(",", last + 1)
+            if len(fields) <= last:
+                if not line.strip():
+                    continue
+                raise DataError(f"{path}:{line_no}: row has {len(fields)} fields, "
+                                f"expected at least {last + 1}")
+            flag = fields[i_flag]
+            if flag == "1":
+                try:
+                    increments.append(float(fields[i_score]))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{line_no}: unparseable log score "
+                                    f"{fields[i_score]!r}") from exc
+                dates.append(fields[i_date])
+            elif flag != "0":
+                raise DataError(f"{path}:{line_no}: scored flag must be 0 or 1, got {flag!r}")
+    return dates, increments

@@ -1,9 +1,12 @@
-"""Scalar special functions: log-gamma, regularized incomplete gamma/beta,
-and the safeguarded quantile solvers built on them.
+"""Special functions: log-gamma, regularized incomplete gamma/beta, and the
+safeguarded quantile solvers built on them.
 
-Everything is plain-float so the sequential kernel can call it without array
-overhead; `log_gamma_array` is the vectorized variant used to precompute
-per-day scoring constants.
+The scalar functions are plain-float so the sequential kernel can call them
+without array overhead; `log_gamma_array` is the vectorized variant used to
+precompute per-day scoring constants. `inv_reg_lower_gamma_lanes` and
+`student_t_quantile_lanes` solve many lanes (shapes, dofs, levels) at once,
+bit-identical to the scalar solvers lane by lane; a one-lane call runs the
+scalar solver, which is faster there.
 """
 
 from __future__ import annotations
@@ -282,3 +285,291 @@ def student_t_quantile(u: float, dof: float, tol: float = 1e-12) -> float:
             return x
         x = xn
     raise NumericalError(f"t quantile solver failed (dof={dof}, u={u})")
+
+
+# Lane-parallel solvers. Every lane performs exactly the operation sequence
+# of the scalar solvers above: + - * /, abs, sqrt and comparisons run in numpy
+# (exact IEEE operations), exp/log/log1p and log_gamma run per lane through
+# libm, every branch is taken per lane, and a lane leaves the active set the
+# iteration it converges. Results are therefore bit-identical to the scalar
+# solvers, which `tests/test_special.py` checks.
+
+
+def _each(fn, v: np.ndarray) -> np.ndarray:
+    # libm per lane: np.exp and np.log may differ from math in the last ulp
+    return np.fromiter(map(fn, v.tolist()), dtype=float, count=v.size)
+
+
+def _lanes(*values) -> list[np.ndarray]:
+    """Scalars and 1-D arrays broadcast to float lanes of one length."""
+    return [np.array(v, dtype=float).ravel()
+            for v in np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                          for v in values))]
+
+
+def _check_levels(u: np.ndarray) -> None:
+    bad = ~((u > 0.0) & (u < 1.0))
+    if bad.any():
+        raise DomainError(f"quantile level must be in (0, 1), got {float(u[bad][0])!r}")
+
+
+def _check_positive(v: np.ndarray, what: str) -> None:
+    bad = ~((v > 0.0) & np.isfinite(v))
+    if bad.any():
+        raise DomainError(f"{what} must be positive, got {float(v[bad][0])!r}")
+
+
+def _keep(mask: np.ndarray, *arrays) -> list[np.ndarray]:
+    return [v[mask] for v in arrays]
+
+
+# Python float arithmetic overflows to inf (and makes nan of inf - inf)
+# silently; the public entry points keep numpy lanes just as quiet
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+def _gamma_series_lanes(a, x, itmax):
+    # Series sum of P(a, x) without its prefactor, for x < a + 1.
+    out = np.empty_like(a)
+    lane = np.arange(a.size)
+    ap, term = a, 1.0 / a
+    total = term
+    k = 0
+    while lane.size:
+        k += 1
+        ap = ap + 1.0
+        term = term * (x / ap)
+        total = total + term
+        done = np.abs(term) < np.abs(total) * _EPS
+        if done.any():
+            out[lane[done]] = total[done]
+            lane, a, x, itmax, ap, term, total = _keep(~done, lane, a, x, itmax, ap, term, total)
+        if (itmax <= k).any():
+            i = int(np.argmax(itmax <= k))
+            raise NumericalError(f"incomplete gamma series failed to converge "
+                                 f"(a={float(a[i])}, x={float(x[i])})")
+    return out
+
+
+def _gamma_contfrac_lanes(a, x, itmax):
+    # Lentz continued fraction of Q(a, x) without its prefactor, for x >= a + 1.
+    out = np.empty_like(a)
+    lane = np.arange(a.size)
+    b = x + 1.0 - a
+    c = np.full_like(a, 1.0 / _TINY)
+    d = 1.0 / b
+    h = d
+    i = 0
+    while lane.size:
+        i += 1
+        an = -i * (i - a)
+        b = b + 2.0
+        d = an * d + b
+        d = np.where(np.abs(d) < _TINY, _TINY, d)
+        c = b + an / c
+        c = np.where(np.abs(c) < _TINY, _TINY, c)
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < _EPS
+        if done.any():
+            out[lane[done]] = h[done]
+            lane, a, x, itmax, b, c, d, h = _keep(~done, lane, a, x, itmax, b, c, d, h)
+        if (itmax <= i).any():
+            k = int(np.argmax(itmax <= i))
+            raise NumericalError(f"incomplete gamma continued fraction failed "
+                                 f"(a={float(a[k])}, x={float(x[k])})")
+    return out
+
+
+def _lower_gamma_lanes(a, x, lga):
+    """P(a, x) per lane for finite x >= 0, given lga = ln Gamma(a)."""
+    out = np.zeros_like(x)
+    pos = np.flatnonzero(x > 0.0)
+    a, x, lga = a[pos], x[pos], lga[pos]
+    itmax = 1000 + (4.0 * np.sqrt(a)).astype(np.int64)
+    front = _each(math.exp, -x + a * _each(math.log, x) - lga)
+    p = np.empty_like(x)
+    ser = x < a + 1.0
+    cf = ~ser
+    p[ser] = _gamma_series_lanes(a[ser], x[ser], itmax[ser]) * front[ser]
+    p[cf] = 1.0 - front[cf] * _gamma_contfrac_lanes(a[cf], x[cf], itmax[cf])
+    out[pos] = p
+    return out
+
+
+@_quiet
+def inv_reg_lower_gamma_lanes(a, u, tol: float = 1e-13) -> np.ndarray:
+    """Solve P(a, x) = u for x in every lane of the 1-D (broadcast) arrays
+    `a` and `u`, by bracketed Newton with bisection fallback."""
+    a, u = _lanes(a, u)
+    _check_levels(u)
+    _check_positive(a, "shape")
+    if a.size == 1:
+        return np.array([inv_reg_lower_gamma(float(a[0]), float(u[0]), tol)])
+    # Wilson-Hilferty starting point
+    z = _each(normal_quantile, u)
+    g = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
+    x = a * g * g * g
+    cold = ~(g > 0.0)
+    if cold.any():
+        ac = a[cold]
+        x[cold] = ac * _each(math.exp, (_each(math.log, u[cold])
+                                        + _each(log_gamma, ac + 1.0)) / ac)
+    x = np.maximum(x, _TINY)
+
+    out = np.empty_like(a)
+    lane = np.arange(a.size)
+    lga = _each(log_gamma, a)
+    lo, hi = np.zeros_like(a), np.full_like(a, math.inf)
+    flo = -u
+    for _ in range(200):
+        f = _lower_gamma_lanes(a, x, lga) - u
+        done = np.abs(f) <= tol
+        out[lane[done]] = x[done]
+        lane, a, u, lga, x, f, lo, hi, flo = _keep(~done, lane, a, u, lga, x, f, lo, hi, flo)
+        if not lane.size:
+            return out
+        up = f > 0.0
+        hi = np.where(up, np.minimum(hi, x), hi)
+        lo = np.where(up, lo, np.maximum(lo, x))
+        flo = np.where(up, flo, f)
+        lpdf = (a - 1.0) * _each(math.log, x) - x - lga  # log density of Gamma(a, 1)
+        newton = lpdf > -700.0
+        xn = np.full_like(x, math.nan)
+        xn[newton] = x[newton] - f[newton] * _each(math.exp, -lpdf[newton])
+        bis = ~(newton & np.isfinite(xn) & (lo < xn) & (xn < hi))
+        xn[bis] = np.where(np.isfinite(hi[bis]), 0.5 * (lo[bis] + hi[bis]),
+                           2.0 * np.maximum(x[bis], 1.0))
+        stay = xn == x
+        out[lane[stay]] = x[stay]
+        lane, a, u, lga, x, lo, hi, flo = _keep(~stay, lane, a, u, lga, xn, lo, hi, flo)
+        if not lane.size:
+            return out
+    raise NumericalError(f"gamma quantile solver failed (a={float(a[0])}, u={float(u[0])}, "
+                         f"resid={float(flo[0])})")
+
+
+def _betacf_lanes(a, b, x):
+    # Lentz continued fraction for the incomplete beta.
+    out = np.empty_like(a)
+    lane = np.arange(a.size)
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = np.ones_like(a)
+    d = 1.0 - qab * x / qap
+    d = np.where(np.abs(d) < _TINY, _TINY, d)
+    d = 1.0 / d
+    h = d
+    m = 0
+    while lane.size:
+        if m == 399:
+            raise NumericalError(f"incomplete beta continued fraction failed "
+                                 f"(a={float(a[0])}, b={float(b[0])}, x={float(x[0])})")
+        m += 1
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < _TINY, _TINY, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < _TINY, _TINY, c)
+        d = 1.0 / d
+        h = h * (d * c)
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < _TINY, _TINY, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < _TINY, _TINY, c)
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < _EPS
+        if done.any():
+            out[lane[done]] = h[done]
+            lane, a, b, x, qab, qap, qam, c, d, h = _keep(~done, lane, a, b, x, qab, qap, qam,
+                                                          c, d, h)
+    return out
+
+
+def _inc_beta_lanes(a, b, x, log_beta):
+    """I_x(a, b) per lane for 0 < x < 1, given
+    log_beta = ln Gamma(a+b) - ln Gamma(a) - ln Gamma(b), summed in that order."""
+    front = _each(math.exp, log_beta + a * _each(math.log, x) + b * _each(math.log1p, -x))
+    out = np.empty_like(x)
+    direct = x < (a + 1.0) / (a + b + 2.0)
+    swap = ~direct
+    out[direct] = front[direct] * _betacf_lanes(a[direct], b[direct], x[direct]) / a[direct]
+    out[swap] = 1.0 - front[swap] * _betacf_lanes(b[swap], a[swap], 1.0 - x[swap]) / b[swap]
+    return out
+
+
+_LOG_GAMMA_HALF = log_gamma(0.5)
+
+
+def _t_cdf_lanes(t, dof, log_beta):
+    """Standard-t CDF per lane; log_beta is `_inc_beta_lanes`'s constant for
+    (dof/2, 1/2)."""
+    xb = dof / (dof + t * t)
+    zero, one = xb <= 0.0, xb >= 1.0
+    ib = np.where(zero, 0.0, 1.0)
+    inner = ~(zero | one)
+    a = 0.5 * dof[inner]
+    ib[inner] = _inc_beta_lanes(a, np.full_like(a, 0.5), xb[inner], log_beta[inner])
+    tail = 0.5 * ib
+    out = np.where(t < 0.0, tail, 1.0 - tail)
+    out[t == 0.0] = 0.5
+    return out
+
+
+def _t_quantile_upper(u, dof, tol):
+    # Bracketed Newton on the CDF for levels u > 0.5.
+    z = _each(normal_quantile, u)
+    x = z + (_each(lambda v: v ** 3, z) + z) / (4.0 * dof)  # first-order tail correction
+    lg_half = _each(log_gamma, 0.5 * dof)
+    log_beta = _each(log_gamma, 0.5 * dof + 0.5) - lg_half - _LOG_GAMMA_HALF
+    # the t log density is c - (dof + 1)/2 log1p(x^2/dof)
+    c = _each(log_gamma, 0.5 * (dof + 1.0)) - lg_half - 0.5 * _each(math.log, dof * math.pi)
+
+    out = np.empty_like(u)
+    lane = np.arange(u.size)
+    lo, hi = np.zeros_like(u), np.full_like(u, math.inf)
+    for _ in range(200):
+        f = _t_cdf_lanes(x, dof, log_beta) - u
+        done = np.abs(f) <= tol
+        out[lane[done]] = x[done]
+        lane, u, dof, log_beta, c, x, f, lo, hi = _keep(~done, lane, u, dof, log_beta, c,
+                                                        x, f, lo, hi)
+        if not lane.size:
+            return out
+        up = f > 0.0
+        hi = np.where(up, np.minimum(hi, x), hi)
+        lo = np.where(up, lo, np.maximum(lo, x))
+        lpdf = c - 0.5 * (dof + 1.0) * _each(math.log1p, x * x / dof)
+        xn = x - f * _each(math.exp, -lpdf)
+        bis = ~(np.isfinite(xn) & (lo < xn) & (xn < hi))
+        xn[bis] = np.where(np.isfinite(hi[bis]), 0.5 * (lo[bis] + hi[bis]),
+                           2.0 * np.maximum(x[bis], 1.0))
+        stay = xn == x
+        out[lane[stay]] = x[stay]
+        lane, u, dof, log_beta, c, x, lo, hi = _keep(~stay, lane, u, dof, log_beta, c,
+                                                     xn, lo, hi)
+        if not lane.size:
+            return out
+    raise NumericalError(f"t quantile solver failed (dof={float(dof[0])}, u={float(u[0])})")
+
+
+@_quiet
+def student_t_quantile_lanes(u, dof, tol: float = 1e-12) -> np.ndarray:
+    """Standard-t quantiles for every lane of the 1-D (broadcast) arrays `u`
+    and `dof`: 0 at u = 0.5, reflection below it, bracketed Newton above."""
+    u, dof = _lanes(u, dof)
+    _check_levels(u)
+    _check_positive(dof, "degrees of freedom")
+    if u.size == 1:
+        return np.array([student_t_quantile(float(u[0]), float(dof[0]), tol)])
+    low = u < 0.5
+    w = np.where(low, 1.0 - u, u)
+    out = np.zeros_like(w)
+    solve = w != 0.5
+    out[solve] = _t_quantile_upper(w[solve], dof[solve], tol)
+    return np.where(low, -out, out)
+

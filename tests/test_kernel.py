@@ -243,6 +243,35 @@ def test_overflowing_volatility_scale_is_a_dated_numerical_error(variant):
     assert "[date=2001-01-20]" in str(info.value)
 
 
+@pytest.mark.parametrize("variant", list(ModelClass))
+def test_overflowed_price_is_reported_on_its_own_day(variant):
+    # s[10] = inf makes day 11's q infinite; the fault is day 10's price, in
+    # the kernel and in the step composition alike
+    hp = hp_for(variant)
+    init = default_init(variant, hp)
+    y, z, x, y_prev, x_prev = make_series(20)
+    y = y.copy()
+    y[10] = 1e200
+    dates = [dt.date(2001, 1, 1) + dt.timedelta(days=t) for t in range(20)]
+    with pytest.raises(NumericalError, match="left the finite range at step 10") as info:
+        run_filter(variant, hp, init, y, z, x, y_prev, x_prev, dates=dates)
+    assert f"[date={dates[10]}]" in str(info.value)
+    prior, post = init, None
+    for t in range(20):
+        if t > 0:
+            prior = evolve(post, hp)
+        F = build_regressor(variant, y_prev[t], x[t], x_prev[t])
+        try:
+            if variant.uses_rv:
+                post, _ = price_update(rv_update(prior, float(z[t]), hp.alpha), float(y[t]), F)
+            else:
+                post, _ = sv_volatility_update_path(prior, float(y[t]), F)
+        except NumericalError as exc:
+            assert "left the finite range" in str(exc)
+            break
+    assert t == 10
+
+
 @pytest.mark.parametrize("variant", [ModelClass.SVDLM, ModelClass.RVDLM])
 @pytest.mark.parametrize("column", range(5))
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

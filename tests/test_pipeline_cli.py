@@ -101,6 +101,13 @@ class TestConfig:
         ("rvdlm", "delta", 1.5),
         ("rvdlm", "beta", 0.0),
         ("rvdlm", "alpha", math.nan),
+        # JSON types are strict: no truncation of seeds, no numbers as strings
+        (None, "seed", 1.5),
+        (None, "seed", True),
+        ("rvdlm", "delta", "0.99"),
+        ("rvdlm", "beta", "0.9"),
+        ("rvdlm", "alpha", "2.75"),
+        ("rvdlm", "alpha", True),
     ])
     def test_malformed_field_is_config_error(self, data_csv, tmp_path, capsys,
                                              model, field, value):
@@ -115,6 +122,38 @@ class TestConfig:
         if model is not None:
             assert f"model {model!r}" in err
         assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("field,tickers,models", [
+        ("ticker", ["TIC"], []),  # a second series with the first one's ticker
+        ("ticker", [""], []),
+        ("ticker", ["x/y"], []),
+        ("ticker", ["x\\y"], []),
+        ("ticker", ["x\0y"], []),
+        ("ticker", [".."], []),
+        ("ticker", ["x__y"], []),
+        ("model name", [], [""]),
+        ("model name", [], ["a/b"]),
+        ("model name", [], ["a\\b"]),
+        ("model name", [], ["a\0b"]),
+        ("model name", [], ["..b"]),
+        ("model name", [], ["a__b"]),
+        ("model name", [], ["a_over_b"]),
+        # legal names that meet where they are joined: both write A___m.csv
+        ("output file name", ["A_", "A"], ["m", "_m"]),
+        # (y, x_over) and (over_y, x) both write TIC__BF__x_over_over_y.csv
+        ("output file name", [], ["y", "over_y", "x", "x_over"]),
+    ])
+    def test_colliding_or_escaping_name_is_config_error(self, data_csv, tmp_path, capsys,
+                                                         field, tickers, models):
+        raw = base_config(data_csv[0], str(tmp_path / "o"))
+        raw["series"] += [{"ticker": t, "path": data_csv[0], "s1": 1e-4} for t in tickers]
+        raw["models"] += [{"name": m, "variant": "rvdlm"} for m in models]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        before = sorted(os.listdir(tmp_path))
+        assert main(["filter", "--config", str(cfg)]) == 2
+        assert field in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_infinite_s1_is_config_error(self, data_csv, tmp_path, capsys):
         raw = base_config(data_csv[0], str(tmp_path / "o"))
@@ -275,6 +314,24 @@ class TestCli:
         os.remove(bf_path)
         assert main(["score", "--run-dir", out]) == 0
         assert open(bf_path).read() == before
+
+    @pytest.mark.parametrize("damage", ["short", "score", "flag"])
+    def test_score_rejects_a_malformed_row_by_line(self, data_csv, tmp_path, capsys, damage):
+        out = str(tmp_path / "score_bad")
+        run_filter_pipeline(load_config(base_config(data_csv[0], out)))
+        path = os.path.join(out, "TIC__rvdlm.csv")
+        lines = open(path).read().splitlines(keepends=True)
+        fields = lines[-1].split(",")  # the last day is scored
+        if damage == "short":
+            fields = fields[:5]
+        elif damage == "score":
+            fields[7] = "nan?"
+        else:
+            fields[8] = "yes"
+        lines[-1] = ",".join(fields).rstrip("\n") + "\n"
+        open(path, "w").write("".join(lines))
+        assert main(["score", "--run-dir", out]) == 3
+        assert f"{path}:{len(lines)}:" in capsys.readouterr().err
 
 
 GOLDEN_MODELS = [

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import special as sp
 from scipy import stats
 
-from rvdlm import DomainError
+from rvdlm import DomainError, dof_sequences
 from rvdlm import special
+from rvdlm.pipeline import DEFAULT_HYPERPARAMS, _fill_quantiles
 
 
 def rel_err(got, ref):
@@ -110,3 +112,101 @@ def test_normal_quantile_sane():
     assert special.normal_quantile(0.975) == pytest.approx(1.959963985, abs=1e-6)
     with pytest.raises(DomainError):
         special.normal_quantile(0.0)
+
+
+# ---------------------------------------------------------------------------
+# The lane-parallel solvers against the scalar solvers, bit for bit. A
+# one-lane call runs the scalar solver, so every lane call here holds
+# several lanes.
+
+def bits(values) -> list[int]:
+    return np.atleast_1d(np.asarray(values, dtype=float)).view(np.int64).tolist()
+
+
+def same_outcome(lane_call, scalar_call):
+    """Both calls return the same float bit for bit, or raise the same type."""
+    try:
+        want = scalar_call()
+    except Exception as exc:  # the scalar's own failure is the reference
+        with pytest.raises(type(exc)):
+            lane_call()
+        return
+    got = lane_call()
+    assert bits(got) == bits(want), (got, want)
+
+
+def test_pipeline_quantile_table_matches_scalar_solvers():
+    # every distinct dof of the three default models over a 6,538-day series
+    dofs = set()
+    for variant, hp in DEFAULT_HYPERPARAMS.items():
+        dofs.update(dof_sequences(hp, hp.beta, 6538, variant.uses_rv)[2].tolist())
+    dofs = sorted(dofs)
+    assert len(dofs) > 500
+    table = {}
+    _fill_quantiles(table, dofs)
+    for n in dofs:
+        half = 0.5 * n
+        want = (special.inv_reg_lower_gamma(half, 0.50) / half,
+                special.inv_reg_lower_gamma(half, 0.95) / half,
+                special.inv_reg_lower_gamma(half, 0.05) / half,
+                special.student_t_quantile(0.95, n))
+        assert bits(table[n][:4]) == bits(want), n
+        assert table[n][4] == "%.17g" % n
+
+
+def test_mixed_branch_lanes_do_not_interfere():
+    # series and continued-fraction lanes, and a g <= 0 start, in one call
+    a = np.array([0.5, 100.0, 3.0, 0.05, 40.0])
+    u = np.array([0.95, 0.5, 0.999, 0.01, 0.2])
+    x = special.inv_reg_lower_gamma_lanes(a, u)
+    assert (x < a + 1.0).any() and (x >= a + 1.0).any()
+    assert 1.0 - 1.0 / (9.0 * 0.05) + special.normal_quantile(0.01) / (3.0 * math.sqrt(0.05)) <= 0
+    want = [special.inv_reg_lower_gamma(ai, ui) for ai, ui in zip(a.tolist(), u.tolist())]
+    assert bits(x) == bits(want)
+    # direct and swapped beta fractions, reflection and u = 0.5, in one call
+    dof = np.array([0.5, 3.0, 3.0, 30.0, 1e4, 7.0])
+    u = np.array([0.95, 0.6, 0.3, 0.5, 0.999, 0.05])
+    t = special.student_t_quantile_lanes(u, dof)
+    xb = dof / (dof + t * t)
+    direct = xb < (0.5 * dof + 1.0) / (0.5 * dof + 2.5)
+    assert direct[t != 0.0].any() and (~direct[t != 0.0]).any()
+    want = [special.student_t_quantile(ui, n) for ui, n in zip(u.tolist(), dof.tolist())]
+    assert bits(t) == bits(want)
+
+
+def test_one_lane_call_is_the_scalar_solver():
+    assert bits(special.inv_reg_lower_gamma_lanes(3.0, 0.95)) == \
+        bits(special.inv_reg_lower_gamma(3.0, 0.95))
+    assert bits(special.student_t_quantile_lanes(0.95, 7.0)) == \
+        bits(special.student_t_quantile(0.95, 7.0))
+    with pytest.raises(DomainError):
+        special.student_t_quantile_lanes(0.5, 0.0)
+
+
+LEVELS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+# fixed companion lanes: one series-branch and one continued-fraction lane
+# (gamma), one reflected and one upper lane (t)
+GAMMA_LANES = ([0.5, 100.0], [0.95, 0.5])
+T_LANES = ([0.3, 0.95], [3.0, 30.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=st.floats(min_value=0.05, max_value=1e6), u=LEVELS)
+@example(a=0.05, u=0.01)  # g <= 0: the start from the small-x expansion
+@example(a=2.0, u=0.5)
+@example(a=0.05, u=5e-324)
+def test_gamma_quantile_lane_equals_scalar(a, u):
+    same_outcome(lambda: special.inv_reg_lower_gamma_lanes([a, *GAMMA_LANES[0]],
+                                                           [u, *GAMMA_LANES[1]])[0],
+                 lambda: special.inv_reg_lower_gamma(a, u))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dof=st.floats(min_value=0.05, max_value=1e6), u=LEVELS)
+@example(dof=4.0, u=0.5)
+@example(dof=4.0, u=0.25)
+@example(dof=4.0, u=0.49999999999999994)  # 1 - u rounds to 0.5: the result is -0.0
+def test_t_quantile_lane_equals_scalar(dof, u):
+    same_outcome(lambda: special.student_t_quantile_lanes([u, *T_LANES[0]],
+                                                          [dof, *T_LANES[1]])[0],
+                 lambda: special.student_t_quantile(u, dof))
