@@ -17,8 +17,7 @@ from .kernel import FilterTrajectory, dof_sequences, run_filter
 from .pipeline import ModelSpec, RunConfig, SeriesSpec, load_config, run_filter_pipeline
 from .rv_measures import (DEFAULT_RV_FLOOR, OhlcBar, realized_sd,
                           rogers_satchell, validate_bar)
-from .scoring import (ScoreLedger, log_bayes_factor, log_bayes_factor_path,
-                      log_score_z_path, reinitialize_window)
+from .scoring import ScoreLedger, log_bayes_factor_path, log_score_z_path
 from .smoothing import SmoothedEstimates, backward_sample, smooth
 from .synthetic import (SyntheticParams, SyntheticTruth, generate_synthetic,
                         slowly_varying_theta)

@@ -19,7 +19,8 @@ import numpy as np
 from .dlm_core import ModelClass
 from .errors import ConfigError, RvdlmError
 from .ingestion import write_columns_csv, write_csv
-from .pipeline import load_config, recompute_bayes_factors, run_filter_pipeline
+from .pipeline import (_convert, _json_number, load_config, recompute_bayes_factors,
+                       run_filter_pipeline)
 from .synthetic import SyntheticParams, generate_synthetic, slowly_varying_theta
 
 
@@ -62,6 +63,13 @@ def _cmd_filter(args) -> int:
     return 0
 
 
+def _json_numeric(value) -> np.ndarray:
+    """A JSON number, or a JSON array of them (nested for `theta_path`)."""
+    if isinstance(value, list):
+        return np.array([_json_numeric(v) for v in value])
+    return np.array(_json_number(value))
+
+
 def _synth_params(args) -> SyntheticParams:
     model = ModelClass(args.model)
     raw = {}
@@ -71,20 +79,24 @@ def _synth_params(args) -> SyntheticParams:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read generator params {args.params}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"generator params {args.params} must be a JSON object")
     if "theta_path" in raw:
-        theta = np.asarray(raw["theta_path"], dtype=float)
+        theta = _convert(raw, "theta_path", _json_numeric)
     else:
-        if model is ModelClass.RVLDLM:
-            base = raw.get("theta_base", [0.0046, 0.999, -0.5, 0.4])
-        else:
-            base = raw.get("theta_base", [0.0046, 0.999, 0.1])
-        theta = slowly_varying_theta(
-            model, args.days, base,
-            raw.get("theta_amplitude"), raw.get("theta_period"))
-    if theta.shape[0] != args.days:
-        raise ConfigError(f"theta path has {theta.shape[0]} rows, --days is {args.days}")
-    kwargs = {k: raw[k] for k in ("v0", "beta", "alpha", "vol_info", "y0", "floor_eps")
-              if k in raw}
+        base = _convert(raw, "theta_base", _json_numeric,
+                        [0.0046, 0.999, -0.5, 0.4] if model is ModelClass.RVLDLM
+                        else [0.0046, 0.999, 0.1])
+        amplitude = _convert(raw, "theta_amplitude", _json_numeric, None)
+        period = _convert(raw, "theta_period", _json_numeric, None)
+        try:
+            theta = slowly_varying_theta(model, args.days, base, amplitude, period)
+        except ValueError as exc:
+            raise ConfigError(f"theta_base, theta_amplitude or theta_period: {exc}") from exc
+    if theta.shape[:1] != (args.days,):
+        raise ConfigError(f"theta_path has shape {theta.shape}, --days is {args.days}")
+    kwargs = {k: _convert(raw, k, _json_number)
+              for k in ("v0", "beta", "alpha", "vol_info", "y0", "floor_eps") if k in raw}
     return SyntheticParams(model=model, theta=theta, **kwargs)
 
 

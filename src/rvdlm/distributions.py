@@ -2,9 +2,9 @@
 and the scaled-F one-step law for realized variance.
 
 Densities are exposed in log space only; cumulative predictive scores over
-thousands of trading days underflow otherwise. Random draws take an
-explicitly passed `numpy.random.Generator`, so replay is bit-exact and
-threads stay independent by owning their streams.
+thousands of trading days underflow otherwise. Random draws come from the
+`standard_gamma` of an explicitly passed `numpy.random.Generator`, so replay
+is bit-exact per seed and threads stay independent by owning their streams.
 """
 
 from __future__ import annotations
@@ -116,35 +116,10 @@ def student_t_quantile(u: float, p: StudentTParams) -> float:
     return p.location + math.sqrt(p.scale) * special.student_t_quantile(u, p.dof)
 
 
-def _gamma_draws_unit_rate(shape: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    # Marsaglia-Tsang squeeze; shapes below 1 use the boost U^(1/shape).
-    a = shape
-    boost = None
-    if a < 1.0:
-        boost = rng.random(n) ** (1.0 / a)
-        a += 1.0
-    d = a - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n)
-    todo = np.arange(n)
-    while todo.size:
-        x = rng.standard_normal(todo.size)
-        v = (1.0 + c * x) ** 3
-        u = rng.random(todo.size)
-        pos = v > 0.0
-        vsafe = np.where(pos, v, 1.0)
-        accept = pos & (np.log(u) < 0.5 * x * x + d - d * vsafe + d * np.log(vsafe))
-        out[todo[accept]] = d * vsafe[accept]
-        todo = todo[~accept]
-    if boost is not None:
-        out *= boost
-    return out
-
-
 def sample_gamma(p: GammaParams, rng: np.random.Generator, size: int | None = None):
     """Draws from Gamma(shape, rate). Returns a float when size is None."""
     n = 1 if size is None else int(size)
-    draws = _gamma_draws_unit_rate(p.shape, rng, n) / p.rate
+    draws = rng.standard_gamma(p.shape, n) / p.rate
     return float(draws[0]) if size is None else draws
 
 
@@ -152,6 +127,6 @@ def sample_scaled_f(p: ScaledFParams, rng: np.random.Generator, size: int | None
     """Compositional scaled-F draw: precision from the gamma margin, then a
     conditional-gamma observation with that precision."""
     n = 1 if size is None else int(size)
-    phi = _gamma_draws_unit_rate(0.5 * p.dof_den, rng, n) / (0.5 * p.dof_den * p.scale)
-    z = _gamma_draws_unit_rate(0.5 * p.dof_num, rng, n) / (0.5 * p.dof_num * phi)
+    phi = rng.standard_gamma(0.5 * p.dof_den, n) / (0.5 * p.dof_den * p.scale)
+    z = rng.standard_gamma(0.5 * p.dof_num, n) / (0.5 * p.dof_num * phi)
     return float(z[0]) if size is None else z

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ScaledFParams, StudentTParams, _gamma_draws_unit_rate
+from .distributions import ScaledFParams, StudentTParams, sample_scaled_f
 from .dlm_core import ModelClass, PriorMoments, build_regressor, rv_update
 from .errors import DomainError
 from .rv_measures import DEFAULT_RV_FLOOR
@@ -62,24 +62,18 @@ def sample_joint(prior: PriorMoments, alpha: float, reg: RegressorInputs,
                  rng: np.random.Generator, size: int | None = None):
     """Compositional draws of (z, y).
 
-    phi ~ Gamma(n*/2, n* s_prev / 2), z | phi ~ Gamma(alpha/2, alpha phi / 2),
-    then y from the z-conditional t. Vectorized; returns floats for size None.
+    z from its scaled-F margin (`predictive_z`), floored at `floor_eps`, then
+    y from the z-conditional t. Vectorized; returns floats for size None.
     """
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
     n = 1 if size is None else int(size)
     ns, sp = prior.n_star, prior.s_prev
-    phi = _gamma_draws_unit_rate(0.5 * ns, rng, n) / (0.5 * ns * sp)
-    z = _gamma_draws_unit_rate(0.5 * alpha, rng, n) / (0.5 * alpha * phi)
-    z = np.maximum(z, reg.floor_eps)
+    z = np.maximum(sample_scaled_f(predictive_z(prior, alpha), rng, n), reg.floor_eps)
 
-    n_tilde = ns + alpha
     if reg.model.uses_rv:
-        s_til = (ns + alpha * z / sp) / n_tilde * sp
-        dof = n_tilde
+        dof = ns + alpha
+        s_til = (ns + alpha * z / sp) / dof * sp
     else:
-        s_til = np.full(n, sp)
-        dof = ns
+        dof, s_til = ns, sp
 
     a, R = prior.a, prior.R
     x_now = np.sqrt(z)
@@ -91,12 +85,11 @@ def sample_joint(prior: PriorMoments, alpha: float, reg: RegressorInputs,
         frf = float(F0 @ RF0) + 2.0 * RF0[ix] * x_now + R[ix, ix] * z
     else:
         F0 = np.array([1.0, reg.y_prev, reg.x_prev])
-        f = np.full(n, float(F0 @ a))
+        f = float(F0 @ a)
         frf = float(F0 @ (R @ F0))
     q = s_til + frf
 
-    w = _gamma_draws_unit_rate(0.5 * dof, rng, n) / (0.5 * dof)
-    y = f + np.sqrt(q) * rng.standard_normal(n) / np.sqrt(w)
+    y = f + np.sqrt(q) * rng.standard_t(dof, n)
     if size is None:
         return float(z[0]), float(y[0])
     return z, y

@@ -164,18 +164,14 @@ def _model_from_dict(entry: dict) -> ModelSpec:
     try:
         hp = HyperParams(*(_convert(entry, key, _json_number, getattr(base, key))
                            for key in ("delta", "beta", "alpha")))
+        prior = {key: _convert(entry, key, convert, None) for key, convert in
+                 (("a1", _json_numbers), ("r1_diag", _json_numbers),
+                  ("n_star_1", _json_number))}
     except (ConfigError, DomainError) as exc:
         raise ConfigError(f"model {name!r}: {exc}") from exc
     if variant.uses_rv and hp.alpha <= 0.0:
         raise ConfigError(f"model {name!r}: {variant.value} requires alpha > 0")
-    return ModelSpec(
-        name=name,
-        variant=variant,
-        hp=hp,
-        a1=tuple(entry["a1"]) if "a1" in entry else None,
-        r1_diag=tuple(entry["r1_diag"]) if "r1_diag" in entry else None,
-        n_star_1=float(entry["n_star_1"]) if "n_star_1" in entry else None,
-    )
+    return ModelSpec(name=name, variant=variant, hp=hp, **prior)
 
 
 def _json_number(value) -> float:
@@ -184,16 +180,26 @@ def _json_number(value) -> float:
     return float(value)
 
 
+def _json_numbers(value) -> tuple:
+    """A JSON array of JSON numbers, kept as given (the summary echoes it)."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, got {type(value).__name__}")
+    for v in value:
+        _json_number(v)
+    return tuple(value)
+
+
 def _json_integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected a JSON integer, got {type(value).__name__}")
     return value
 
 
-def _convert(raw: dict, key: str, convert, default):
-    """`convert(raw[key])`, or `default` when the key is absent."""
-    if key not in raw:
-        return default
+def _convert(raw: dict, key: str, convert, *default):
+    """`convert(raw[key])`, or the default when the key is absent; without a
+    default the key is required (KeyError)."""
+    if default and key not in raw:
+        return default[0]
     try:
         return convert(raw[key])
     except (TypeError, ValueError) as exc:
@@ -213,8 +219,8 @@ def load_config(path_or_dict, out_dir_override=None, seed_override=None) -> RunC
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path_or_dict} is not valid JSON: {exc}") from exc
     try:
-        series = tuple(SeriesSpec(str(e["ticker"]), str(e["path"]), float(e["s1"]))
-                       for e in raw["series"])
+        series = tuple(SeriesSpec(str(e["ticker"]), str(e["path"]),
+                                  _convert(e, "s1", _json_number)) for e in raw["series"])
         models = tuple(_model_from_dict(e) for e in raw["models"])
         train_end = _parse_date(raw["train_end"], "train_end")
         eval_start = _parse_date(raw["eval_start"], "eval_start")
@@ -228,7 +234,7 @@ def load_config(path_or_dict, out_dir_override=None, seed_override=None) -> RunC
         out_dir=out_dir,
         seed=(int(seed_override) if seed_override is not None
               else _convert(raw, "seed", _json_integer, 0)),
-        floor_eps=_convert(raw, "floor_eps", float, DEFAULT_RV_FLOOR),
+        floor_eps=_convert(raw, "floor_eps", _json_number, DEFAULT_RV_FLOOR),
         schema=_convert(raw, "schema", lambda v: CsvSchema(**v), CsvSchema()),
     )
 

@@ -88,19 +88,6 @@ class ScoreLedger:
         return len(self._dates)
 
 
-def log_bayes_factor(ledger_m: ScoreLedger, ledger_m2: ScoreLedger) -> float:
-    """Cumulative log Bayes factor of the first model over the second.
-
-    Requires identical windows and date coverage: comparisons are only
-    meaningful on the same realizations.
-    """
-    if ledger_m.window_start != ledger_m2.window_start:
-        raise ValueError("ledgers were built over different evaluation windows")
-    if ledger_m.dates != ledger_m2.dates:
-        raise ValueError("ledgers do not cover the same dates")
-    return ledger_m.cumulative - ledger_m2.cumulative
-
-
 def running_log_bayes_factor(increments_m, increments_m2) -> np.ndarray:
     """Cumulative log BF of the first model over the second after each day,
     from aligned per-day score increments. `np.cumsum` adds in order (no
@@ -115,15 +102,3 @@ def log_bayes_factor_path(ledger_m: ScoreLedger, ledger_m2: ScoreLedger):
     bf = running_log_bayes_factor(ledger_m.increments, ledger_m2.increments)
     return list(zip(ledger_m.dates, bf.tolist()))
 
-
-def reinitialize_window(ledger: ScoreLedger, start_date) -> ScoreLedger:
-    """Restart cumulative scoring at `start_date`, keeping the increments
-    from that date on. The filter state is untouched: warm-start posteriors
-    carry over; only the tally restarts."""
-    if ledger.window_start is not None and start_date < ledger.window_start:
-        raise ValueError(
-            f"cannot re-initialize before the ledger's window start {ledger.window_start}")
-    out = ScoreLedger(ledger.model_name, window_start=start_date)
-    for d, inc in zip(ledger.dates, ledger.increments):
-        out.record(d, inc)
-    return out

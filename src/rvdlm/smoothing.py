@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GammaParams, sample_gamma, _gamma_draws_unit_rate
+from .distributions import GammaParams, sample_gamma
 from .errors import NumericalError
 from .kernel import FilterTrajectory
 
@@ -117,12 +117,9 @@ def backward_sample(traj: FilterTrajectory, rng: np.random.Generator | None = No
     L_back = math.sqrt(1.0 - delta) * L
     for t in range(T - 2, -1, -1):
         n_t, s_t = float(traj.n[t]), float(traj.s[t])
-        if beta < 1.0:
-            shock = _gamma_draws_unit_rate(0.5 * (1.0 - beta) * n_t, rng, ns) \
-                / (0.5 * n_t * s_t)
-            phi[:, t] = beta * phi[:, t + 1] + shock
-        else:
-            phi[:, t] = phi[:, t + 1]
+        # at beta = 1 the shock shape is 0: standard_gamma(0) is exactly 0, phi stays put
+        shock = rng.standard_gamma(0.5 * (1.0 - beta) * n_t, ns) / (0.5 * n_t * s_t)
+        phi[:, t] = beta * phi[:, t + 1] + shock
         mean = keep[t] + delta * theta[:, t + 1, :]
         xi = rng.standard_normal((ns, d))
         theta[:, t, :] = mean + (xi @ L_back[t].T) / np.sqrt(s_t * phi[:, t])[:, None]

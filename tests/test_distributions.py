@@ -142,7 +142,9 @@ class TestGammaSampler:
         se = math.sqrt((2.0 / 2.75) / draws.size)
         assert abs(draws.mean() - 1.0) < 3.5 * se
 
-    @pytest.mark.parametrize("shape,rate", [(0.5, 1.0), (1.375, 2.0), (8.75, 4.375)])
+    # shape 0.05: backward-sampler shocks (1 - beta) n / 2 sit this low on a run's first days
+    @pytest.mark.parametrize("shape,rate",
+                             [(0.05, 1.0), (0.5, 1.0), (1.375, 2.0), (8.75, 4.375)])
     def test_ks_against_gamma_cdf(self, shape, rate):
         rng = np.random.default_rng(42)
         draws = sample_gamma(GammaParams(shape, rate), rng, size=100_000)

@@ -94,7 +94,7 @@ class TestConfig:
         assert f"'m': {field}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
-    @pytest.mark.parametrize("model,field,value", [
+    @pytest.mark.parametrize("owner,field,value", [
         (None, "schema", {"dat": "Day"}),
         (None, "floor_eps", "abc"),
         (None, "seed", "x"),
@@ -108,19 +108,30 @@ class TestConfig:
         ("rvdlm", "beta", "0.9"),
         ("rvdlm", "alpha", "2.75"),
         ("rvdlm", "alpha", True),
+        ("series", "s1", "1e-4"),
+        (None, "floor_eps", "1e-12"),
+        ("rvdlm", "n_star_1", "0.9"),
+        ("rvdlm", "a1", ["0", "1", "0"]),
+        ("rvdlm", "a1", "010"),
+        ("rvdlm", "r1_diag", 0.1),
     ])
     def test_malformed_field_is_config_error(self, data_csv, tmp_path, capsys,
-                                             model, field, value):
+                                             owner, field, value):
         raw = base_config(data_csv[0], str(tmp_path / "o"))
-        entry = raw if model is None else next(m for m in raw["models"] if m["name"] == model)
+        if owner is None:
+            entry = raw
+        elif owner == "series":
+            entry = raw["series"][0]
+        else:
+            entry = next(m for m in raw["models"] if m["name"] == owner)
         entry[field] = value
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         assert main(["filter", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert field in err
-        if model is not None:
-            assert f"model {model!r}" in err
+        if owner not in (None, "series"):
+            assert f"model {owner!r}" in err
         assert not os.path.exists(tmp_path / "o")
 
     @pytest.mark.parametrize("field,tickers,models", [
@@ -303,6 +314,24 @@ class TestCli:
         raw["eval_start"] = "2000-03-02"
         cfg.write_text(json.dumps(raw))
         assert main(["filter", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("field,params", [
+        ("v0", {"v0": "1e-4"}),
+        ("alpha", {"alpha": [2.75]}),
+        ("theta_base", {"theta_base": ["a", 1, 0]}),
+        ("theta_base", {"theta_base": ["0.0046", 0.999, 0.1]}),
+        ("theta_base", {"theta_base": [0.0046, 0.999]}),
+        ("theta_path", {"theta_path": [[0.0046, 0.999, 0.1], [0.0046, 0.999]]}),
+        ("JSON object", [0.0046, 0.999, 0.1]),
+    ])
+    def test_synth_bad_params_are_config_errors(self, tmp_path, capsys, field, params):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--model", "rvdlm", "--days", "2", "--params", str(path),
+                     "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_score_subcommand_recomputes_identically(self, data_csv, tmp_path):
         out = str(tmp_path / "score_out")

@@ -128,12 +128,13 @@ class TestSmoothBasics:
         assert np.array_equal(a.s_bar, b.s_bar)
 
 
-def synthetic_run(variant, delta, T=1000, seed=6):
+def synthetic_run(variant, delta, T=1000, seed=6, beta=None):
     theta = np.tile([0.0046, 0.998, -0.35, 0.30], (T, 1))
     params = SyntheticParams(model=ModelClass.RVLDLM, theta=theta, v0=1.3e-4)
     frame = build_series(generate_synthetic(params, np.random.default_rng(seed))[0])
-    hp = HyperParams(delta, 0.925 if variant is ModelClass.SVDLM else 0.875,
-                     2.75 if variant.uses_rv else 0.0)
+    if beta is None:
+        beta = 0.925 if variant is ModelClass.SVDLM else 0.875
+    hp = HyperParams(delta, beta, 2.75 if variant.uses_rv else 0.0)
     d = variant.dim
     init = PriorMoments(np.array([0.0, 1.0, 0.0, 0.0][:d]),
                         np.diag([0.10, 0.01, 0.05, 0.05][:d]) / delta, hp.beta, 1.3e-4)
@@ -232,6 +233,13 @@ class TestBackwardSample:
         traj = synthetic_run(ModelClass.RVLDLM, 1.0, T=200)
         theta, _ = backward_sample(traj, rng=np.random.default_rng(7), n_samples=20)
         assert np.array_equal(theta, np.broadcast_to(theta[:, -1:, :], theta.shape))
+
+    def test_static_precision_draws_one_phi_path(self):
+        # beta = 1: every backward shock has shape 0, and a shape-0 gamma draw is exactly 0
+        traj = synthetic_run(ModelClass.RVDLM, 0.999, T=200, beta=1.0)
+        _, phi = backward_sample(traj, rng=np.random.default_rng(8), n_samples=20)
+        assert np.all(phi[:, -1] > 0.0)
+        assert np.array_equal(phi, np.broadcast_to(phi[:, -1:], phi.shape))
 
     def test_non_positive_definite_scale_names_its_day(self):
         traj = synthetic_run(ModelClass.RVDLM, 0.999, T=60)
