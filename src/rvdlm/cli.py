@@ -19,7 +19,7 @@ import numpy as np
 from .dlm_core import ModelClass
 from .errors import ConfigError, RvdlmError
 from .ingestion import write_columns_csv, write_csv
-from .pipeline import (_convert, _json_number, load_config, recompute_bayes_factors,
+from .pipeline import (config_field, json_number, load_config, recompute_bayes_factors,
                        run_filter_pipeline)
 from .synthetic import SyntheticParams, generate_synthetic, slowly_varying_theta
 
@@ -67,7 +67,7 @@ def _json_numeric(value) -> np.ndarray:
     """A JSON number, or a JSON array of them (nested for `theta_path`)."""
     if isinstance(value, list):
         return np.array([_json_numeric(v) for v in value])
-    return np.array(_json_number(value))
+    return np.array(json_number(value))
 
 
 def _synth_params(args) -> SyntheticParams:
@@ -82,20 +82,20 @@ def _synth_params(args) -> SyntheticParams:
         if not isinstance(raw, dict):
             raise ConfigError(f"generator params {args.params} must be a JSON object")
     if "theta_path" in raw:
-        theta = _convert(raw, "theta_path", _json_numeric)
+        theta = config_field(raw, "theta_path", _json_numeric)
     else:
-        base = _convert(raw, "theta_base", _json_numeric,
+        base = config_field(raw, "theta_base", _json_numeric,
                         [0.0046, 0.999, -0.5, 0.4] if model is ModelClass.RVLDLM
                         else [0.0046, 0.999, 0.1])
-        amplitude = _convert(raw, "theta_amplitude", _json_numeric, None)
-        period = _convert(raw, "theta_period", _json_numeric, None)
+        amplitude = config_field(raw, "theta_amplitude", _json_numeric, None)
+        period = config_field(raw, "theta_period", _json_numeric, None)
         try:
             theta = slowly_varying_theta(model, args.days, base, amplitude, period)
         except ValueError as exc:
             raise ConfigError(f"theta_base, theta_amplitude or theta_period: {exc}") from exc
     if theta.shape[:1] != (args.days,):
         raise ConfigError(f"theta_path has shape {theta.shape}, --days is {args.days}")
-    kwargs = {k: _convert(raw, k, _json_number)
+    kwargs = {k: config_field(raw, k, json_number)
               for k in ("v0", "beta", "alpha", "vol_info", "y0", "floor_eps") if k in raw}
     return SyntheticParams(model=model, theta=theta, **kwargs)
 

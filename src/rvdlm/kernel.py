@@ -112,13 +112,8 @@ def _sym_gather(d: int) -> np.ndarray:
 _SYM_GATHER = {d: _sym_gather(d) for d in (3, 4)}
 
 
-def _dated(message: str, t: int, dates) -> str:
-    return message + (f" [date={dates[t]}]" if dates is not None else "")
-
-
-def _finite_range_error(t: int, s: float, lp: float, dates) -> NumericalError:
-    return NumericalError(_dated(f"filter left the finite range at step {t} (volatility scale "
-                                 f"s={s!r}, log density {lp!r})", t, dates))
+def _date(dates, t: int):
+    return None if dates is None else dates[t]
 
 
 def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
@@ -145,8 +140,7 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
         t = int(np.argmin(finite.all(axis=0)))
         name = ("log price y", "realized variance z", "realized SD x",
                 "lagged log price", "lagged realized SD")[int(np.argmin(finite[:, t]))]
-        raise DataError(f"non-finite {name} at step {t}",
-                        date=dates[t] if dates is not None else None)
+        raise DataError(f"non-finite {name} at step {t}", _date(dates, t))
     if init.dim != variant.dim:
         raise DomainError(f"initial prior dimension {init.dim} does not match "
                           f"{variant.value} layout ({variant.dim})")
@@ -157,7 +151,7 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
         if not np.all(z > 0.0):
             t = int(np.argmin(z > 0.0))
             raise DataError(f"nonpositive realized variance at step {t} (apply the floor)",
-                            date=dates[t] if dates is not None else None)
+                            _date(dates, t))
     alpha = hp.alpha if uses_rv else 0.0
 
     n_star_seq, n_tilde_seq, n_arr = dof_sequences(hp, init.n_star, T, uses_rv)
@@ -174,26 +168,23 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
                       zip(y.tolist(), z.tolist(), *(r.tolist() for r in regressors),
                           n_star_seq.tolist(), n_tilde_seq.tolist(), n_arr.tolist(),
                           consts.tolist()))
-    if bad_q is not None:
-        t = len(flat) // width
-        if t > 0:
-            # day t-1 leaving the finite range (an overflowed s) is what made q bad
-            row = flat[(t - 1) * width:]
-            s_prev, lp_prev = row[d + npack], row[-1]
-            if not (0.0 < s_prev < math.inf and math.isfinite(lp_prev)):
-                raise _finite_range_error(t - 1, s_prev, lp_prev, dates)
-        raise NumericalError(_dated(f"nonpositive one-step scale q={bad_q!r} at step {t}",
-                                    t, dates))
-    # one row per day: m (d), packed upper triangle of C, then s, f, q, e, lp
-    rows = np.fromiter(flat, dtype=float, count=len(flat)).reshape(T, width)
+    # one row per day the loop finished: m (d), packed upper triangle of C, then s, f, q, e, lp
+    days = len(flat) // width
+    rows = np.fromiter(flat, dtype=float, count=len(flat)).reshape(days, width)
     m = rows[:, :d].copy()
-    C = rows[:, d + _SYM_GATHER[d]].reshape(T, d, d)
+    C = rows[:, d + _SYM_GATHER[d]].reshape(days, d, d)
     s_arr, f_arr, q_arr, e_arr, lp_arr = (rows[:, k].copy() for k in range(d + npack, width))
-    # the finite s and score that the step composition and ScoreLedger.record check per day
+    # the finite s and score that the step composition and ScoreLedger.record check per
+    # day; a day leaving the finite range (an overflowed s) makes the next day's q bad
     bad = ~((s_arr > 0.0) & (s_arr < math.inf) & np.isfinite(lp_arr))
     if bad.any():
         t = int(np.argmax(bad))
-        raise _finite_range_error(t, float(s_arr[t]), float(lp_arr[t]), dates)
+        raise NumericalError(f"filter left the finite range at step {t} (volatility scale "
+                             f"s={float(s_arr[t])!r}, log density {float(lp_arr[t])!r})",
+                             _date(dates, t))
+    if bad_q is not None:
+        raise NumericalError(f"nonpositive one-step scale q={bad_q!r} at step {days}",
+                             _date(dates, days))
     # the step composition's PSD check, once for all days: R_t = C_{t-1}/delta, R_1 = init.R.
     # Day-major (d, T) copy: numpy reduces a short trailing axis slowly.
     diag_C = np.diagonal(C, axis1=1, axis2=2).T.copy()
@@ -201,8 +192,8 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
     lost = diag_C.min(axis=0) < -1e-10 * np.maximum(1.0, diag_R_max)
     if lost.any():
         t = int(np.argmax(lost))
-        raise NumericalError(_dated(f"posterior scale lost positive semidefiniteness at step {t} "
-                                    f"(min diag {float(diag_C[:, t].min())!r})", t, dates))
+        raise NumericalError(f"posterior scale lost positive semidefiniteness at step {t} "
+                             f"(min diag {float(diag_C[:, t].min())!r})", _date(dates, t))
     return FilterTrajectory(variant, hp, init, y, z, x, y_prev, x_prev,
                             m, C, n_arr, s_arr, n_star_seq,
                             f_arr, q_arr, e_arr, lp_arr,

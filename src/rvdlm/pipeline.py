@@ -146,35 +146,31 @@ class RunConfig:
                 raise ConfigError(f"series {s.ticker!r}: file not found: {s.path}")
 
 
-def _parse_date(text, what: str) -> dt.date:
-    try:
-        return dt.date.fromisoformat(str(text))
-    except ValueError as exc:
-        raise ConfigError(f"{what}: invalid ISO date {text!r}") from exc
-
-
 def _model_from_dict(entry: dict) -> ModelSpec:
+    # until its name is known, a model is named by its variant (the default name)
+    label = next((v for v in (entry.get("name"), entry.get("variant")) if isinstance(v, str)),
+                 entry)
     try:
-        variant = ModelClass(str(entry["variant"]).lower())
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"model entry {entry!r}: unknown or missing variant "
-                          f"(expected one of {[m.value for m in ModelClass]})") from exc
-    name = str(entry.get("name", variant.value))
-    base = DEFAULT_HYPERPARAMS[variant]
-    try:
-        hp = HyperParams(*(_convert(entry, key, _json_number, getattr(base, key))
+        try:
+            variant = ModelClass(config_field(entry, "variant", json_string).lower())
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"unknown or missing variant (expected one of "
+                              f"{[m.value for m in ModelClass]})") from exc
+        name = config_field(entry, "name", json_string, variant.value)
+        base = DEFAULT_HYPERPARAMS[variant]
+        hp = HyperParams(*(config_field(entry, key, json_number, getattr(base, key))
                            for key in ("delta", "beta", "alpha")))
-        prior = {key: _convert(entry, key, convert, None) for key, convert in
+        prior = {key: config_field(entry, key, convert, None) for key, convert in
                  (("a1", _json_numbers), ("r1_diag", _json_numbers),
-                  ("n_star_1", _json_number))}
+                  ("n_star_1", json_number))}
     except (ConfigError, DomainError) as exc:
-        raise ConfigError(f"model {name!r}: {exc}") from exc
+        raise ConfigError(f"model {label!r}: {exc}") from exc
     if variant.uses_rv and hp.alpha <= 0.0:
         raise ConfigError(f"model {name!r}: {variant.value} requires alpha > 0")
     return ModelSpec(name=name, variant=variant, hp=hp, **prior)
 
 
-def _json_number(value) -> float:
+def json_number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a JSON number, got {type(value).__name__}")
     return float(value)
@@ -185,7 +181,7 @@ def _json_numbers(value) -> tuple:
     if not isinstance(value, list):
         raise TypeError(f"expected a JSON array, got {type(value).__name__}")
     for v in value:
-        _json_number(v)
+        json_number(v)
     return tuple(value)
 
 
@@ -195,9 +191,34 @@ def _json_integer(value) -> int:
     return value
 
 
-def _convert(raw: dict, key: str, convert, *default):
+def json_string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a JSON string, got {type(value).__name__}")
+    return value
+
+
+def _json_date(value) -> dt.date:
+    return dt.date.fromisoformat(json_string(value))
+
+
+def _json_objects(value) -> list:
+    if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
+        raise TypeError("expected a JSON array of objects")
+    return value
+
+
+def _json_schema(value) -> CsvSchema:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    for v in value.values():
+        json_string(v)
+    return CsvSchema(**value)
+
+
+def config_field(raw: dict, key: str, convert, *default):
     """`convert(raw[key])`, or the default when the key is absent; without a
-    default the key is required (KeyError)."""
+    default the key is required (KeyError). A value that `convert` rejects
+    (TypeError, ValueError) is a ConfigError naming the key."""
     if default and key not in raw:
         return default[0]
     try:
@@ -219,23 +240,23 @@ def load_config(path_or_dict, out_dir_override=None, seed_override=None) -> RunC
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path_or_dict} is not valid JSON: {exc}") from exc
     try:
-        series = tuple(SeriesSpec(str(e["ticker"]), str(e["path"]),
-                                  _convert(e, "s1", _json_number)) for e in raw["series"])
-        models = tuple(_model_from_dict(e) for e in raw["models"])
-        train_end = _parse_date(raw["train_end"], "train_end")
-        eval_start = _parse_date(raw["eval_start"], "eval_start")
-        out_dir = str(out_dir_override or raw.get("out_dir", "out"))
+        series = tuple(SeriesSpec(config_field(e, "ticker", json_string),
+                                  config_field(e, "path", json_string),
+                                  config_field(e, "s1", json_number))
+                       for e in config_field(raw, "series", _json_objects))
+        models = tuple(_model_from_dict(e) for e in config_field(raw, "models", _json_objects))
+        train_end = config_field(raw, "train_end", _json_date)
+        eval_start = config_field(raw, "eval_start", _json_date)
+        out_dir = out_dir_override or config_field(raw, "out_dir", json_string, "out")
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, RvdlmError):
-            raise
         raise ConfigError(f"malformed config: {exc}") from exc
     return RunConfig(
         series=series, models=models, train_end=train_end, eval_start=eval_start,
         out_dir=out_dir,
         seed=(int(seed_override) if seed_override is not None
-              else _convert(raw, "seed", _json_integer, 0)),
-        floor_eps=_convert(raw, "floor_eps", _json_number, DEFAULT_RV_FLOOR),
-        schema=_convert(raw, "schema", lambda v: CsvSchema(**v), CsvSchema()),
+              else config_field(raw, "seed", _json_integer, 0)),
+        floor_eps=config_field(raw, "floor_eps", json_number, DEFAULT_RV_FLOOR),
+        schema=config_field(raw, "schema", _json_schema, CsvSchema()),
     )
 
 
@@ -370,7 +391,7 @@ def _run_into(config: RunConfig, out_dir: str) -> dict:
             frame = build_series(bars, config.floor_eps, ticker=sspec.ticker)
             frame = apply_split(frame, config.train_end, config.eval_start)
         except RvdlmError as exc:
-            raise type(exc)(f"series {sspec.ticker!r} [ingestion]: {exc}") from exc
+            raise exc.within(f"series {sspec.ticker!r} [ingestion]") from exc
         entry = {
             "days_modeled": len(frame),
             "days_train": frame.n_train,
@@ -391,13 +412,12 @@ def _run_into(config: RunConfig, out_dir: str) -> dict:
                 traj = run_filter(mspec.variant, mspec.hp, mspec.initial_prior(sspec.s1),
                                   frame.y, frame.z, frame.x, frame.y_prev, frame.x_prev,
                                   dates=frame.dates)
+                header, cols, z_scores = _trajectory_columns(iso_dates, scored, inputs, mspec,
+                                                             traj, quantiles)
             except RvdlmError as exc:
-                raise type(exc)(
-                    f"series {sspec.ticker!r} model {mspec.name!r} [filter]: {exc}") from exc
+                raise exc.within(f"series {sspec.ticker!r} model {mspec.name!r} [filter]") from exc
             increments = traj.log_density[first:]
             scores[mspec.name] = (frame.dates[first:], increments)
-            header, cols, z_scores = _trajectory_columns(iso_dates, scored, inputs, mspec,
-                                                         traj, quantiles)
             write_columns_csv(os.path.join(out_dir, _trajectory_file(sspec.ticker, mspec.name)),
                               header, cols)
             running = np.cumsum(increments)  # adds in order, like a running total

@@ -56,7 +56,7 @@ class ScoreLedger:
     def record(self, date, log_density: float) -> bool:
         """Add one day's score; returns False for warm-up days."""
         if not math.isfinite(log_density):
-            raise NumericalError(f"non-finite score increment on {date}: {log_density!r}")
+            raise NumericalError(f"non-finite score increment {log_density!r}", date)
         if self.window_start is not None and date < self.window_start:
             return False
         if self._dates and not date > self._dates[-1]:

@@ -83,8 +83,8 @@ def _cholesky_all(traj: FilterTrajectory) -> np.ndarray:
         pivots = minors / np.concatenate([np.ones((len(traj), 1)), minors[:, :-1]], axis=1)
     worst = np.nan_to_num(pivots.min(axis=1), nan=-np.inf)
     t = int(np.argmax(worst <= 0.0)) if np.any(worst <= 0.0) else int(np.argmin(worst))
-    where = f" (date {traj.dates[t]})" if traj.dates is not None else ""
-    raise NumericalError(f"filtered scale C is not positive definite at step {t}{where}")
+    raise NumericalError(f"filtered scale C is not positive definite at step {t}",
+                         traj.dates[t] if traj.dates is not None else None)
 
 
 def backward_sample(traj: FilterTrajectory, rng: np.random.Generator | None = None,

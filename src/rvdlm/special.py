@@ -71,8 +71,14 @@ def log_gamma_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _max_terms(a: float) -> int:
+    # Term cap of the incomplete-gamma series and continued fraction. Near
+    # x = a the series needs about sqrt(2 a ln(1/eps)) = 8.5 sqrt(a) terms.
+    return 1000 + int(10.0 * math.sqrt(a))
+
+
 def _gamma_series(a: float, x: float, itmax: int) -> float:
-    # Series representation of P(a, x), reliable for x < a + 1.
+    # Series sum of P(a, x) without its prefactor, for x < a + 1.
     ap = a
     term = 1.0 / a
     total = term
@@ -81,12 +87,12 @@ def _gamma_series(a: float, x: float, itmax: int) -> float:
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - log_gamma(a))
+            return total
     raise NumericalError(f"incomplete gamma series failed to converge (a={a}, x={x})")
 
 
 def _gamma_contfrac(a: float, x: float, itmax: int) -> float:
-    # Lentz continued fraction for Q(a, x), reliable for x >= a + 1.
+    # Lentz continued fraction of Q(a, x) without its prefactor, for x >= a + 1.
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -104,8 +110,18 @@ def _gamma_contfrac(a: float, x: float, itmax: int) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return math.exp(-x + a * math.log(x) - log_gamma(a)) * h
+            return h
     raise NumericalError(f"incomplete gamma continued fraction failed (a={a}, x={x})")
+
+
+def _lower_gamma(x: float, a: float, lga: float, itmax: int) -> float:
+    # P(a, x) for finite x >= 0, given lga = ln Gamma(a) and itmax = _max_terms(a)
+    if x == 0.0:
+        return 0.0
+    front = math.exp(-x + a * math.log(x) - lga)
+    if x < a + 1.0:
+        return _gamma_series(a, x, itmax) * front
+    return 1.0 - front * _gamma_contfrac(a, x, itmax)
 
 
 def reg_lower_gamma(a: float, x: float) -> float:
@@ -114,17 +130,7 @@ def reg_lower_gamma(a: float, x: float) -> float:
         raise DomainError(f"shape must be positive, got {a!r}")
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"argument must be finite and nonnegative, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    itmax = 1000 + int(4.0 * math.sqrt(a))
-    if x < a + 1.0:
-        return _gamma_series(a, x, itmax)
-    return 1.0 - _gamma_contfrac(a, x, itmax)
-
-
-def _log_gamma_pdf_unit(a: float, x: float) -> float:
-    # log density of Gamma(a, rate=1)
-    return (a - 1.0) * math.log(x) - x - log_gamma(a)
+    return _lower_gamma(x, a, log_gamma(a), _max_terms(a))
 
 
 def normal_quantile(u: float) -> float:
@@ -157,7 +163,41 @@ def normal_quantile(u: float) -> float:
            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
 
 
-def inv_reg_lower_gamma(a: float, u: float, tol: float = 1e-13) -> float:
+# Both quantile solvers run Newton's method on the CDF, safeguarded by
+# bisection (Numerical Recipes section 9.4, `rtsafe`), to fixed tolerances. A
+# Newton step is tried only where the log density exceeds a floor: -700 for
+# the gamma, none (-inf) for the t, where a floor would move bits in the tails.
+_GAMMA_TOL = 1e-13
+_GAMMA_FLOOR = -700.0
+_T_TOL = 1e-12
+_MAX_STEPS = 200
+
+
+def _newton(cdf, log_pdf, x: float, u: float, tol: float, floor: float, what: str) -> float:
+    """Solve cdf(x) = u for x > 0 from the start x: a Newton step where
+    log_pdf(x) > floor and the step lands inside the bracket, otherwise a
+    bisection (or a doubling while the bracket is open above). `what` is
+    the error message should it not converge."""
+    lo, hi = 0.0, math.inf
+    for _ in range(_MAX_STEPS):
+        f = cdf(x) - u
+        if abs(f) <= tol:
+            return x
+        if f > 0.0:
+            hi = min(hi, x)
+        else:
+            lo = max(lo, x)
+        lpdf = log_pdf(x)
+        xn = x - f * math.exp(-lpdf) if lpdf > floor else math.nan
+        if not (math.isfinite(xn) and lo < xn < hi):
+            xn = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * max(x, 1.0)
+        if xn == x:
+            return x
+        x = xn
+    raise NumericalError(what)
+
+
+def inv_reg_lower_gamma(a: float, u: float) -> float:
     """Solve P(a, x) = u for x by bracketed Newton with bisection fallback."""
     if not 0.0 < u < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {u!r}")
@@ -167,30 +207,11 @@ def inv_reg_lower_gamma(a: float, u: float, tol: float = 1e-13) -> float:
     z = normal_quantile(u)
     g = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))
     x = a * g * g * g if g > 0.0 else a * math.exp((math.log(u) + log_gamma(a + 1.0)) / a)
-    x = max(x, _TINY)
-
-    lo, hi = 0.0, math.inf
-    flo = -u
-    for _ in range(200):
-        f = reg_lower_gamma(a, x) - u
-        if abs(f) <= tol:
-            return x
-        if f > 0.0:
-            hi = min(hi, x)
-        else:
-            lo = max(lo, x)
-            flo = f
-        lpdf = _log_gamma_pdf_unit(a, x)
-        step_ok = lpdf > -700.0
-        if step_ok:
-            xn = x - f * math.exp(-lpdf)
-            step_ok = math.isfinite(xn) and lo < xn < hi
-        if not step_ok:
-            xn = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * max(x, 1.0)
-        if xn == x:
-            return x
-        x = xn
-    raise NumericalError(f"gamma quantile solver failed (a={a}, u={u}, resid={flo})")
+    lga, itmax = log_gamma(a), _max_terms(a)
+    return _newton(lambda x: _lower_gamma(x, a, lga, itmax),
+                   lambda x: (a - 1.0) * math.log(x) - x - lga,  # log density of Gamma(a, 1)
+                   max(x, _TINY), u, _GAMMA_TOL, _GAMMA_FLOOR,
+                   f"gamma quantile solver failed (a={a}, u={u})")
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -253,38 +274,23 @@ def student_t_cdf(t: float, dof: float) -> float:
     return tail if t < 0.0 else 1.0 - tail
 
 
-def _log_t_pdf(t: float, dof: float) -> float:
-    return (log_gamma(0.5 * (dof + 1.0)) - log_gamma(0.5 * dof)
-            - 0.5 * math.log(dof * math.pi)
-            - 0.5 * (dof + 1.0) * math.log1p(t * t / dof))
-
-
-def student_t_quantile(u: float, dof: float, tol: float = 1e-12) -> float:
+def student_t_quantile(u: float, dof: float) -> float:
     """Standard-t quantile by bracketed Newton on the CDF."""
     if not 0.0 < u < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {u!r}")
+    if not (dof > 0.0 and math.isfinite(dof)):
+        raise DomainError(f"degrees of freedom must be positive, got {dof!r}")
     if u == 0.5:
         return 0.0
     if u < 0.5:
-        return -student_t_quantile(1.0 - u, dof, tol)
+        return -student_t_quantile(1.0 - u, dof)
     z = normal_quantile(u)
     x = z + (z ** 3 + z) / (4.0 * dof)  # first-order tail correction
-    lo, hi = 0.0, math.inf
-    for _ in range(200):
-        f = student_t_cdf(x, dof) - u
-        if abs(f) <= tol:
-            return x
-        if f > 0.0:
-            hi = min(hi, x)
-        else:
-            lo = max(lo, x)
-        xn = x - f * math.exp(-_log_t_pdf(x, dof))
-        if not (math.isfinite(xn) and lo < xn < hi):
-            xn = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * max(x, 1.0)
-        if xn == x:
-            return x
-        x = xn
-    raise NumericalError(f"t quantile solver failed (dof={dof}, u={u})")
+    # the t log density is c - (dof + 1)/2 log1p(x^2/dof)
+    c = log_gamma(0.5 * (dof + 1.0)) - log_gamma(0.5 * dof) - 0.5 * math.log(dof * math.pi)
+    return _newton(lambda t: student_t_cdf(t, dof),
+                   lambda t: c - 0.5 * (dof + 1.0) * math.log1p(t * t / dof),
+                   x, u, _T_TOL, -math.inf, f"t quantile solver failed (dof={dof}, u={u})")
 
 
 # Lane-parallel solvers. Every lane performs exactly the operation sequence
@@ -300,23 +306,19 @@ def _each(fn, v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, v.tolist()), dtype=float, count=v.size)
 
 
-def _lanes(*values) -> list[np.ndarray]:
-    """Scalars and 1-D arrays broadcast to float lanes of one length."""
-    return [np.array(v, dtype=float).ravel()
-            for v in np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
-                                          for v in values))]
-
-
-def _check_levels(u: np.ndarray) -> None:
+def _lanes(u, v, what: str) -> list[np.ndarray]:
+    """Levels u in (0, 1) and finite positive `what` v, scalars or 1-D
+    arrays, checked and broadcast to float lanes of one length."""
+    u, v = (np.array(w, dtype=float).ravel()
+            for w in np.broadcast_arrays(*(np.atleast_1d(np.asarray(w, dtype=float))
+                                          for w in (u, v))))
     bad = ~((u > 0.0) & (u < 1.0))
     if bad.any():
         raise DomainError(f"quantile level must be in (0, 1), got {float(u[bad][0])!r}")
-
-
-def _check_positive(v: np.ndarray, what: str) -> None:
     bad = ~((v > 0.0) & np.isfinite(v))
     if bad.any():
         raise DomainError(f"{what} must be positive, got {float(v[bad][0])!r}")
+    return [u, v]
 
 
 def _keep(mask: np.ndarray, *arrays) -> list[np.ndarray]:
@@ -382,12 +384,12 @@ def _gamma_contfrac_lanes(a, x, itmax):
     return out
 
 
-def _lower_gamma_lanes(a, x, lga):
-    """P(a, x) per lane for finite x >= 0, given lga = ln Gamma(a)."""
+def _lower_gamma_lanes(x, a, lga, itmax):
+    """P(a, x) per lane for finite x >= 0, given lga = ln Gamma(a) and
+    itmax = _max_terms(a)."""
     out = np.zeros_like(x)
     pos = np.flatnonzero(x > 0.0)
-    a, x, lga = a[pos], x[pos], lga[pos]
-    itmax = 1000 + (4.0 * np.sqrt(a)).astype(np.int64)
+    x, a, lga, itmax = x[pos], a[pos], lga[pos], itmax[pos]
     front = _each(math.exp, -x + a * _each(math.log, x) - lga)
     p = np.empty_like(x)
     ser = x < a + 1.0
@@ -398,15 +400,45 @@ def _lower_gamma_lanes(a, x, lga):
     return out
 
 
+def _newton_lanes(cdf, log_pdf, x, u, params, tol: float, floor: float, what: str):
+    """`_newton` in every lane: cdf(x, *params) and log_pdf(x, *params) take the
+    active lanes' iterates and parameters. `what` formats the error message
+    from params[0] and u of a lane that does not converge."""
+    out = np.empty_like(x)
+    lane = np.arange(x.size)
+    lo, hi = np.zeros_like(x), np.full_like(x, math.inf)
+    for _ in range(_MAX_STEPS):
+        f = cdf(x, *params) - u
+        done = np.abs(f) <= tol
+        out[lane[done]] = x[done]
+        lane, u, x, f, lo, hi, *params = _keep(~done, lane, u, x, f, lo, hi, *params)
+        if not lane.size:
+            return out
+        up = f > 0.0
+        hi = np.where(up, np.minimum(hi, x), hi)
+        lo = np.where(up, lo, np.maximum(lo, x))
+        lpdf = log_pdf(x, *params)
+        newton = lpdf > floor
+        xn = np.full_like(x, math.nan)
+        xn[newton] = x[newton] - f[newton] * _each(math.exp, -lpdf[newton])
+        bis = ~(np.isfinite(xn) & (lo < xn) & (xn < hi))
+        xn[bis] = np.where(np.isfinite(hi[bis]), 0.5 * (lo[bis] + hi[bis]),
+                           2.0 * np.maximum(x[bis], 1.0))
+        stay = xn == x
+        out[lane[stay]] = x[stay]
+        lane, u, x, lo, hi, *params = _keep(~stay, lane, u, xn, lo, hi, *params)
+        if not lane.size:
+            return out
+    raise NumericalError(what.format(float(params[0][0]), float(u[0])))
+
+
 @_quiet
-def inv_reg_lower_gamma_lanes(a, u, tol: float = 1e-13) -> np.ndarray:
+def inv_reg_lower_gamma_lanes(a, u) -> np.ndarray:
     """Solve P(a, x) = u for x in every lane of the 1-D (broadcast) arrays
     `a` and `u`, by bracketed Newton with bisection fallback."""
-    a, u = _lanes(a, u)
-    _check_levels(u)
-    _check_positive(a, "shape")
+    u, a = _lanes(u, a, "shape")
     if a.size == 1:
-        return np.array([inv_reg_lower_gamma(float(a[0]), float(u[0]), tol)])
+        return np.array([inv_reg_lower_gamma(float(a[0]), float(u[0]))])
     # Wilson-Hilferty starting point
     z = _each(normal_quantile, u)
     g = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
@@ -416,38 +448,11 @@ def inv_reg_lower_gamma_lanes(a, u, tol: float = 1e-13) -> np.ndarray:
         ac = a[cold]
         x[cold] = ac * _each(math.exp, (_each(math.log, u[cold])
                                         + _each(log_gamma, ac + 1.0)) / ac)
-    x = np.maximum(x, _TINY)
-
-    out = np.empty_like(a)
-    lane = np.arange(a.size)
-    lga = _each(log_gamma, a)
-    lo, hi = np.zeros_like(a), np.full_like(a, math.inf)
-    flo = -u
-    for _ in range(200):
-        f = _lower_gamma_lanes(a, x, lga) - u
-        done = np.abs(f) <= tol
-        out[lane[done]] = x[done]
-        lane, a, u, lga, x, f, lo, hi, flo = _keep(~done, lane, a, u, lga, x, f, lo, hi, flo)
-        if not lane.size:
-            return out
-        up = f > 0.0
-        hi = np.where(up, np.minimum(hi, x), hi)
-        lo = np.where(up, lo, np.maximum(lo, x))
-        flo = np.where(up, flo, f)
-        lpdf = (a - 1.0) * _each(math.log, x) - x - lga  # log density of Gamma(a, 1)
-        newton = lpdf > -700.0
-        xn = np.full_like(x, math.nan)
-        xn[newton] = x[newton] - f[newton] * _each(math.exp, -lpdf[newton])
-        bis = ~(newton & np.isfinite(xn) & (lo < xn) & (xn < hi))
-        xn[bis] = np.where(np.isfinite(hi[bis]), 0.5 * (lo[bis] + hi[bis]),
-                           2.0 * np.maximum(x[bis], 1.0))
-        stay = xn == x
-        out[lane[stay]] = x[stay]
-        lane, a, u, lga, x, lo, hi, flo = _keep(~stay, lane, a, u, lga, xn, lo, hi, flo)
-        if not lane.size:
-            return out
-    raise NumericalError(f"gamma quantile solver failed (a={float(a[0])}, u={float(u[0])}, "
-                         f"resid={float(flo[0])})")
+    return _newton_lanes(_lower_gamma_lanes,
+                         lambda x, a, lga, _: (a - 1.0) * _each(math.log, x) - x - lga,
+                         np.maximum(x, _TINY), u,
+                         (a, _each(log_gamma, a), _each(_max_terms, a)),
+                         _GAMMA_TOL, _GAMMA_FLOOR, "gamma quantile solver failed (a={}, u={})")
 
 
 def _betacf_lanes(a, b, x):
@@ -520,56 +525,26 @@ def _t_cdf_lanes(t, dof, log_beta):
     return out
 
 
-def _t_quantile_upper(u, dof, tol):
-    # Bracketed Newton on the CDF for levels u > 0.5.
-    z = _each(normal_quantile, u)
-    x = z + (_each(lambda v: v ** 3, z) + z) / (4.0 * dof)  # first-order tail correction
-    lg_half = _each(log_gamma, 0.5 * dof)
-    log_beta = _each(log_gamma, 0.5 * dof + 0.5) - lg_half - _LOG_GAMMA_HALF
-    # the t log density is c - (dof + 1)/2 log1p(x^2/dof)
-    c = _each(log_gamma, 0.5 * (dof + 1.0)) - lg_half - 0.5 * _each(math.log, dof * math.pi)
-
-    out = np.empty_like(u)
-    lane = np.arange(u.size)
-    lo, hi = np.zeros_like(u), np.full_like(u, math.inf)
-    for _ in range(200):
-        f = _t_cdf_lanes(x, dof, log_beta) - u
-        done = np.abs(f) <= tol
-        out[lane[done]] = x[done]
-        lane, u, dof, log_beta, c, x, f, lo, hi = _keep(~done, lane, u, dof, log_beta, c,
-                                                        x, f, lo, hi)
-        if not lane.size:
-            return out
-        up = f > 0.0
-        hi = np.where(up, np.minimum(hi, x), hi)
-        lo = np.where(up, lo, np.maximum(lo, x))
-        lpdf = c - 0.5 * (dof + 1.0) * _each(math.log1p, x * x / dof)
-        xn = x - f * _each(math.exp, -lpdf)
-        bis = ~(np.isfinite(xn) & (lo < xn) & (xn < hi))
-        xn[bis] = np.where(np.isfinite(hi[bis]), 0.5 * (lo[bis] + hi[bis]),
-                           2.0 * np.maximum(x[bis], 1.0))
-        stay = xn == x
-        out[lane[stay]] = x[stay]
-        lane, u, dof, log_beta, c, x, lo, hi = _keep(~stay, lane, u, dof, log_beta, c,
-                                                     xn, lo, hi)
-        if not lane.size:
-            return out
-    raise NumericalError(f"t quantile solver failed (dof={float(dof[0])}, u={float(u[0])})")
-
-
 @_quiet
-def student_t_quantile_lanes(u, dof, tol: float = 1e-12) -> np.ndarray:
+def student_t_quantile_lanes(u, dof) -> np.ndarray:
     """Standard-t quantiles for every lane of the 1-D (broadcast) arrays `u`
     and `dof`: 0 at u = 0.5, reflection below it, bracketed Newton above."""
-    u, dof = _lanes(u, dof)
-    _check_levels(u)
-    _check_positive(dof, "degrees of freedom")
+    u, dof = _lanes(u, dof, "degrees of freedom")
     if u.size == 1:
-        return np.array([student_t_quantile(float(u[0]), float(dof[0]), tol)])
+        return np.array([student_t_quantile(float(u[0]), float(dof[0]))])
     low = u < 0.5
     w = np.where(low, 1.0 - u, u)
     out = np.zeros_like(w)
     solve = w != 0.5
-    out[solve] = _t_quantile_upper(w[solve], dof[solve], tol)
+    w, n = w[solve], dof[solve]
+    z = _each(normal_quantile, w)
+    x = z + (_each(lambda v: v ** 3, z) + z) / (4.0 * n)  # first-order tail correction
+    lg_half = _each(log_gamma, 0.5 * n)
+    log_beta = _each(log_gamma, 0.5 * n + 0.5) - lg_half - _LOG_GAMMA_HALF
+    # the t log density is c - (n + 1)/2 log1p(x^2/n)
+    c = _each(log_gamma, 0.5 * (n + 1.0)) - lg_half - 0.5 * _each(math.log, n * math.pi)
+    out[solve] = _newton_lanes(
+        lambda t, n, log_beta, _: _t_cdf_lanes(t, n, log_beta),
+        lambda t, n, _, c: c - 0.5 * (n + 1.0) * _each(math.log1p, t * t / n),
+        x, w, (n, log_beta, c), _T_TOL, -math.inf, "t quantile solver failed (dof={}, u={})")
     return np.where(low, -out, out)
-

@@ -184,6 +184,7 @@ def test_lost_positive_semidefiniteness_is_a_dated_numerical_error(variant):
         run_filter(variant, hp, init, y, z, x, y_prev, x_prev, dates=dates)
     assert "2001-01-01" in str(info.value)
     assert "np.float64" not in str(info.value)
+    assert info.value.date == dates[0]
 
 
 def test_generated_loops_show_their_source():
@@ -209,6 +210,7 @@ def test_nonpositive_one_step_scale_is_a_dated_numerical_error(variant):
     with pytest.raises(NumericalError, match="nonpositive one-step scale") as info:
         run_filter(variant, hp, init, y, z, x, y_prev, x_prev, dates=dates)
     assert "at step 1 [date=2001-01-02]" in str(info.value)
+    assert info.value.date == dates[1]
 
 
 @pytest.mark.parametrize("T", [1, 5])
@@ -226,6 +228,7 @@ def test_infinite_one_step_scale_is_a_dated_numerical_error(T):
     with pytest.raises(NumericalError, match="nonpositive one-step scale q=inf") as info:
         run_filter(variant, hp, init, y, z, x, y_prev, x_prev, dates=dates)
     assert "at step 0 [date=2001-01-01]" in str(info.value)
+    assert info.value.date == dates[0]
 
 
 @pytest.mark.parametrize("variant", list(ModelClass))
@@ -241,6 +244,7 @@ def test_overflowing_volatility_scale_is_a_dated_numerical_error(variant):
     with pytest.raises(NumericalError, match="left the finite range at step 19") as info:
         run_filter(variant, hp, init, y, z, x, y_prev, x_prev, dates=dates)
     assert "[date=2001-01-20]" in str(info.value)
+    assert info.value.date == dates[19]
 
 
 @pytest.mark.parametrize("variant", list(ModelClass))
@@ -256,6 +260,7 @@ def test_overflowed_price_is_reported_on_its_own_day(variant):
     with pytest.raises(NumericalError, match="left the finite range at step 10") as info:
         run_filter(variant, hp, init, y, z, x, y_prev, x_prev, dates=dates)
     assert f"[date={dates[10]}]" in str(info.value)
+    assert info.value.date == dates[10]
     prior, post = init, None
     for t in range(20):
         if t > 0:

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rvdlm import (ConfigError, ModelClass, OhlcBar, SyntheticParams,
-                   generate_synthetic, load_config, run_filter_pipeline,
-                   slowly_varying_theta, write_csv)
+from rvdlm import (ConfigError, DataError, ModelClass, NumericalError, OhlcBar,
+                   SyntheticParams, generate_synthetic, load_config, pipeline,
+                   run_filter_pipeline, slowly_varying_theta, write_csv)
 from rvdlm.cli import main
 from rvdlm.ingestion import read_csv_rows
 
@@ -114,6 +114,20 @@ class TestConfig:
         ("rvdlm", "a1", ["0", "1", "0"]),
         ("rvdlm", "a1", "010"),
         ("rvdlm", "r1_diag", 0.1),
+        # names, paths and dates are JSON strings, never coerced by str()
+        ("series", "ticker", 5),
+        ("series", "ticker", ["a"]),
+        ("series", "path", 5),
+        ("rvdlm", "name", None),
+        ("rvdlm", "variant", 5),
+        (None, "out_dir", False),
+        (None, "train_end", 20000103),
+        (None, "eval_start", 20010201),
+        (None, "schema", {"date": 5}),
+        (None, "schema", ["date"]),
+        (None, "series", "TIC"),
+        (None, "series", [["TIC"]]),
+        (None, "models", [5]),
     ])
     def test_malformed_field_is_config_error(self, data_csv, tmp_path, capsys,
                                              owner, field, value):
@@ -243,6 +257,26 @@ class TestPipeline:
         header, rows = read_csv_rows(os.path.join(out, "TIC__BF__rvdlm_over_svdlm.csv"))
         assert len(rows) == 0
 
+    def test_unit_discount_reaches_large_gamma_shapes(self, tmp_path):
+        # beta = 1 adds alpha + 1 = 701 dof a day: by day 200 the precision
+        # quantiles solve G(a, a) at a = n/2 near 7e4, past the old term cap
+        path = tmp_path / "long.csv"
+        theta = slowly_varying_theta(ModelClass.RVDLM, 200, base=[0.0046, 0.999, 0.1])
+        bars, _ = generate_synthetic(SyntheticParams(model=ModelClass.RVDLM, theta=theta),
+                                     np.random.default_rng(5))
+        write_csv(path, bars)
+        out = str(tmp_path / "o")
+        raw = base_config(str(path), out,
+                          models=[{"name": "m", "variant": "rvdlm", "beta": 1.0, "alpha": 700}])
+        raw.update(train_end=bars[100].date.isoformat(), eval_start=bars[101].date.isoformat())
+        summary = run_filter_pipeline(load_config(raw))
+        assert summary["series"]["TIC"]["models"]["m"]["final_n"] > 1.4e5
+        header, rows = read_csv_rows(os.path.join(out, "TIC__m.csv"))
+        idx = {h: i for i, h in enumerate(header)}
+        for r in rows[-3:]:
+            assert (float(r[idx["sd_daily_lo05"]]) < float(r[idx["sd_daily_med"]])
+                    < float(r[idx["sd_daily_hi95"]]))
+
     def test_byte_identical_reruns(self, data_csv, tmp_path):
         raw1 = base_config(data_csv[0], str(tmp_path / "r1"))
         raw2 = base_config(data_csv[0], str(tmp_path / "r2"))
@@ -283,6 +317,28 @@ class TestCli:
         assert main(["filter", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "TIC" in err and "2020-01-02" in err
+
+    def test_wrapped_error_keeps_its_date(self, tmp_path):
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("date,open,high,low,close\n2020-01-02,100,90,99,100\n"
+                           "2020-01-03,100,101,99,100\n")
+        config = load_config(base_config(str(bad_csv), str(tmp_path / "o")))
+        with pytest.raises(DataError, match="^series 'TIC' \\[ingestion\\]: ") as info:
+            run_filter_pipeline(config)
+        assert info.value.date == dt.date(2020, 1, 2)
+        assert str(info.value).count("[date=2020-01-02]") == 1
+
+    def test_emission_error_names_series_and_model(self, data_csv, tmp_path, capsys,
+                                                   monkeypatch):
+        def fail(a, u):
+            raise NumericalError("gamma quantile solver failed")
+        monkeypatch.setattr(pipeline, "inv_reg_lower_gamma_lanes", fail)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config(data_csv[0], str(tmp_path / "o"))))
+        assert main(["filter", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "series 'TIC' model 'svdlm'" in err and "gamma quantile solver failed" in err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_failed_run_leaves_no_outputs(self, data_csv, tmp_path, capsys):
         # the first series filters fine; the second has a bar with high < low

@@ -246,8 +246,9 @@ class TestBackwardSample:
         C = traj.C.copy()
         C[17] = -C[17]
         bad = dataclasses.replace(traj, C=C)
-        with pytest.raises(NumericalError, match=f"step 17 \\(date {traj.dates[17]}\\)"):
+        with pytest.raises(NumericalError, match="step 17") as info:
             backward_sample(bad, rng=np.random.default_rng(0))
+        assert info.value.date == traj.dates[17]
         bad.dates = None
         with pytest.raises(NumericalError, match="step 17$"):
             backward_sample(bad, rng=np.random.default_rng(0))

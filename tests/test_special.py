@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -100,6 +101,12 @@ class TestStudentT:
             ref = float(stats.t.ppf(u, dof))
             assert abs(got - ref) <= 1e-8 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("dof", [0.0, -1.0, math.inf, math.nan])
+    def test_quantile_rejects_bad_dof(self, dof):
+        for u in (0.95, 0.5, 0.05):
+            with pytest.raises(DomainError, match="degrees of freedom"):
+                special.student_t_quantile(u, dof)
+
     def test_symmetry(self):
         for dof in (1.0, 4.5, 30.0):
             assert special.student_t_quantile(0.5, dof) == 0.0
@@ -152,6 +159,34 @@ def test_pipeline_quantile_table_matches_scalar_solvers():
                 special.student_t_quantile(0.95, n))
         assert bits(table[n][:4]) == bits(want), n
         assert table[n][4] == "%.17g" % n
+
+
+def test_pipeline_quantile_table_digest():
+    # the float64 bytes of the table over every distinct dof of the three
+    # default models on 6,538 days, sorted by dof: a change to the scalar
+    # and lane solvers at once cannot pass unseen
+    dofs = set()
+    for variant, hp in DEFAULT_HYPERPARAMS.items():
+        dofs.update(dof_sequences(hp, hp.beta, 6538, variant.uses_rv)[2].tolist())
+    dofs = sorted(dofs)
+    assert len(dofs) == 706
+    table = {}
+    _fill_quantiles(table, dofs)
+    digest = hashlib.sha256(np.array([table[n][:4] for n in dofs]).tobytes()).hexdigest()
+    assert digest == "ff46d7fd3d241a966fed4f1b876cff84ff13e1fe72ccd4580da1f7a062457808"
+
+
+def test_large_shapes_solve_in_both_forms():
+    # near x = a the incomplete-gamma series needs about 8.5 sqrt(a) terms
+    a = np.repeat([7e4, 1e5, 1e6], 3)
+    u = np.tile([0.05, 0.5, 0.95], 3)
+    x = special.inv_reg_lower_gamma_lanes(a, u)
+    want = [special.inv_reg_lower_gamma(ai, ui) for ai, ui in zip(a.tolist(), u.tolist())]
+    assert bits(x) == bits(want)
+    # the prefactor's exponent cancels terms of size a, so P is good to about
+    # 1e-16 a; the quantile itself stays good to about 1e-12 relative
+    np.testing.assert_allclose(x, sp.gammaincinv(a, u), rtol=1e-11)
+    assert abs(special.reg_lower_gamma(1e5, 1e5) - sp.gammainc(1e5, 1e5)) < 1e-9
 
 
 def test_mixed_branch_lanes_do_not_interfere():
