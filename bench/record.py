@@ -11,8 +11,11 @@ alternates from pair to pair, so a drift of the host's speed falls on both.
 The file holds the environment (nproc, Python, numpy; per side the git
 revision and a digest of its `src/`), every run's end-to-end metrics and `#`
 report figures, and per workload and metric the median and quartiles of each
-side and how many pairs the last side won against the first. Runs go one at
-a time; nothing else should run on the host meanwhile.
+side and how many pairs the last side won against the first. After the pairs
+it records one `--trace 1` run per workload and side (seed 1), kept apart
+from that end-to-end summary under `traced`: the per-layer metrics show in
+which layer a change of the end-to-end figures sits. Runs go one at a time;
+nothing else should run on the host meanwhile.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("pipeline", "grid", "retrospective")
 PAIRS = 10  # a gain is claimed on at least 9 of 10 pairs
+TRACED_SEED = 1
 
 
 def identify(tree: str) -> dict:
@@ -54,11 +58,11 @@ def identify(tree: str) -> dict:
     return {"revision": revision, "src_modified": dirty, "src_sha256": digest.hexdigest()}
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py --trace 0` run: its JSON result plus the `#`
-    environment line and report figures."""
+def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One `perfbench/run.py` run: its JSON result plus the `#` environment
+    line and report figures."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -100,6 +104,16 @@ def summarize(runs: list[dict], sides: list[str], better: dict[str, str]) -> dic
     return out
 
 
+def traced_table(traced: list[dict]) -> dict:
+    """Per workload and per-layer metric, each side's value from its traced run."""
+    out = {}
+    for run in traced:
+        layers = out.setdefault(run["workload"], {})
+        for metric, entry in run["metrics"].items():
+            layers.setdefault(metric, {})[run["side"]] = entry["value"]
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -126,16 +140,26 @@ def main(argv=None) -> int:
                 print(f"pair {pair} {workload:13s} {side:8s} seed {seed} "
                       f"pass_norm_s {pass_s:.4f} failed {run['failed']}/{run['attempted']}",
                       flush=True)
+    traced = []
+    for workload in WORKLOADS:
+        for side in sides:
+            run = run_once(trees[side], workload, TRACED_SEED, seconds, trace=1)
+            traced.append({"side": side, "workload": workload, "seed": TRACED_SEED,
+                           "seconds": seconds, "trace": 1, **run})
+            print(f"traced {workload:13s} {side:8s} failed {run['failed']}/{run['attempted']}",
+                  flush=True)
     doc = {
         "label": args.label,
         "settings": {"workloads": list(WORKLOADS), "pairs": PAIRS,
-                     "seeds": list(range(1, PAIRS + 1)), "seconds": seconds, "trace": 0},
+                     "seeds": list(range(1, PAIRS + 1)), "seconds": seconds, "trace": 0,
+                     "traced_seed": TRACED_SEED},
         "environment": {"nproc": os.cpu_count(), "python": platform.python_version(),
                         "numpy": runs[0]["environment"].get("numpy"),
                         "machine": platform.machine()},
         "sides": {s: identify(t) for s, t in trees.items()},
         "runs": runs,
         "summary": summarize(runs, sides, better),
+        "traced": {"runs": traced, "layers": traced_table(traced)},
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -2,11 +2,15 @@
 
 The per-day recursions from `dlm_core` are written once in index form
 (`_loop_source`) and generated, unrolled over named scalars, for each
-regressor layout dimension; the loop runs on plain floats, which keeps a
-three-model pass over a 6,500-day series in the tens of milliseconds. The
-degrees-of-freedom sequence is data-independent, so the Student-t scoring
-constants are precomputed in one vectorized sweep. `run_filter` is asserted
-equivalent to the step-by-step `dlm_core` composition by the test suite.
+regressor layout dimension and for price-only and realized-variance models;
+the loop runs on plain floats, which keeps a three-model pass over a
+6,500-day series in the tens of milliseconds. It computes only what the next
+day reads: the forecast error and the log density follow after it as whole
+arrays, with the loop's operations in its order and the logs through libm per
+day. The degrees-of-freedom sequence is data-independent, so the Student-t
+scoring constants are precomputed in one vectorized sweep. `run_filter` is
+asserted equivalent to the step-by-step `dlm_core` composition by the test
+suite.
 """
 
 from __future__ import annotations
@@ -152,28 +156,38 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
             t = int(np.argmin(z > 0.0))
             raise DataError(f"nonpositive realized variance at step {t} (apply the floor)",
                             _date(dates, t))
-    alpha = hp.alpha if uses_rv else 0.0
 
     n_star_seq, n_tilde_seq, n_arr = dof_sequences(hp, init.n_star, T, uses_rv)
     consts = _score_constants(n_tilde_seq)
 
-    # plain-list views: elementwise float iteration is several times faster
-    # than numpy scalar extraction inside the sequential loop
     regressors = (y_prev, x, x_prev) if variant.uses_contemporaneous_rv else (y_prev, x_prev)
     d = variant.dim
     npack = d * (d + 1) // 2
-    width = d + npack + 5
+    width = d + npack + 3
     flat = []
-    bad_q = _LOOPS[d](hp.delta, alpha, init.a, init.R, float(init.s_prev), flat,
-                      zip(y.tolist(), z.tolist(), *(r.tolist() for r in regressors),
-                          n_star_seq.tolist(), n_tilde_seq.tolist(), n_arr.tolist(),
-                          consts.tolist()))
-    # one row per day the loop finished: m (d), packed upper triangle of C, then s, f, q, e, lp
+    # plain-list views: elementwise float iteration is several times faster
+    # than numpy scalar extraction inside the sequential loop
+    columns = [y.tolist()]
+    if uses_rv:
+        columns.append((hp.alpha * z).tolist())
+    columns += [r.tolist() for r in regressors]
+    if uses_rv:
+        columns.append(n_star_seq.tolist())
+    bad_q = _LOOPS[d, uses_rv](hp.delta, init.a, init.R, float(init.s_prev), flat,
+                               zip(*columns, n_tilde_seq.tolist(), n_arr.tolist()))
+    # one row per day the loop finished: m (d), packed upper triangle of C, then s, f, q
     days = len(flat) // width
     rows = np.fromiter(flat, dtype=float, count=len(flat)).reshape(days, width)
     m = rows[:, :d].copy()
     C = rows[:, d + _SYM_GATHER[d]].reshape(days, d, d)
-    s_arr, f_arr, q_arr, e_arr, lp_arr = (rows[:, k].copy() for k in range(d + npack, width))
+    s_arr, f_arr, q_arr = (rows[:, k].copy() for k in range(d + npack, width))
+    # the forecast error and the log density feed no later day: whole-array passes with
+    # the loop's operations in its order, logs through libm per day
+    with np.errstate(over="ignore", invalid="ignore"):  # as quiet as float arithmetic
+        e_arr = y[:days] - f_arr
+        u = e_arr * e_arr * (1.0 / q_arr)
+        lp_arr = (consts[:days] - 0.5 * special._each(math.log, q_arr)
+                  - 0.5 * n_arr[:days] * special._each(math.log, 1.0 + u / n_tilde_seq[:days]))
     # the finite s and score that the step composition and ScoreLedger.record check per
     # day; a day leaving the finite range (an overflowed s) makes the next day's q bad
     bad = ~((s_arr > 0.0) & (s_arr < math.inf) & np.isfinite(lp_arr))
@@ -200,15 +214,17 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
                             list(dates) if dates is not None else None)
 
 
-def _loop_source(d: int) -> str:
+def _loop_source(d: int, uses_rv: bool) -> str:
     """Source of the per-day filter recursion for a d-coefficient layout.
 
     Index form, unrolled over named scalars: F_0 = 1 and F_1..F_{d-1} come
     from `days`; R and C are kept as their packed upper triangles (R_ij with
     i <= j). Sums run left to right over j, which fixes every float operation.
-    Appends one row per day to `flat`: m, packed C, s, f, q, e, lp. Returns
-    None, or the first one-step scale q that is not finite and positive (its
-    day is the row count of `flat`).
+    A realized-variance loop reads alpha z_t and n*_t with each day and moves
+    s to s~ before the price update; a price-only loop prices at s. Only what
+    the next day reads is computed: one row per day goes to `flat`: m, packed
+    C, s, f, q. Returns None, or the first one-step scale q that is not finite
+    and positive (its day is the row count of `flat`).
     """
     idx = range(d)
     upper = [(i, j) for i in idx for j in range(i, d)]
@@ -219,18 +235,19 @@ def _loop_source(d: int) -> str:
     m = ", ".join(f"m{i}" for i in idx)
     F = ", ".join(f"F{j}" for j in range(1, d))
     C = ", ".join(f"C{i}{j}" for i, j in upper)
+    s_til = "s_til" if uses_rv else "s"
     return "\n".join([
-        "def loop(delta, alpha, a0, R0, s, flat, days):",
+        "def loop(delta, a0, R0, s, flat, days):",
         "    inv_delta = 1.0 / delta",
-        "    log = math.log",
         f"    {m} = (float(v) for v in a0)",
         *(f"    R{i}{j} = float(R0[{i}, {j}])" for i, j in upper),
         "    push = flat.extend",
-        f"    for yt, zt, {F}, ns, n_til, n, c in days:",
-        "        s_til = (ns + alpha * zt / s) / n_til * s if alpha > 0.0 else s",
+        *([f"    for yt, az, {F}, ns, n_til, n in days:",
+           "        s_til = (ns + az / s) / n_til * s"] if uses_rv else
+          [f"    for yt, {F}, n_til, n in days:"]),
         *(f"        RF{i} = " + dot(f"R{min(i, j)}{max(i, j)}" for j in idx) for i in idx),
         "        f = " + dot(f"m{j}" for j in idx),
-        "        q = s_til + " + dot(f"RF{j}" for j in idx),
+        f"        q = {s_til} + " + dot(f"RF{j}" for j in idx),
         "        if not 0.0 < q < inf:",
         "            return q",
         "        e = yt - f",
@@ -239,22 +256,20 @@ def _loop_source(d: int) -> str:
         *(f"        m{i} += A{i} * e" for i in idx),
         *(f"        qA{i} = q * A{i}" for i in idx),
         *(f"        C{i}{j} = R{i}{j} - qA{i} * A{j}" for i, j in upper),
-        "        u = e * e * iq",
-        "        s = (n_til + u) / n * s_til",
-        "        lp = c - 0.5 * log(q) - 0.5 * n * log(1.0 + u / n_til)",
-        f"        push(({m}, {C}, s, f, q, e, lp))",
+        f"        s = (n_til + e * e * iq) / n * {s_til}",
+        f"        push(({m}, {C}, s, f, q))",
         *(f"        R{i}{j} = C{i}{j} * inv_delta" for i, j in upper),
     ]) + "\n"
 
 
-def _compile_loop(d: int):
-    source = _loop_source(d)
-    filename = f"<rvdlm.kernel loop d={d}>"
+def _compile_loop(d: int, uses_rv: bool):
+    source = _loop_source(d, uses_rv)
+    filename = f"<rvdlm.kernel loop d={d} rv={uses_rv}>"
     # tracebacks and profilers read generated lines from the linecache
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
-    exec(compile(source, filename, "exec"), {"math": math, "inf": math.inf}, namespace)
+    exec(compile(source, filename, "exec"), {"inf": math.inf}, namespace)
     return namespace["loop"]
 
 
-_LOOPS = {d: _compile_loop(d) for d in (3, 4)}
+_LOOPS = {(d, uses_rv): _compile_loop(d, uses_rv) for d in (3, 4) for uses_rv in (False, True)}

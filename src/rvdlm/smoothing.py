@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GammaParams, sample_gamma
 from .errors import NumericalError
 from .kernel import FilterTrajectory
 
@@ -87,6 +86,9 @@ def _cholesky_all(traj: FilterTrajectory) -> np.ndarray:
                          traj.dates[t] if traj.dates is not None else None)
 
 
+_BLOCK_DAYS = 512  # days per batched matmul in backward_sample
+
+
 def backward_sample(traj: FilterTrajectory, rng: np.random.Generator | None = None,
                     n_samples: int = 1):
     """Joint retrospective draws of (theta_{1:T}, phi_{1:T}).
@@ -97,30 +99,50 @@ def backward_sample(traj: FilterTrajectory, rng: np.random.Generator | None = No
     (1-delta) m_t + delta theta_{t+1} and covariance (1-delta) C_t scaled by
     1/(s_t phi_t).
 
-    Returns (theta, phi) with shapes (n_samples, T, d) and (n_samples, T).
+    The generator is called day by day, from T back to 1, once for the
+    gamma and once for the normal draws of each day, so a seed gives the
+    same draws as a step-by-step sampler. Everything that no recursion reads
+    (rates, Cholesky products, scalings) then runs on whole arrays, and only
+    the two backward recursions step over days.
+
+    Returns (theta, phi) with shapes (n_samples, T, d) and (n_samples, T),
+    as views of day-major arrays.
     """
     if rng is None:
         raise ValueError("backward_sample needs an explicit random generator")
     delta, beta = traj.hp.delta, traj.hp.beta
     T, d = len(traj), traj.dim
     ns = int(n_samples)
-    theta = np.empty((ns, T, d))
-    phi = np.empty((ns, T))
     L = _cholesky_all(traj)
+    theta = np.empty((T, ns, d))
+    phi = np.empty((T, ns))
+    n, s = traj.n, traj.s
+    # at beta = 1 the shock shape is 0: standard_gamma(0) is exactly 0, phi stays put
+    shape = (0.5 * (1.0 - beta) * n).tolist()
+    shape[-1] = 0.5 * float(n[-1])
+    for t in range(T - 1, -1, -1):
+        rng.standard_gamma(shape[t], ns, out=phi[t])
+        rng.standard_normal(out=theta[t])
 
-    nT, sT = float(traj.n[-1]), float(traj.s[-1])
-    phi[:, -1] = sample_gamma(GammaParams(0.5 * nT, 0.5 * nT * sT), rng, ns)
-    xi = rng.standard_normal((ns, d))
-    theta[:, -1, :] = traj.m[-1] + (xi @ L[-1].T) / np.sqrt(sT * phi[:, -1])[:, None]
-
-    keep = (1.0 - delta) * traj.m
-    L_back = math.sqrt(1.0 - delta) * L
+    phi /= (0.5 * n * s)[:, None]  # gamma rates: the posterior at T, the shocks before
     for t in range(T - 2, -1, -1):
-        n_t, s_t = float(traj.n[t]), float(traj.s[t])
-        # at beta = 1 the shock shape is 0: standard_gamma(0) is exactly 0, phi stays put
-        shock = rng.standard_gamma(0.5 * (1.0 - beta) * n_t, ns) / (0.5 * n_t * s_t)
-        phi[:, t] = beta * phi[:, t + 1] + shock
-        mean = keep[t] + delta * theta[:, t + 1, :]
-        xi = rng.standard_normal((ns, d))
-        theta[:, t, :] = mean + (xi @ L_back[t].T) / np.sqrt(s_t * phi[:, t])[:, None]
-    return theta, phi
+        phi[t] += beta * phi[t + 1]
+    # xi L^T per day, with L_T at T and sqrt(1 - delta) L_t before: the conditional
+    # scale factors; in day blocks to bound the temporaries
+    factor = math.sqrt(1.0 - delta) * L
+    factor[-1] = L[-1]
+    factor_T = factor.transpose(0, 2, 1)
+    for lo in range(0, T, _BLOCK_DAYS):
+        hi = lo + _BLOCK_DAYS
+        root = np.sqrt(s[lo:hi, None] * phi[lo:hi])
+        theta[lo:hi] = np.matmul(theta[lo:hi], factor_T[lo:hi]) / root[:, :, None]
+
+    theta[-1] = traj.m[-1] + theta[-1]
+    keep = (1.0 - delta) * traj.m
+    mean = np.empty((ns, d))
+    for t in range(T - 2, -1, -1):
+        np.multiply(theta[t + 1], delta, out=mean)
+        mean += keep[t]
+        theta[t] += mean
+    return theta.transpose(1, 0, 2), phi.T
+

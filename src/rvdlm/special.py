@@ -331,23 +331,43 @@ _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 def _gamma_series_lanes(a, x, itmax):
-    # Series sum of P(a, x) without its prefactor, for x < a + 1.
+    # Series sum of P(a, x) without its prefactor, for 0 < x < a + 1. A
+    # converged lane stays in the arrays, out of `live`, until a quarter of the
+    # lanes there have converged: compacting seven arrays at nearly every term
+    # cost more than the spare arithmetic. The term cap is tested exactly only
+    # once k reaches the smallest cap in the arrays. Every term and partial
+    # sum is positive, so the scalar test's abs() changes no bit and is left out.
     out = np.empty_like(a)
     lane = np.arange(a.size)
-    ap, term = a, 1.0 / a
-    total = term
+    live = np.ones(a.size, dtype=bool)
+    n_live = a.size
+    cap = int(itmax.min(initial=0))
+    ap = a.copy()
+    term = 1.0 / a
+    total = term.copy()
+    ratio, bound, done = np.empty_like(a), np.empty_like(a), np.empty(a.size, dtype=bool)
     k = 0
-    while lane.size:
+    while n_live:
         k += 1
-        ap = ap + 1.0
-        term = term * (x / ap)
-        total = total + term
-        done = np.abs(term) < np.abs(total) * _EPS
+        ap += 1.0
+        np.divide(x, ap, out=ratio)
+        term *= ratio
+        total += term
+        np.multiply(total, _EPS, out=bound)
+        np.less(term, bound, out=done)
+        done &= live
         if done.any():
             out[lane[done]] = total[done]
-            lane, a, x, itmax, ap, term, total = _keep(~done, lane, a, x, itmax, ap, term, total)
-        if (itmax <= k).any():
-            i = int(np.argmax(itmax <= k))
+            live &= ~done
+            n_live = int(np.count_nonzero(live))
+            if 4 * n_live <= 3 * lane.size:
+                lane, a, x, itmax, ap, term, total = _keep(live, lane, a, x, itmax, ap, term,
+                                                           total)
+                ratio, bound, done = ratio[:n_live], bound[:n_live], done[:n_live]
+                live = np.ones(n_live, dtype=bool)
+                cap = int(itmax.min(initial=0))
+        if k >= cap and (live & (itmax <= k)).any():
+            i = int(np.argmax(live & (itmax <= k)))
             raise NumericalError(f"incomplete gamma series failed to converge "
                                  f"(a={float(a[i])}, x={float(x[i])})")
     return out

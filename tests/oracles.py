@@ -172,6 +172,34 @@ def gain_smoother(m, C, s, n, delta, beta):
     return m_star, C_star, s_bar, n_bar
 
 
+def stepwise_backward_sample(m, C, s, n, delta, beta, rng, n_samples):
+    """Backward sampling one day at a time: the bit reference for
+    `backward_sample`. Draw (phi_T, theta_T) from the filtered posterior,
+    then for t = T-1..1 phi_t = beta phi_{t+1} + Gamma((1-beta) n_t/2,
+    n_t s_t/2) and theta_t = (1-delta) m_t + delta theta_{t+1} + sqrt(1-delta)
+    L_t xi / sqrt(s_t phi_t), with C_t = L_t L_t' and xi standard normal.
+
+    Returns (theta, phi) with shapes (n_samples, T, d) and (n_samples, T).
+    """
+    T, d = np.shape(m)
+    theta = np.empty((n_samples, T, d))
+    phi = np.empty((n_samples, T))
+    L = [np.linalg.cholesky(C[t]) for t in range(T)]
+    nT, sT = float(n[-1]), float(s[-1])
+    phi[:, -1] = rng.standard_gamma(0.5 * nT, n_samples) / (0.5 * nT * sT)
+    xi = rng.standard_normal((n_samples, d))
+    theta[:, -1, :] = m[-1] + (xi @ L[-1].T) / np.sqrt(sT * phi[:, -1])[:, None]
+    for t in range(T - 2, -1, -1):
+        n_t, s_t = float(n[t]), float(s[t])
+        shock = rng.standard_gamma(0.5 * (1.0 - beta) * n_t, n_samples) / (0.5 * n_t * s_t)
+        phi[:, t] = beta * phi[:, t + 1] + shock
+        mean = (1.0 - delta) * m[t] + delta * theta[:, t + 1, :]
+        xi = rng.standard_normal((n_samples, d))
+        scale = math.sqrt(1.0 - delta) * L[t]
+        theta[:, t, :] = mean + (xi @ scale.T) / np.sqrt(s_t * phi[:, t])[:, None]
+    return theta, phi
+
+
 def static_joint_smoother(y, z, F, delta, alpha, a1, R1, n_star_1, s0, W_seq,
                           theta_lo, theta_hi, n_theta=700, phi_nodes=40):
     """Smoothed E/V of theta_t and E[phi] for the constant-precision model

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -25,3 +26,39 @@ def test_summary_counts_wins_of_the_last_side_and_quartiles():
     assert entry["parent"] == pytest.approx({"median": 1.1, "q1": 1.05, "q3": 1.15, "n": 3})
     higher = record.summarize(runs, ["parent", "change"], {"pass_norm_s": "higher"})
     assert higher["pipeline"]["pass_norm_s"]["change_wins"] == 1
+
+
+def test_traced_runs_follow_the_pairs_and_stay_out_of_the_summary(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 2,
+        "end_to_end": [{"name": "pass_norm_s", "unit": "s", "better": "lower", "bound": 0.2}]}))
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        calls.append((tree, workload, seed, seconds, trace))
+        if trace:
+            metrics = {"kernel.run_filter_s": {"value": 0.5 if tree == "old" else 0.25,
+                                               "unit": "s"}}
+        else:
+            metrics = {"pass_norm_s": {"value": 1.0 if tree == "old" else 0.9, "unit": "s"}}
+        return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics,
+                "report": {}, "environment": {"numpy": "x"}}
+
+    monkeypatch.setattr(record, "ROOT", str(tmp_path))
+    monkeypatch.setattr(record, "run_once", fake_run)
+    monkeypatch.setattr(record, "identify", lambda tree: {"revision": tree})
+    assert record.main(["--label", "t", "--side", "parent=old", "--side", "change=new"]) == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+
+    paired = 2 * len(record.WORKLOADS) * record.PAIRS
+    assert all(c[4] == 0 for c in calls[:paired])
+    assert calls[paired:] == [(tree, w, record.TRACED_SEED, 2, 1)
+                              for w in record.WORKLOADS for tree in ("old", "new")]
+    assert all(r["trace"] == 0 for r in doc["runs"]) and len(doc["runs"]) == paired
+    for workload in record.WORKLOADS:
+        assert set(doc["summary"][workload]) == {"pass_norm_s"}
+        assert doc["summary"][workload]["pass_norm_s"]["change_wins"] == record.PAIRS
+        assert doc["traced"]["layers"][workload] == {
+            "kernel.run_filter_s": {"parent": 0.5, "change": 0.25}}
+    assert [(r["workload"], r["side"], r["trace"]) for r in doc["traced"]["runs"]] == [
+        (w, side, 1) for w in record.WORKLOADS for side in ("parent", "change")]

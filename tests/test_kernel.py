@@ -63,6 +63,25 @@ def test_fused_kernel_equals_step_composition(variant):
     assert_matches_step_composition(variant, hp, default_init(variant, hp), *make_series(300))
 
 
+@pytest.mark.parametrize("variant", list(ModelClass))
+def test_error_and_log_density_equal_the_per_day_arithmetic(variant):
+    # run_filter computes both after its loop as whole arrays; this is the
+    # per-day form on plain floats, with libm logs
+    hp = hp_for(variant)
+    init = default_init(variant, hp)
+    y, z, x, y_prev, x_prev = make_series(300)
+    traj = run_filter(variant, hp, init, y, z, x, y_prev, x_prev)
+    _, n_tilde, n = (v.tolist() for v in dof_sequences(hp, init.n_star, y.size,
+                                                        variant.uses_rv))
+    c = _score_constants(np.array(n_tilde)).tolist()
+    for t, (yt, f, q) in enumerate(zip(y.tolist(), traj.forecast.tolist(),
+                                       traj.scale.tolist())):
+        e = yt - f
+        u = e * e * (1.0 / q)
+        lp = c[t] - 0.5 * math.log(q) - 0.5 * n[t] * math.log(1.0 + u / n_tilde[t])
+        assert traj.error[t] == e and traj.log_density[t] == lp
+
+
 # bar shapes: a bar with wicks, a price move with no wicks (Rogers-Satchell
 # variance 0, floored), and a flat bar (no move, floored)
 BAR_KINDS = st.sampled_from(["wick", "no_wick", "flat"])
@@ -189,8 +208,9 @@ def test_lost_positive_semidefiniteness_is_a_dated_numerical_error(variant):
 
 def test_generated_loops_show_their_source():
     # tracebacks and profilers read the generated loop through linecache
-    for d, loop in _LOOPS.items():
-        assert inspect.getsource(loop) == _loop_source(d)
+    assert set(_LOOPS) == {(d, uses_rv) for d in (3, 4) for uses_rv in (False, True)}
+    for (d, uses_rv), loop in _LOOPS.items():
+        assert inspect.getsource(loop) == _loop_source(d, uses_rv)
 
 
 @pytest.mark.parametrize("variant", list(ModelClass))
