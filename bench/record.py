@@ -9,12 +9,13 @@ pair i with seed i + 1, the run length BENCHMARK.json sets and `--trace 0`.
 Within a pair every side runs once per workload; the order of the sides
 alternates from pair to pair, so a drift of the host's speed falls on both.
 The file holds the environment (nproc, Python, numpy; per side the git
-revision and a digest of its `src/`), every run's end-to-end metrics and `#`
-report figures, and per workload and metric the median and quartiles of each
-side and how many pairs the last side won against the first. After the pairs
-it records one `--trace 1` run per workload and side (seed 1), kept apart
-from that end-to-end summary under `traced`: the per-layer metrics show in
-which layer a change of the end-to-end figures sits. Runs go one at a time;
+revision, a digest of its `src/` and the line count of its Python files),
+every run's end-to-end metrics and `#` report figures, and per workload and
+metric the median and quartiles of each side and how many pairs the last
+side won against the first. After the pairs it records one `--trace 1` run
+per workload and side (seed 1), kept apart from that end-to-end summary under
+`traced`: the per-layer metrics show in which layer a change of the
+end-to-end figures sits. Runs go one at a time;
 nothing else should run on the host meanwhile.
 """
 
@@ -37,8 +38,9 @@ TRACED_SEED = 1
 
 def identify(tree: str) -> dict:
     """The git revision of a checkout, whether its `src/` differs from it,
-    and a sha256 over `src/` (path and bytes of every file) that names the
-    measured code either way."""
+    a sha256 over `src/` (path and bytes of every file) that names the
+    measured code either way, and the line count of its Python files (as
+    `wc -l`), which shows what a simplification removed."""
     try:
         revision = subprocess.run(["git", "-C", tree, "rev-parse", "HEAD"], check=True,
                                   capture_output=True, text=True).stdout.strip()
@@ -47,15 +49,20 @@ def identify(tree: str) -> dict:
     except (OSError, subprocess.CalledProcessError):
         revision, dirty = "unknown", None
     digest = hashlib.sha256()
+    lines = 0
     src = os.path.join(tree, "src")
-    for folder, dirs, files in sorted(os.walk(src)):
+    for folder, dirs, files in os.walk(src):  # top-down, pruned and sorted in place
         dirs[:] = sorted(d for d in dirs if d != "__pycache__")
         for name in sorted(files):
             path = os.path.join(folder, name)
             digest.update(os.path.relpath(path, src).encode() + b"\0")
             with open(path, "rb") as fh:
-                digest.update(fh.read())
-    return {"revision": revision, "src_modified": dirty, "src_sha256": digest.hexdigest()}
+                data = fh.read()
+            digest.update(data)
+            if name.endswith(".py"):
+                lines += data.count(b"\n")
+    return {"revision": revision, "src_modified": dirty, "src_sha256": digest.hexdigest(),
+            "src_lines": lines}
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:

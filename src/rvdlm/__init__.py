@@ -9,8 +9,7 @@ from .distributions import (GammaParams, ScaledFParams, StudentTParams,
                             gamma_cdf, gamma_quantile, sample_gamma, sample_scaled_f,
                             scaled_f_logpdf, student_t_logpdf, student_t_quantile)
 from .errors import ConfigError, DataError, DomainError, NumericalError, RvdlmError
-from .forecast import (RegressorInputs, net_rv_contribution, predictive_y_given_z,
-                       predictive_z, price_scale_effect, sample_joint)
+from .forecast import RegressorInputs, predictive_y_given_z, predictive_z, sample_joint
 from .ingestion import (CsvSchema, SeriesFrame, apply_split, build_series,
                         parse_csv, write_csv)
 from .kernel import FilterTrajectory, dof_sequences, run_filter

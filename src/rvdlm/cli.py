@@ -19,8 +19,8 @@ import numpy as np
 from .dlm_core import ModelClass
 from .errors import ConfigError, RvdlmError
 from .ingestion import write_columns_csv, write_csv
-from .pipeline import (config_field, json_number, load_config, recompute_bayes_factors,
-                       run_filter_pipeline)
+from .pipeline import (check_keys, config_field, json_number, load_config,
+                       recompute_bayes_factors, run_filter_pipeline)
 from .synthetic import SyntheticParams, generate_synthetic, slowly_varying_theta
 
 
@@ -70,6 +70,9 @@ def _json_numeric(value) -> np.ndarray:
     return np.array(json_number(value))
 
 
+_SYNTH_NUMBERS = ("v0", "beta", "alpha", "vol_info", "y0", "floor_eps")
+
+
 def _synth_params(args) -> SyntheticParams:
     model = ModelClass(args.model)
     raw = {}
@@ -81,6 +84,8 @@ def _synth_params(args) -> SyntheticParams:
             raise ConfigError(f"cannot read generator params {args.params}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"generator params {args.params} must be a JSON object")
+        check_keys(raw, ("theta_path", "theta_base", "theta_amplitude", "theta_period",
+                         *_SYNTH_NUMBERS), f"generator params {args.params}")
     if "theta_path" in raw:
         theta = config_field(raw, "theta_path", _json_numeric)
     else:
@@ -96,7 +101,7 @@ def _synth_params(args) -> SyntheticParams:
     if theta.shape[:1] != (args.days,):
         raise ConfigError(f"theta_path has shape {theta.shape}, --days is {args.days}")
     kwargs = {k: config_field(raw, k, json_number)
-              for k in ("v0", "beta", "alpha", "vol_info", "y0", "floor_eps") if k in raw}
+              for k in _SYNTH_NUMBERS if k in raw}
     return SyntheticParams(model=model, theta=theta, **kwargs)
 
 

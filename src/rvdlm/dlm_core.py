@@ -45,21 +45,24 @@ class ModelClass(enum.Enum):
 
     @property
     def dim(self) -> int:
-        return 4 if self is ModelClass.RVLDLM else 3
+        return len(self.coefficient_names)
 
     @property
     def uses_rv(self) -> bool:
         return self is not ModelClass.SVDLM
 
     @property
-    def uses_contemporaneous_rv(self) -> bool:
-        return self is ModelClass.RVLDLM
-
-    @property
     def coefficient_names(self) -> tuple[str, ...]:
         if self is ModelClass.RVLDLM:
             return ("intercept", "ar1", "rv_now", "rv_lag")
         return ("intercept", "ar1", "rv_lag")
+
+    def regressors(self, y_prev, x_now, x_prev) -> tuple:
+        """F without its intercept, in coefficient order: (y_prev[, x_now],
+        x_prev). Floats and arrays alike."""
+        if self is ModelClass.RVLDLM:
+            return (y_prev, x_now, x_prev)
+        return (y_prev, x_prev)
 
 
 @dataclass(frozen=True)
@@ -205,9 +208,7 @@ def build_regressor(mc: ModelClass, y_prev: float, x_now: float, x_prev: float) 
     for name, v in (("y_prev", y_prev), ("x_now", x_now), ("x_prev", x_prev)):
         if not math.isfinite(v):
             raise DomainError(f"{name} must be finite, got {v!r}")
-    if mc is ModelClass.RVLDLM:
-        return np.array([1.0, y_prev, x_now, x_prev])
-    return np.array([1.0, y_prev, x_prev])
+    return np.array([1.0, *mc.regressors(y_prev, x_now, x_prev)])
 
 
 def _observe_price(a: np.ndarray, R: np.ndarray, dof: float, vol_scale: float,

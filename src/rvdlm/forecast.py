@@ -75,18 +75,18 @@ def sample_joint(prior: PriorMoments, alpha: float, reg: RegressorInputs,
     else:
         dof, s_til = ns, sp
 
-    a, R = prior.a, prior.R
-    x_now = np.sqrt(z)
-    if reg.model is ModelClass.RVLDLM:
-        F0 = np.array([1.0, reg.y_prev, 0.0, reg.x_prev])
-        RF0 = R @ F0
-        ix = 2
-        f = float(F0 @ a) + a[ix] * x_now
-        frf = float(F0 @ RF0) + 2.0 * RF0[ix] * x_now + R[ix, ix] * z
-    else:
-        F0 = np.array([1.0, reg.y_prev, reg.x_prev])
-        f = float(F0 @ a)
-        frf = float(F0 @ (R @ F0))
+    # F0 holds the regressors known before the day (x_now = 0); the x_now
+    # terms follow for a class that has them
+    a, R, names = prior.a, prior.R, reg.model.coefficient_names
+    F0 = np.array([1.0, *reg.model.regressors(reg.y_prev, 0.0, reg.x_prev)])
+    RF0 = R @ F0
+    f = float(F0 @ a)
+    frf = float(F0 @ RF0)
+    if "rv_now" in names:
+        x_now = np.sqrt(z)
+        ix = names.index("rv_now")
+        f = f + a[ix] * x_now
+        frf = frf + 2.0 * RF0[ix] * x_now + R[ix, ix] * z
     q = s_til + frf
 
     y = f + np.sqrt(q) * rng.standard_t(dof, n)
@@ -94,20 +94,3 @@ def sample_joint(prior: PriorMoments, alpha: float, reg: RegressorInputs,
         return float(z[0]), float(y[0])
     return z, y
 
-
-def price_scale_effect(theta_coeff: float, x: float) -> float:
-    """Multiplicative price-scale effect exp(theta * x) of a realized-SD
-    regressor; 1 means no effect."""
-    if not (math.isfinite(theta_coeff) and math.isfinite(x)):
-        raise DomainError("price_scale_effect requires finite inputs")
-    return math.exp(theta_coeff * x)
-
-
-def net_rv_contribution(theta_now: float, x_now: float,
-                        theta_lag: float, x_prev: float) -> float:
-    """Net realized-volatility term in the price equation:
-    theta_now * x_now + theta_lag * x_prev."""
-    for v in (theta_now, x_now, theta_lag, x_prev):
-        if not math.isfinite(v):
-            raise DomainError("net_rv_contribution requires finite inputs")
-    return theta_now * x_now + theta_lag * x_prev

@@ -35,7 +35,8 @@ class CsvSchema:
 
 
 def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Generic header + rows reader shared by every CSV surface."""
+    """Header and rows of a CSV file, blank rows dropped: the OHLC input of
+    `parse_csv`, and any output file read back."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)

@@ -1,9 +1,8 @@
 """Fused sequential filter: the O(T d^2) hot path.
 
 The per-day recursions from `dlm_core` are written once in index form
-(`_loop_source`) and generated, unrolled over named scalars, for each
-regressor layout dimension and for price-only and realized-variance models;
-the loop runs on plain floats, which keeps a three-model pass over a
+(`_loop_source`) and generated, unrolled over named scalars, once per model
+class; the loop runs on plain floats, which keeps a three-model pass over a
 6,500-day series in the tens of milliseconds. It computes only what the next
 day reads: the forecast error and the log density follow after it as whole
 arrays, with the loop's operations in its order and the logs through libm per
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .dlm_core import HyperParams, ModelClass, PriorMoments, RvUpdatedPrior, rv_update
+from .dlm_core import HyperParams, ModelClass, PriorMoments
 from .errors import DataError, DomainError, NumericalError
 
 
@@ -67,12 +66,6 @@ class FilterTrajectory:
         return PriorMoments(self.m[t - 1].copy(), 0.5 * (R + R.T),
                             float(self.n_star[t]), float(self.s[t - 1]))
 
-    def rv_prior_at(self, t: int) -> RvUpdatedPrior:
-        pr = self.prior_at(t)
-        if not self.variant.uses_rv:
-            return RvUpdatedPrior(pr.a, pr.R, pr.n_star, pr.s_prev)
-        return rv_update(pr, float(self.z[t]), self.hp.alpha)
-
 
 def dof_sequences(hp: HyperParams, n_star_1: float, T: int, uses_rv: bool):
     """Data-independent (n*_t, n~_t, n_t) paths for T days."""
@@ -113,7 +106,7 @@ def _sym_gather(d: int) -> np.ndarray:
     return np.array([slot[i, j] for i in range(d) for j in range(d)])
 
 
-_SYM_GATHER = {d: _sym_gather(d) for d in (3, 4)}
+_SYM_GATHER = {variant.dim: _sym_gather(variant.dim) for variant in ModelClass}
 
 
 def _date(dates, t: int):
@@ -160,7 +153,6 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
     n_star_seq, n_tilde_seq, n_arr = dof_sequences(hp, init.n_star, T, uses_rv)
     consts = _score_constants(n_tilde_seq)
 
-    regressors = (y_prev, x, x_prev) if variant.uses_contemporaneous_rv else (y_prev, x_prev)
     d = variant.dim
     npack = d * (d + 1) // 2
     width = d + npack + 3
@@ -170,10 +162,10 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
     columns = [y.tolist()]
     if uses_rv:
         columns.append((hp.alpha * z).tolist())
-    columns += [r.tolist() for r in regressors]
+    columns += [r.tolist() for r in variant.regressors(y_prev, x, x_prev)]
     if uses_rv:
         columns.append(n_star_seq.tolist())
-    bad_q = _LOOPS[d, uses_rv](hp.delta, init.a, init.R, float(init.s_prev), flat,
+    bad_q = _LOOPS[variant](hp.delta, init.a, init.R, float(init.s_prev), flat,
                                zip(*columns, n_tilde_seq.tolist(), n_arr.tolist()))
     # one row per day the loop finished: m (d), packed upper triangle of C, then s, f, q
     days = len(flat) // width
@@ -188,8 +180,8 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
         u = e_arr * e_arr * (1.0 / q_arr)
         lp_arr = (consts[:days] - 0.5 * special._each(math.log, q_arr)
                   - 0.5 * n_arr[:days] * special._each(math.log, 1.0 + u / n_tilde_seq[:days]))
-    # the finite s and score that the step composition and ScoreLedger.record check per
-    # day; a day leaving the finite range (an overflowed s) makes the next day's q bad
+    # the finite s and score that the step composition checks per day; a day
+    # leaving the finite range (an overflowed s) makes the next day's q bad
     bad = ~((s_arr > 0.0) & (s_arr < math.inf) & np.isfinite(lp_arr))
     if bad.any():
         t = int(np.argmax(bad))
@@ -214,18 +206,20 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
                             list(dates) if dates is not None else None)
 
 
-def _loop_source(d: int, uses_rv: bool) -> str:
-    """Source of the per-day filter recursion for a d-coefficient layout.
+def _loop_source(variant: ModelClass) -> str:
+    """Source of the per-day filter recursion of one model class.
 
     Index form, unrolled over named scalars: F_0 = 1 and F_1..F_{d-1} come
-    from `days`; R and C are kept as their packed upper triangles (R_ij with
-    i <= j). Sums run left to right over j, which fixes every float operation.
+    from `days`, in `ModelClass.regressors` order; R and C are kept as their
+    packed upper triangles (R_ij with i <= j). Sums run left to right over j,
+    which fixes every float operation.
     A realized-variance loop reads alpha z_t and n*_t with each day and moves
     s to s~ before the price update; a price-only loop prices at s. Only what
     the next day reads is computed: one row per day goes to `flat`: m, packed
     C, s, f, q. Returns None, or the first one-step scale q that is not finite
     and positive (its day is the row count of `flat`).
     """
+    d, uses_rv = variant.dim, variant.uses_rv
     idx = range(d)
     upper = [(i, j) for i in idx for j in range(i, d)]
 
@@ -262,9 +256,9 @@ def _loop_source(d: int, uses_rv: bool) -> str:
     ]) + "\n"
 
 
-def _compile_loop(d: int, uses_rv: bool):
-    source = _loop_source(d, uses_rv)
-    filename = f"<rvdlm.kernel loop d={d} rv={uses_rv}>"
+def _compile_loop(variant: ModelClass):
+    source = _loop_source(variant)
+    filename = f"<rvdlm.kernel loop {variant.value}>"
     # tracebacks and profilers read generated lines from the linecache
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
@@ -272,4 +266,4 @@ def _compile_loop(d: int, uses_rv: bool):
     return namespace["loop"]
 
 
-_LOOPS = {(d, uses_rv): _compile_loop(d, uses_rv) for d in (3, 4) for uses_rv in (False, True)}
+_LOOPS = {variant: _compile_loop(variant) for variant in ModelClass}

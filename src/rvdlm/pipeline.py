@@ -146,10 +146,19 @@ class RunConfig:
                 raise ConfigError(f"series {s.ticker!r}: file not found: {s.path}")
 
 
+def _series_from_dict(entry: dict) -> SeriesSpec:
+    check_keys(entry, ("ticker", "path", "s1"), f"series {entry.get('ticker', entry)!r}")
+    return SeriesSpec(config_field(entry, "ticker", json_string),
+                      config_field(entry, "path", json_string),
+                      config_field(entry, "s1", json_number))
+
+
 def _model_from_dict(entry: dict) -> ModelSpec:
     # until its name is known, a model is named by its variant (the default name)
     label = next((v for v in (entry.get("name"), entry.get("variant")) if isinstance(v, str)),
                  entry)
+    check_keys(entry, ("name", "variant", "delta", "beta", "alpha", "a1", "r1_diag",
+                       "n_star_1"), f"model {label!r}")
     try:
         try:
             variant = ModelClass(config_field(entry, "variant", json_string).lower())
@@ -215,6 +224,15 @@ def _json_schema(value) -> CsvSchema:
     return CsvSchema(**value)
 
 
+def check_keys(raw: dict, known: tuple, owner: str) -> None:
+    """A key of `raw` that is not in `known` is a ConfigError naming it and
+    `owner`: a misspelled key would otherwise leave its default in place."""
+    unknown = [k for k in raw if k not in known]
+    if unknown:
+        raise ConfigError(f"{owner}: unknown key {unknown[0]!r} "
+                          f"(known keys: {', '.join(known)})")
+
+
 def config_field(raw: dict, key: str, convert, *default):
     """`convert(raw[key])`, or the default when the key is absent; without a
     default the key is required (KeyError). A value that `convert` rejects
@@ -239,11 +257,12 @@ def load_config(path_or_dict, out_dir_override=None, seed_override=None) -> RunC
             raise ConfigError(f"cannot read config {path_or_dict}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path_or_dict} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    check_keys(raw, ("series", "models", "train_end", "eval_start", "out_dir", "seed",
+                     "floor_eps", "schema"), "config")
     try:
-        series = tuple(SeriesSpec(config_field(e, "ticker", json_string),
-                                  config_field(e, "path", json_string),
-                                  config_field(e, "s1", json_number))
-                       for e in config_field(raw, "series", _json_objects))
+        series = tuple(_series_from_dict(e) for e in config_field(raw, "series", _json_objects))
         models = tuple(_model_from_dict(e) for e in config_field(raw, "models", _json_objects))
         train_end = config_field(raw, "train_end", _json_date)
         eval_start = config_field(raw, "eval_start", _json_date)

@@ -37,10 +37,6 @@ class SmoothedEstimates:
     s_bar: np.ndarray    # (T,)
     n_bar: np.ndarray    # (T,)
 
-    @property
-    def phi_mean(self) -> np.ndarray:
-        return 1.0 / self.s_bar
-
     def __len__(self) -> int:
         return self.m_star.shape[0]
 

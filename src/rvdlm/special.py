@@ -5,8 +5,7 @@ The scalar functions are plain-float so the sequential kernel can call them
 without array overhead; `log_gamma_array` is the vectorized variant used to
 precompute per-day scoring constants. `inv_reg_lower_gamma_lanes` and
 `student_t_quantile_lanes` solve many lanes (shapes, dofs, levels) at once,
-bit-identical to the scalar solvers lane by lane; a one-lane call runs the
-scalar solver, which is faster there.
+bit-identical to the scalar solvers lane by lane.
 """
 
 from __future__ import annotations
@@ -457,8 +456,6 @@ def inv_reg_lower_gamma_lanes(a, u) -> np.ndarray:
     """Solve P(a, x) = u for x in every lane of the 1-D (broadcast) arrays
     `a` and `u`, by bracketed Newton with bisection fallback."""
     u, a = _lanes(u, a, "shape")
-    if a.size == 1:
-        return np.array([inv_reg_lower_gamma(float(a[0]), float(u[0]))])
     # Wilson-Hilferty starting point
     z = _each(normal_quantile, u)
     g = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
@@ -550,8 +547,6 @@ def student_t_quantile_lanes(u, dof) -> np.ndarray:
     """Standard-t quantiles for every lane of the 1-D (broadcast) arrays `u`
     and `dof`: 0 at u = 0.5, reflection below it, bracketed Newton above."""
     u, dof = _lanes(u, dof, "degrees of freedom")
-    if u.size == 1:
-        return np.array([student_t_quantile(float(u[0]), float(dof[0]))])
     low = u < 0.5
     w = np.where(low, 1.0 - u, u)
     out = np.zeros_like(w)

@@ -109,7 +109,7 @@ def generate_synthetic(params: SyntheticParams,
                        rng: np.random.Generator) -> tuple[list[OhlcBar], SyntheticTruth]:
     """Simulate T modeled days and return T+1 bars (the first bar only seeds
     the lags) together with the latent truth."""
-    T, d = params.days, params.model.dim
+    T = params.days
     if T < 2:
         raise ConfigError(f"need at least 2 modeled days, got {T}")
     beta, alpha, nbar = params.beta, params.alpha, params.vol_info
@@ -122,6 +122,7 @@ def generate_synthetic(params: SyntheticParams,
     y_path[0], z_path[0] = params.y0, max(z0, params.floor_eps)
 
     v = np.empty(T)
+    theta, regressors = params.theta.tolist(), params.model.regressors
     for t in range(1, T + 1):
         if beta < 1.0:
             gamma_shock = rng.beta(0.5 * beta * nbar, 0.5 * (1.0 - beta) * nbar)
@@ -130,11 +131,10 @@ def generate_synthetic(params: SyntheticParams,
         z = max(rng.gamma(0.5 * alpha, 2.0 / (alpha * phi)), params.floor_eps)
         x_now = math.sqrt(z)
         x_prev = math.sqrt(z_path[t - 1])
-        th = params.theta[t - 1]
-        if params.model is ModelClass.RVLDLM:
-            f = th[0] + th[1] * y_path[t - 1] + th[2] * x_now + th[3] * x_prev
-        else:
-            f = th[0] + th[1] * y_path[t - 1] + th[2] * x_prev
+        th = theta[t - 1]
+        f = th[0]  # summed left to right
+        for c, r in zip(th[1:], regressors(y_path[t - 1], x_now, x_prev)):
+            f += c * r
         y_path[t] = f + rng.standard_normal() * math.sqrt(v[t - 1])
         z_path[t] = z
 

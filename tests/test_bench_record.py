@@ -62,3 +62,18 @@ def test_traced_runs_follow_the_pairs_and_stay_out_of_the_summary(tmp_path, monk
             "kernel.run_filter_s": {"parent": 0.5, "change": 0.25}}
     assert [(r["workload"], r["side"], r["trace"]) for r in doc["traced"]["runs"]] == [
         (w, side, 1) for w in record.WORKLOADS for side in ("parent", "change")]
+
+
+def test_identify_counts_src_lines(tmp_path):
+    # as `wc -l` over the Python files of src/; other files and caches do not count
+    pkg = tmp_path / "src" / "pkg"
+    (pkg / "__pycache__").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\n")
+    (pkg / "notes.txt").write_text("one\ntwo\n")
+    (pkg / "__pycache__" / "c.py").write_text("w = 4\n")
+    side = record.identify(str(tmp_path))
+    assert side["src_lines"] == 3
+    (pkg / "b.py").write_text("z = 3\nq = 4\n")
+    after = record.identify(str(tmp_path))
+    assert after["src_lines"] == 4 and after["src_sha256"] != side["src_sha256"]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +6,7 @@ import pytest
 from scipy import integrate, stats
 
 from rvdlm import (HyperParams, ModelClass, PriorMoments, RegressorInputs,
-                   StudentTParams, net_rv_contribution,
-                   predictive_y_given_z, predictive_z, price_scale_effect,
+                   StudentTParams, predictive_y_given_z, predictive_z,
                    rv_update, sample_joint, scaled_f_logpdf, student_t_logpdf)
 
 from oracles import joint_predictive_quadrature
@@ -77,6 +77,12 @@ class TestPredictiveYGivenZ:
         assert p.scale == pytest.approx(rvp.s_tilde + float(F @ pr.R @ F), rel=1e-14)
 
 
+PINNED_R = np.array([[0.10, 0.002, -0.003, 0.001],
+                     [0.002, 0.01, 0.0005, -0.0004],
+                     [-0.003, 0.0005, 0.05, 0.004],
+                     [0.001, -0.0004, 0.004, 0.05]])
+
+
 class TestSampleJoint:
     def test_z_quantiles_match_analytic(self):
         pr = PriorMoments(np.zeros(3), np.eye(3) * 0.2, 17.5, 1.3)
@@ -123,6 +129,21 @@ class TestSampleJoint:
         za, ya = sample_joint(pr, 2.0, reg, np.random.default_rng(5), size=1000)
         zb, yb = sample_joint(pr, 2.0, reg, np.random.default_rng(5), size=1000)
         assert np.array_equal(za, zb) and np.array_equal(ya, yb)
+
+    @pytest.mark.parametrize("variant, digest", [
+        (ModelClass.SVDLM, "1d05fe44dba8e05c574180f286bc9c2db01631d6580188ce32640e1f55ebb6ad"),
+        (ModelClass.RVDLM, "6e8ce26f899b89002ac0054fdb58907561a5828218703df1f855789c91c6652d"),
+        (ModelClass.RVLDLM, "c41cb239714666d2add162a786d20d76d8ece033f2cafaf4cdb1826d6103b43f"),
+    ])
+    def test_draws_are_pinned(self, variant, digest):
+        # sha256 of the z and y bytes for one prior and seed per layout; the
+        # prior scale has off-diagonal terms, so every F'RF cross term counts
+        keep = [0, 1, 2, 3] if variant is ModelClass.RVLDLM else [0, 1, 3]
+        pr = PriorMoments(np.array([0.01, 0.9, -0.5, 0.4])[keep],
+                          PINNED_R[np.ix_(keep, keep)], 17.5, 1.2e-4)
+        reg = RegressorInputs(variant, y_prev=4.6, x_prev=0.012)
+        z, y = sample_joint(pr, 2.75, reg, np.random.default_rng(99), size=2000)
+        assert hashlib.sha256(z.tobytes() + y.tobytes()).hexdigest() == digest
 
     def test_scalar_mode(self):
         pr = PriorMoments(np.zeros(3), np.eye(3), 10.0, 1.0)
@@ -180,22 +201,3 @@ class TestJointFactorization:
         assert p1.location == p2.location
         assert p1.scale != p2.scale
 
-
-class TestPriceScaleEffect:
-    def test_no_effect_line(self):
-        assert price_scale_effect(0.0, 0.5) == 1.0
-        assert price_scale_effect(-2.0, 0.0) == 1.0
-
-    def test_worked_value(self):
-        assert price_scale_effect(-1.0, 0.02) == pytest.approx(0.980199, rel=1e-6)
-
-    def test_negative_coefficient_damps_price(self):
-        for x in (0.001, 0.02, 0.3):
-            assert price_scale_effect(-0.7, x) < 1.0
-
-
-class TestNetRvContribution:
-    def test_values(self):
-        assert net_rv_contribution(0.0, 0.0, 0.0, 0.0) == 0.0
-        assert net_rv_contribution(-1.0, 0.02, 1.0, 0.02) == pytest.approx(0.0)
-        assert net_rv_contribution(-0.5, 0.03, 0.8, 0.01) == pytest.approx(-0.007)

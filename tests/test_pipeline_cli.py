@@ -188,6 +188,27 @@ class TestConfig:
         assert main(["filter", "--config", str(cfg)]) == 2
         assert "s1 must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("owner,key,named", [
+        (None, "flor_eps", "config"),
+        ("series", "sl", "series 'TIC'"),
+        ("rvdlm", "detla", "model 'rvdlm'"),
+    ])
+    def test_unknown_key_is_config_error(self, data_csv, tmp_path, capsys, owner, key, named):
+        # a misspelled key would leave its default in place, silently
+        raw = base_config(data_csv[0], str(tmp_path / "o"))
+        if owner is None:
+            entry = raw
+        elif owner == "series":
+            entry = raw["series"][0]
+        else:
+            entry = next(m for m in raw["models"] if m["name"] == owner)
+        entry[key] = 0.5
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["filter", "--config", str(cfg)]) == 2
+        assert f"{named}: unknown key {key!r}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
 
 class TestPipeline:
     def test_outputs_complete_and_consistent(self, data_csv, tmp_path):
@@ -387,6 +408,15 @@ class TestCli:
         assert main(["synth", "--model", "rvdlm", "--days", "2", "--params", str(path),
                      "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_unknown_param_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"vol_inf": 50.0}))
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--model", "rvdlm", "--days", "2", "--params", str(path),
+                     "--out", str(out)]) == 2
+        assert f"generator params {path}: unknown key 'vol_inf'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_score_subcommand_recomputes_identically(self, data_csv, tmp_path):

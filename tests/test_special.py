@@ -122,9 +122,9 @@ def test_normal_quantile_sane():
 
 
 # ---------------------------------------------------------------------------
-# The lane-parallel solvers against the scalar solvers, bit for bit. A
-# one-lane call runs the scalar solver, so every lane call here holds
-# several lanes.
+# The lane-parallel solvers against the scalar solvers, bit for bit. The lane
+# code serves every lane count, one lane included: the properties check a lane
+# beside companion lanes that take the other branches, and a lane alone.
 
 def bits(values) -> list[int]:
     return np.atleast_1d(np.asarray(values, dtype=float)).view(np.int64).tolist()
@@ -209,7 +209,7 @@ def test_mixed_branch_lanes_do_not_interfere():
     assert bits(t) == bits(want)
 
 
-def test_one_lane_call_is_the_scalar_solver():
+def test_one_lane_call_equals_the_scalar_solver():
     assert bits(special.inv_reg_lower_gamma_lanes(3.0, 0.95)) == \
         bits(special.inv_reg_lower_gamma(3.0, 0.95))
     assert bits(special.student_t_quantile_lanes(0.95, 7.0)) == \
@@ -245,3 +245,16 @@ def test_t_quantile_lane_equals_scalar(dof, u):
     same_outcome(lambda: special.student_t_quantile_lanes([u, *T_LANES[0]],
                                                           [dof, *T_LANES[1]])[0],
                  lambda: special.student_t_quantile(u, dof))
+
+
+# a lone lane: shapes up to 1e4 keep the per-term numpy cost of the series small
+@settings(max_examples=60, deadline=None)
+@given(shape=st.floats(min_value=0.05, max_value=1e4), u=LEVELS)
+@example(shape=0.05, u=0.01)
+@example(shape=4.0, u=0.5)  # no t lane left to solve
+@example(shape=4.0, u=0.49999999999999994)
+def test_one_lane_equals_scalar(shape, u):
+    same_outcome(lambda: special.inv_reg_lower_gamma_lanes(shape, u),
+                 lambda: special.inv_reg_lower_gamma(shape, u))
+    same_outcome(lambda: special.student_t_quantile_lanes(u, shape),
+                 lambda: special.student_t_quantile(u, shape))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -46,6 +47,27 @@ class TestGenerator:
         ratio = truth.z / truth.v
         se = float(ratio.std(ddof=1)) / math.sqrt(ratio.size)
         assert abs(float(ratio.mean()) - 1.0) < 4.0 * se
+
+    @pytest.mark.parametrize("variant, base, digest", [
+        (ModelClass.RVDLM, [0.0046, 0.999, 0.1],
+         "aec57aa9932101c653c01e28e7a611e474a45cab06056dda415f5d2c46452745"),
+        (ModelClass.RVLDLM, [0.0046, 0.999, -0.5, 0.4],
+         "b417ffc3f499df7085ba513ca8ffb548168ad3a95e23eb04d4d4e0ac029ec4fa"),
+    ])
+    def test_bars_and_truth_are_pinned(self, variant, base, digest):
+        # sha256 of the bar prices, the latent truth and the dates for one seed
+        # per layout: the price equation's sum may not move a bit
+        d = variant.dim
+        theta = slowly_varying_theta(variant, 400, base,
+                                     amplitude=[0.001, 0.0, 0.15, 0.15][:d],
+                                     period=[500.0, 750.0, 800.0, 900.0][:d])
+        bars, truth = generate_synthetic(SyntheticParams(model=variant, theta=theta),
+                                         np.random.default_rng(31))
+        h = hashlib.sha256(np.array([[b.open, b.high, b.low, b.close] for b in bars]).tobytes())
+        for v in (truth.theta, truth.v, truth.y, truth.z):
+            h.update(np.ascontiguousarray(v).tobytes())
+        h.update("".join(day.isoformat() for day in truth.dates).encode())
+        assert h.hexdigest() == digest
 
     def test_dimension_checked(self):
         with pytest.raises(ConfigError):
