@@ -11,7 +11,7 @@ from .distributions import (GammaParams, ScaledFParams, StudentTParams,
 from .errors import ConfigError, DataError, DomainError, NumericalError, RvdlmError
 from .forecast import RegressorInputs, predictive_y_given_z, predictive_z, sample_joint
 from .ingestion import (CsvSchema, SeriesFrame, apply_split, build_series,
-                        parse_csv, write_csv)
+                        parse_csv, read_ohlc, series_from_ohlc, write_csv)
 from .kernel import FilterTrajectory, dof_sequences, run_filter
 from .pipeline import ModelSpec, RunConfig, SeriesSpec, load_config, run_filter_pipeline
 from .rv_measures import (DEFAULT_RV_FLOOR, OhlcBar, realized_sd,

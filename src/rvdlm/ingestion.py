@@ -1,10 +1,10 @@
 """CSV ingestion: OHLC parsing, the modeled series frame, and the
 train/evaluation split.
 
-The input contract is a UTF-8, comma-separated file with a header row naming
-(configurably) date/open/high/low/close columns; dates are ISO-8601; extra
-columns are ignored. The first bar only defines the lagged predictors, so N
-bars become N-1 modeled rows.
+The input contract is a UTF-8, comma-separated file (a leading BOM is
+skipped) with a header row naming (configurably) date/open/high/low/close
+columns; dates are ISO-8601; extra columns are ignored. The first bar only
+defines the lagged predictors, so N bars become N-1 modeled rows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .rv_measures import DEFAULT_RV_FLOOR, OhlcBar, realized_sd, rogers_satchell
+from .rv_measures import (DEFAULT_RV_FLOOR, PRICE_FIELDS, OhlcBar, bar_columns, clamp_ohlc,
+                          rs_variance)
+from .special import _each
 
 
 @dataclass(frozen=True)
@@ -34,17 +36,27 @@ class CsvSchema:
     close: str = "close"
 
 
-def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of a CSV file, blank rows dropped: the OHLC input of
-    `parse_csv`, and any output file read back."""
+def _read_rows(path) -> tuple[list[list[str]], list[int]]:
+    # The non-blank rows of a CSV file and the physical line each ends on.
+    rows, lines = [], []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
-            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+            for row in reader:
+                if "".join(row).strip():
+                    rows.append(row)
+                    lines.append(reader.line_num)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path} is empty")
+    return rows, lines
+
+
+def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a CSV file, blank rows dropped: any output file
+    read back."""
+    rows, _ = _read_rows(path)
     return rows[0], rows[1:]
 
 
@@ -70,54 +82,79 @@ def write_columns_csv(path, header, columns) -> None:
         fh.writelines(line % row for row in zip(*columns))
 
 
-def _parse_date(text: str, path, line: int) -> dt.date:
+def _parsed(fn, texts) -> tuple[list, int]:
+    # fn of each text up to the first one it rejects, and that text's index
+    out = []
     try:
-        return dt.date.fromisoformat(text.strip())
-    except ValueError as exc:
-        raise DataError(f"{path}:{line}: unparseable date {text!r}") from exc
+        out.extend(map(fn, texts))
+    except ValueError:
+        pass
+    return out, len(out)
 
 
-def parse_csv(path, schema: CsvSchema = CsvSchema()) -> list[OhlcBar]:
-    """Read, validate and date-sort an OHLC file into bars.
+def read_ohlc(path, schema: CsvSchema = CsvSchema()) -> tuple:
+    """Read, check and date-sort an OHLC file into columns: the dates and
+    the open, high, low and close float arrays.
 
-    Rows with missing or unparseable fields are rejected with their line
-    numbers; duplicate dates are an error naming the date.
+    The first row, in file order, with a missing or unparseable field is
+    rejected with its physical line number, naming its first bad field in
+    date, open, high, low, close order. Duplicate dates are an error naming
+    the date.
     """
-    header, rows = read_csv_rows(path)
+    rows, lines = _read_rows(path)
+    header, body = rows[0], rows[1:]
     lookup = {name.strip().lower(): i for i, name in enumerate(header)}
-    cols = {}
-    for field in ("date", "open", "high", "low", "close"):
+    cols = []
+    for field in ("date", *PRICE_FIELDS):
         want = getattr(schema, field).lower()
         if want not in lookup:
             raise DataError(f"{path}: header {header!r} lacks required column {want!r}")
-        cols[field] = lookup[want]
+        cols.append(lookup[want])
 
-    bars = []
-    for k, row in enumerate(rows):
-        line = k + 2  # header is line 1
-        if max(cols.values()) >= len(row):
-            raise DataError(f"{path}:{line}: row has {len(row)} fields, expected "
-                            f"at least {max(cols.values()) + 1}")
-        date = _parse_date(row[cols["date"]], path, line)
-        prices = {}
-        for field in ("open", "high", "low", "close"):
-            text = row[cols[field]].strip()
-            if not text:
-                raise DataError(f"{path}:{line}: missing {field}")
-            try:
-                prices[field] = float(text)
-            except ValueError as exc:
-                raise DataError(f"{path}:{line}: unparseable {field} {text!r}") from exc
-            if not math.isfinite(prices[field]):
-                raise DataError(f"{path}:{line}: non-finite {field}")
-        bars.append(OhlcBar(date, prices["open"], prices["high"],
-                            prices["low"], prices["close"]))
+    # Each check looks only at the rows before the earliest failure found so
+    # far, so the row reported is the first bad one and, on it, the first check.
+    need = max(cols) + 1
+    short = np.fromiter(map(len, body), dtype=np.int64, count=len(body)) < need
+    limit, error = len(body), ""
+    if short.any():
+        limit = int(short.argmax())
+        error = f"row has {len(body[limit])} fields, expected at least {need}"
+    texts = [row[cols[0]] for row in body[:limit]]
+    dates, k = _parsed(dt.date.fromisoformat, map(str.strip, texts))
+    if k < limit:
+        limit, error = k, f"unparseable date {texts[k]!r}"
+    prices = []
+    for field, col in zip(PRICE_FIELDS, cols[1:]):
+        texts = [row[col] for row in body[:limit]]
+        try:
+            values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+        except ValueError:
+            parsed, k = _parsed(float, texts)
+            text = texts[k].strip()
+            limit, error = k, (f"unparseable {field} {text!r}" if text else f"missing {field}")
+            values = np.array(parsed, dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            limit, error = int(finite.argmin()), f"non-finite {field}"
+        prices.append(values)
+    if error:
+        raise DataError(f"{path}:{lines[limit + 1]}: {error}")
 
-    bars.sort(key=lambda b: b.date)
-    for prev, cur in zip(bars, bars[1:]):
-        if cur.date == prev.date:
-            raise DataError("duplicate bar", cur.date)
-    return bars
+    days = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
+    if (np.diff(days) < 0).any():
+        order = np.argsort(days, kind="stable")
+        days, dates = days[order], [dates[i] for i in order.tolist()]
+        prices = [p[order] for p in prices]
+    repeat = np.diff(days) == 0
+    if repeat.any():
+        raise DataError("duplicate bar", dates[int(repeat.argmax()) + 1])
+    return (dates, *prices)
+
+
+def parse_csv(path, schema: CsvSchema = CsvSchema()) -> list[OhlcBar]:
+    """`read_ohlc` as bars."""
+    dates, *prices = read_ohlc(path, schema)
+    return list(map(OhlcBar, dates, *(p.tolist() for p in prices)))
 
 
 def write_csv(path, bars: list[OhlcBar]) -> None:
@@ -166,24 +203,31 @@ class SeriesFrame:
         return len(self.dates) - self.first_eval
 
 
-def build_series(bars: list[OhlcBar], floor_eps: float = DEFAULT_RV_FLOOR,
-                 ticker: str = "") -> SeriesFrame:
-    """Compute y = log close, floored realized variance z, x = sqrt z, and
-    the lag columns. Needs at least two bars."""
-    if len(bars) < 2:
-        raise DataError(f"need at least 2 bars to build a series, got {len(bars)}")
+def series_from_ohlc(dates, o, h, l, c, floor_eps: float = DEFAULT_RV_FLOOR,
+                     ticker: str = "") -> SeriesFrame:
+    """The modeled series of date-ordered OHLC columns: y = log close,
+    floored realized variance z, x = sqrt z, and the lag columns. Every bar
+    is checked (and clamped) first; needs at least two bars."""
+    if len(dates) < 2:
+        raise DataError(f"need at least 2 bars to build a series, got {len(dates)}")
     if not floor_eps > 0.0:
         raise ConfigError(f"realized-variance floor must be positive, got {floor_eps!r}")
-    # rogers_satchell validates (and clamps) each bar; clamping never moves the close
-    z_all = np.array([max(rogers_satchell(b), floor_eps) for b in bars])
-    y_all = np.array([math.log(b.close) for b in bars])
-    x_all = np.array([realized_sd(z) for z in z_all])
+    h, l = clamp_ohlc(dates, o, h, l, c)  # clamping never moves the close
+    z_all = np.maximum(rs_variance(o, h, l, c), floor_eps)
+    y_all = _each(math.log, c)
+    x_all = np.sqrt(z_all)
     return SeriesFrame(
         ticker=ticker,
-        dates=tuple(b.date for b in bars[1:]),
+        dates=tuple(dates[1:]),
         y=y_all[1:], z=z_all[1:], x=x_all[1:],
         y_prev=y_all[:-1], x_prev=x_all[:-1],
     )
+
+
+def build_series(bars: list[OhlcBar], floor_eps: float = DEFAULT_RV_FLOOR,
+                 ticker: str = "") -> SeriesFrame:
+    """`series_from_ohlc` of bars."""
+    return series_from_ohlc(*bar_columns(bars), floor_eps, ticker)
 
 
 def apply_split(frame: SeriesFrame, train_end: dt.date, eval_start: dt.date) -> SeriesFrame:

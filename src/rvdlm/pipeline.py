@@ -26,7 +26,7 @@ import numpy as np
 
 from .dlm_core import HyperParams, ModelClass, PriorMoments
 from .errors import ConfigError, DataError, DomainError, RvdlmError
-from .ingestion import (CsvSchema, apply_split, build_series, format_floats, parse_csv,
+from .ingestion import (CsvSchema, apply_split, format_floats, read_ohlc, series_from_ohlc,
                         write_columns_csv)
 from .kernel import FilterTrajectory, run_filter
 from .rv_measures import DEFAULT_RV_FLOOR
@@ -406,8 +406,8 @@ def _run_into(config: RunConfig, out_dir: str) -> dict:
     }
     for sspec in config.series:
         try:
-            bars = parse_csv(sspec.path, config.schema)
-            frame = build_series(bars, config.floor_eps, ticker=sspec.ticker)
+            frame = series_from_ohlc(*read_ohlc(sspec.path, config.schema), config.floor_eps,
+                                     ticker=sspec.ticker)
             frame = apply_split(frame, config.train_end, config.eval_start)
         except RvdlmError as exc:
             raise exc.within(f"series {sspec.ticker!r} [ingestion]") from exc

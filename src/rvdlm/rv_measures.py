@@ -1,4 +1,8 @@
-"""Realized-variance proxies computed from daily OHLC bars."""
+"""Realized-variance proxies computed from daily OHLC bars.
+
+The checks and the Rogers-Satchell measure work on whole columns, one entry
+per bar; `validate_bar` and `rogers_satchell` apply them to one bar.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,10 @@ import datetime as dt
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError, DomainError
+from .special import _each
 
 #: Relative slack for vendor rounding: OHLC ordering violations below this are
 #: clamped to validity, anything larger is a hard error.
@@ -16,6 +23,8 @@ OHLC_REL_TOL = 1e-9
 #: Default floor applied to realized variance before it enters the gamma
 #: update (the conditional-gamma likelihood degenerates at z = 0).
 DEFAULT_RV_FLOOR = 1e-12
+
+PRICE_FIELDS = ("open", "high", "low", "close")
 
 
 @dataclass(frozen=True)
@@ -29,48 +38,76 @@ class OhlcBar:
     close: float
 
 
-def validate_bar(bar: OhlcBar, rel_tol: float = OHLC_REL_TOL) -> OhlcBar:
-    """Enforce L <= min(O, C) and max(O, C) <= H on positive prices.
+def bar_columns(bars) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The dates and the open, high, low and close float columns of bars. A
+    price that is not a number raises `DataError` carrying its bar's date."""
+    rows = [(b.open, b.high, b.low, b.close) for b in bars]
+    prices = np.array(rows).reshape(len(rows), 4)
+    if prices.dtype.kind not in "biuf":
+        for bar, row in zip(bars, rows):
+            for name, p in zip(PRICE_FIELDS, row):
+                if not isinstance(p, (int, float)):
+                    raise DataError(f"{name} price must be finite and positive, got {p!r}",
+                                    bar.date)
+    o, h, l, c = prices.astype(float).T
+    return [b.date for b in bars], o, h, l, c
 
-    Violations within `rel_tol` (relative) are clamped; larger ones raise
-    `DataError` carrying the bar's date.
+
+def clamp_ohlc(dates, o, h, l, c, rel_tol: float = OHLC_REL_TOL):
+    """Enforce L <= min(O, C) and max(O, C) <= H on finite positive prices,
+    bar by bar; returns the high and low columns.
+
+    Violations within `rel_tol` (relative) are clamped. The first bar that
+    fails a check raises `DataError` carrying its date and naming the first
+    check it fails: the four prices in order, then the high, then the low.
     """
-    o, h, l, c = bar.open, bar.high, bar.low, bar.close
-    for name, p in (("open", o), ("high", h), ("low", l), ("close", c)):
-        if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0.0):
-            raise DataError(f"{name} price must be finite and positive, got {p!r}", bar.date)
-    hi_floor = max(o, c)
-    lo_cap = min(o, c)
-    changed = False
-    if h < hi_floor:
-        if hi_floor - h <= rel_tol * hi_floor:
-            h = hi_floor
-            changed = True
-        else:
-            raise DataError(f"high {h} below max(open, close) {hi_floor}", bar.date)
-    if l > lo_cap:
-        if l - lo_cap <= rel_tol * lo_cap:
-            l = lo_cap
-            changed = True
-        else:
-            raise DataError(f"low {l} above min(open, close) {lo_cap}", bar.date)
-    if changed:
-        return dataclasses.replace(bar, high=h, low=l)
-    return bar
+    with np.errstate(invalid="ignore"):
+        hi_floor = np.maximum(o, c)
+        lo_cap = np.minimum(o, c)
+        high_short = h < hi_floor
+        low_over = l > lo_cap
+        checks = [~(np.isfinite(p) & (p > 0.0)) for p in (o, h, l, c)]
+        checks.append(high_short & ~(hi_floor - h <= rel_tol * hi_floor))
+        checks.append(low_over & ~(l - lo_cap <= rel_tol * lo_cap))
+    bad = np.logical_or.reduce(checks)
+    if bad.any():
+        i = int(bad.argmax())
+        k = next(k for k, failed in enumerate(checks) if failed[i])
+        if k < 4:
+            p = float((o, h, l, c)[k][i])
+            raise DataError(f"{PRICE_FIELDS[k]} price must be finite and positive, got {p!r}",
+                            dates[i])
+        if k == 4:
+            raise DataError(f"high {float(h[i])} below max(open, close) {float(hi_floor[i])}",
+                            dates[i])
+        raise DataError(f"low {float(l[i])} above min(open, close) {float(lo_cap[i])}", dates[i])
+    return np.where(high_short, hi_floor, h), np.where(low_over, lo_cap, l)
+
+
+def rs_variance(o, h, l, c) -> np.ndarray:
+    """Drift-robust realized variance per bar of checked columns,
+    z = log(H/C) log(H/O) + log(L/C) log(L/O), with libm logs."""
+    h_c, h_o, l_c, l_o = _each(math.log, np.concatenate((h / c, h / o, l / c, l / o))
+                               ).reshape(4, o.size)
+    # each summand is a product of same-sign logs; clamp float residue
+    return np.maximum(h_c * h_o + l_c * l_o, 0.0)
+
+
+def validate_bar(bar: OhlcBar, rel_tol: float = OHLC_REL_TOL) -> OhlcBar:
+    """`clamp_ohlc` on one bar: the bar itself when it passes unchanged, a
+    clamped copy when a violation is within `rel_tol`."""
+    dates, o, h, l, c = bar_columns([bar])
+    high, low = clamp_ohlc(dates, o, h, l, c, rel_tol)
+    if high[0] == h[0] and low[0] == l[0]:
+        return bar
+    return dataclasses.replace(bar, high=float(high[0]), low=float(low[0]))
 
 
 def rogers_satchell(bar: OhlcBar) -> float:
-    """Drift-robust realized variance
-    z = log(H/C) log(H/O) + log(L/C) log(L/O), nonnegative on any valid bar.
-    """
-    bar = validate_bar(bar)
-    h_c = math.log(bar.high / bar.close)
-    h_o = math.log(bar.high / bar.open)
-    l_c = math.log(bar.low / bar.close)
-    l_o = math.log(bar.low / bar.open)
-    z = h_c * h_o + l_c * l_o
-    # each summand is a product of same-sign logs; clamp float residue
-    return max(z, 0.0)
+    """`rs_variance` of one bar, checked (and clamped) first."""
+    dates, o, h, l, c = bar_columns([bar])
+    h, l = clamp_ohlc(dates, o, h, l, c)
+    return float(rs_variance(o, h, l, c)[0])
 
 
 def realized_sd(z: float) -> float:

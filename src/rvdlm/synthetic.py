@@ -15,7 +15,9 @@ ticks would break the round trip.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,7 @@ import numpy as np
 from .dlm_core import ModelClass
 from .errors import ConfigError
 from .rv_measures import DEFAULT_RV_FLOOR, OhlcBar
+from .special import _each
 
 
 @dataclass(frozen=True)
@@ -88,21 +91,8 @@ def slowly_varying_theta(model: ModelClass, T: int, base, amplitude=None,
 
 
 def _weekday_dates(start: dt.date, count: int) -> list[dt.date]:
-    out, d = [], start
-    while len(out) < count:
-        if d.weekday() < 5:
-            out.append(d)
-        d += dt.timedelta(days=1)
-    return out
-
-
-def _bar_from_logs(date: dt.date, o_log: float, c_log: float, z: float, u: float) -> OhlcBar:
-    # Split z = uz + (1-u)z between the high and low Rogers-Satchell terms;
-    # the larger/smaller quadratic roots give h >= max(o, c), l <= min(o, c).
-    su = c_log + o_log
-    h = 0.5 * (su + math.sqrt((c_log - o_log) ** 2 + 4.0 * u * z))
-    l = 0.5 * (su - math.sqrt((c_log - o_log) ** 2 + 4.0 * (1.0 - u) * z))
-    return OhlcBar(date, math.exp(o_log), math.exp(h), math.exp(l), math.exp(c_log))
+    # the first `count` weekdays on or after `start`
+    return np.busday_offset(start, np.arange(count), roll="forward").tolist()
 
 
 def generate_synthetic(params: SyntheticParams,
@@ -112,38 +102,46 @@ def generate_synthetic(params: SyntheticParams,
     T = params.days
     if T < 2:
         raise ConfigError(f"need at least 2 modeled days, got {T}")
-    beta, alpha, nbar = params.beta, params.alpha, params.vol_info
+    beta, alpha, nbar, floor = params.beta, params.alpha, params.vol_info, params.floor_eps
+    shock = (0.5 * beta * nbar, 0.5 * (1.0 - beta) * nbar)
+    shape = 0.5 * alpha
     phi = 1.0 / params.v0
 
-    # lag-seeding day 0
-    z0 = rng.gamma(0.5 * alpha, 2.0 / (alpha * phi))
-    y_path = np.empty(T + 1)
-    z_path = np.empty(T + 1)
-    y_path[0], z_path[0] = params.y0, max(z0, params.floor_eps)
-
-    v = np.empty(T)
-    theta, regressors = params.theta.tolist(), params.model.regressors
-    for t in range(1, T + 1):
+    # lag-seeding day 0; the paths hold raw doubles, no float object per day
+    y_path = array("d", [params.y0])
+    z_path = array("d", [max(rng.gamma(shape, 2.0 / (alpha * phi)), floor)])
+    v = array("d")
+    x_prev = math.sqrt(z_path[0])
+    regressors = params.model.regressors
+    for th in params.theta.tolist():
         if beta < 1.0:
-            gamma_shock = rng.beta(0.5 * beta * nbar, 0.5 * (1.0 - beta) * nbar)
-            phi = phi * gamma_shock / beta
-        v[t - 1] = 1.0 / phi
-        z = max(rng.gamma(0.5 * alpha, 2.0 / (alpha * phi)), params.floor_eps)
+            phi = phi * rng.beta(*shock) / beta
+        v.append(1.0 / phi)
+        z = max(rng.gamma(shape, 2.0 / (alpha * phi)), floor)
         x_now = math.sqrt(z)
-        x_prev = math.sqrt(z_path[t - 1])
-        th = theta[t - 1]
         f = th[0]  # summed left to right
-        for c, r in zip(th[1:], regressors(y_path[t - 1], x_now, x_prev)):
+        for c, r in zip(th[1:], regressors(y_path[-1], x_now, x_prev)):
             f += c * r
-        y_path[t] = f + rng.standard_normal() * math.sqrt(v[t - 1])
-        z_path[t] = z
+        y_path.append(f + rng.standard_normal() * math.sqrt(v[-1]))
+        z_path.append(z)
+        x_prev = x_now
 
-    dates = _weekday_dates(params.start, T + 1)
-    bars = []
-    for t in range(T + 1):
-        o_log = params.y0 if t == 0 else y_path[t - 1]
-        u = rng.uniform(0.25, 0.75)
-        bars.append(_bar_from_logs(dates[t], o_log, y_path[t], z_path[t], u))
-    truth = SyntheticTruth(tuple(dates[1:]), params.theta.copy(), v,
-                           y_path[1:].copy(), z_path[1:].copy())
+    # Each (y, z) pair becomes a bar whose open is the previous close: split
+    # z = uz + (1-u)z between the high and low Rogers-Satchell terms; the
+    # larger/smaller quadratic roots give h >= max(o, c), l <= min(o, c).
+    c_log = np.array(y_path)
+    z = np.array(z_path)
+    o_log = np.concatenate((c_log[:1], c_log[:-1]))
+    u = rng.uniform(0.25, 0.75, T + 1)
+    su = c_log + o_log
+    # squared with libm pow, as `** 2` on a float does: x * x differs in a last bit now and then
+    spread = np.fromiter(map(pow, (c_log - o_log).tolist(), itertools.repeat(2)),
+                         dtype=float, count=T + 1)
+    h_log = 0.5 * (su + np.sqrt(spread + 4.0 * u * z))
+    l_log = 0.5 * (su - np.sqrt(spread + 4.0 * (1.0 - u) * z))
+    close = _each(math.exp, c_log).tolist()
+    bars = list(map(OhlcBar, _weekday_dates(params.start, T + 1), close[:1] + close[:-1],
+                    _each(math.exp, h_log).tolist(), _each(math.exp, l_log).tolist(), close))
+    truth = SyntheticTruth(tuple(b.date for b in bars[1:]), params.theta.copy(), np.array(v),
+                           c_log[1:], z[1:])
     return bars, truth

@@ -11,14 +11,23 @@ estimated from the grid itself, never taken from the recursion under test.
 
 Everything here leans on scipy/math rather than the package's own special
 functions, keeping the verification route independent.
+
+The ingestion reference is the per-bar form of `parse_csv` and
+`build_series`: one row, one bar and one chain of scalar `math` calls at a
+time, with the checks written out in the order the contract states them.
 """
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import datetime as dt
 import math
 
 import numpy as np
 from scipy import special as sp
+
+from rvdlm import ConfigError, DataError, OhlcBar, SeriesFrame
 
 
 def gl_panels(edges, nodes_per_panel):
@@ -345,3 +354,104 @@ def joint_predictive_quadrature(y_vals, z_vals, a, R, n_star, s_prev, alpha,
                 + log_gamma_pdf(zv, 0.5 * alpha, 0.5 * alpha * phi)[None, :])
             out.append(math.log(float((wth @ dens) @ wphi)))
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# ingestion, bar by bar
+
+
+def reference_parse_csv(path, schema) -> list:
+    """Read, check and date-sort an OHLC file into bars, one row at a time."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader
+                    if row and any(cell.strip() for cell in row)]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path} is empty")
+    header = rows[0][1]
+    lookup = {name.strip().lower(): i for i, name in enumerate(header)}
+    cols = {}
+    for field in ("date", "open", "high", "low", "close"):
+        want = getattr(schema, field).lower()
+        if want not in lookup:
+            raise DataError(f"{path}: header {header!r} lacks required column {want!r}")
+        cols[field] = lookup[want]
+
+    bars = []
+    for line, row in rows[1:]:
+        if max(cols.values()) >= len(row):
+            raise DataError(f"{path}:{line}: row has {len(row)} fields, expected "
+                            f"at least {max(cols.values()) + 1}")
+        text = row[cols["date"]]
+        try:
+            date = dt.date.fromisoformat(text.strip())
+        except ValueError as exc:
+            raise DataError(f"{path}:{line}: unparseable date {text!r}") from exc
+        prices = {}
+        for field in ("open", "high", "low", "close"):
+            text = row[cols[field]].strip()
+            if not text:
+                raise DataError(f"{path}:{line}: missing {field}")
+            try:
+                prices[field] = float(text)
+            except ValueError as exc:
+                raise DataError(f"{path}:{line}: unparseable {field} {text!r}") from exc
+            if not math.isfinite(prices[field]):
+                raise DataError(f"{path}:{line}: non-finite {field}")
+        bars.append(OhlcBar(date, prices["open"], prices["high"],
+                            prices["low"], prices["close"]))
+
+    bars.sort(key=lambda b: b.date)
+    for prev, cur in zip(bars, bars[1:]):
+        if cur.date == prev.date:
+            raise DataError("duplicate bar", cur.date)
+    return bars
+
+
+def reference_validate_bar(bar, rel_tol=1e-9):
+    """L <= min(O, C) and max(O, C) <= H on positive prices, clamped within
+    the relative slack."""
+    o, h, l, c = bar.open, bar.high, bar.low, bar.close
+    for name, p in (("open", o), ("high", h), ("low", l), ("close", c)):
+        if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0.0):
+            raise DataError(f"{name} price must be finite and positive, got {p!r}", bar.date)
+    hi_floor = max(o, c)
+    lo_cap = min(o, c)
+    if h < hi_floor:
+        if hi_floor - h <= rel_tol * hi_floor:
+            h = hi_floor
+        else:
+            raise DataError(f"high {h} below max(open, close) {hi_floor}", bar.date)
+    if l > lo_cap:
+        if l - lo_cap <= rel_tol * lo_cap:
+            l = lo_cap
+        else:
+            raise DataError(f"low {l} above min(open, close) {lo_cap}", bar.date)
+    return dataclasses.replace(bar, high=h, low=l)
+
+
+def reference_rogers_satchell(bar) -> float:
+    bar = reference_validate_bar(bar)
+    h_c = math.log(bar.high / bar.close)
+    h_o = math.log(bar.high / bar.open)
+    l_c = math.log(bar.low / bar.close)
+    l_o = math.log(bar.low / bar.open)
+    return max(h_c * h_o + l_c * l_o, 0.0)
+
+
+def reference_build_series(bars, floor_eps, ticker=""):
+    """y = log close, floored Rogers-Satchell z, x = sqrt z and the lag
+    columns, bar by bar."""
+    if len(bars) < 2:
+        raise DataError(f"need at least 2 bars to build a series, got {len(bars)}")
+    if not floor_eps > 0.0:
+        raise ConfigError(f"realized-variance floor must be positive, got {floor_eps!r}")
+    z_all = np.array([max(reference_rogers_satchell(b), floor_eps) for b in bars])
+    y_all = np.array([math.log(b.close) for b in bars])
+    x_all = np.array([math.sqrt(z) for z in z_all])
+    return SeriesFrame(ticker=ticker, dates=tuple(b.date for b in bars[1:]),
+                       y=y_all[1:], z=z_all[1:], x=x_all[1:],
+                       y_prev=y_all[:-1], x_prev=x_all[:-1])

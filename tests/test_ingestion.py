@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rvdlm import (ConfigError, CsvSchema, DataError, OhlcBar, apply_split,
-                   build_series, parse_csv, rogers_satchell, write_csv)
+from oracles import reference_build_series, reference_parse_csv
+from rvdlm import (ConfigError, CsvSchema, DataError, OhlcBar, RvdlmError, apply_split,
+                   build_series, parse_csv, read_ohlc, rogers_satchell, series_from_ohlc,
+                   write_csv)
 
 D0 = dt.date(2020, 1, 2)
 
@@ -73,6 +75,26 @@ class TestParseCsv:
         with pytest.raises(DataError) as excinfo:
             parse_csv(path)
         assert ":3:" in str(excinfo.value)
+
+    def test_line_number_counts_blank_lines(self, tmp_path):
+        # the blank line 3 is dropped, but the bad row is still reported on line 4
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"date,open,high,low,close\r\n"
+                         b"2020-01-02,100,101,99,100.5\r\n"
+                         b"\r\n"
+                         b"2020-01-03,100.5,102,100,abc\r\n")
+        with pytest.raises(DataError) as excinfo:
+            parse_csv(path)
+        assert f"{path}:4: unparseable close 'abc'" == str(excinfo.value)
+
+    def test_leading_bom_accepted(self, tmp_path):
+        text = ("date,open,high,low,close\n"
+                "2020-01-02,100,101,99,100.5\n"
+                "2020-01-03,100.5,102,100,101\n")
+        plain = write_text(tmp_path / "plain.csv", text)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert parse_csv(bom) == parse_csv(plain)
 
     def test_unparseable_price(self, tmp_path):
         path = write_text(tmp_path / "a.csv",
@@ -187,3 +209,101 @@ class TestApplySplit:
                         frame.dates[0] - dt.timedelta(days=5))
         with pytest.raises(ConfigError):
             apply_split(frame, frame.dates[5], frame.dates[5])
+
+
+# ---------------------------------------------------------------------------
+# the columnar path against the per-bar reference in tests/oracles.py
+
+SLACK = (0.5, 0.999, 1.001, 2.0)  # multiples of the 1e-9 clamp slack
+BAD_TEXT = ("", "  ", "abc", "nan", "inf", "-inf", "0", "-1.5", "1e400")
+BAD_DATE = ("2020-13-01", "x", "")
+
+
+@st.composite
+def ohlc_texts(draw):
+    """A CSV text of a few bars: flat, no-wick, clamped or rejected slack
+    violations, floored z; unsorted or duplicate dates; bad, missing or short
+    fields; blank lines, CRLF endings and a BOM."""
+    n = draw(st.sampled_from([4, 3, 6, 8, 2, 1, 0]))
+    days = sorted(draw(st.sets(st.integers(0, 12), min_size=n, max_size=n)))
+    order = draw(st.sampled_from(["sorted", "shuffled", "repeat"]))
+    if order == "shuffled":
+        days = draw(st.permutations(days))
+    elif order == "repeat" and n > 1:
+        days[draw(st.integers(1, n - 1))] = days[0]
+    rows = []
+    for day in days:
+        o = draw(st.floats(0.5, 500.0))
+        c = o * math.exp(draw(st.floats(-0.05, 0.05)))
+        hi, lo = max(o, c), min(o, c)
+        shape = draw(st.sampled_from(["wick", "wick", "flat", "no-wick", "high", "low", "tiny"]))
+        h = hi * (1.0 + draw(st.floats(0.0, 0.02)))
+        l = lo / (1.0 + draw(st.floats(0.0, 0.02)))
+        if shape == "flat":
+            o = h = l = c
+        elif shape == "no-wick":
+            h, l = hi, lo
+        elif shape == "high":
+            h = hi - draw(st.sampled_from(SLACK)) * 1e-9 * hi
+        elif shape == "low":
+            l = lo + draw(st.sampled_from(SLACK)) * 1e-9 * lo
+        elif shape == "tiny":
+            h, l = hi * (1.0 + 1e-9), lo
+        date = (D0 + dt.timedelta(days=day)).isoformat()
+        rows.append([date, repr(o), repr(h), repr(l), repr(c), "7"])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):
+        k = draw(st.integers(0, len(rows) - 1))
+        field = draw(st.integers(0, 4))
+        rows[k][field] = draw(st.sampled_from(BAD_DATE if field == 0 else BAD_TEXT))
+    if rows and draw(st.sampled_from([False] * 9 + [True])):
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = rows[k][:draw(st.integers(1, 4))]
+    lines = [",".join(r) for r in [["date", "open", "high", "low", "close", "volume"]] + rows]
+    for _ in range(draw(st.sampled_from([0, 1, 2]))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", ",,", " "])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + end.join(lines) + end
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except RvdlmError as exc:
+        return type(exc), str(exc), exc.date
+
+
+def _frame_bits(frame):
+    return (frame.ticker, frame.dates,
+            *(v.tobytes() for v in (frame.y, frame.z, frame.x, frame.y_prev, frame.x_prev)))
+
+
+def _bar_bits(bars):
+    return [(b.date, *(float(p).hex() for p in (b.open, b.high, b.low, b.close))) for b in bars]
+
+
+@settings(max_examples=400, deadline=None)
+@given(ohlc_texts(), st.sampled_from([1e-12, 1e-7]))
+@example("date,open,high,low,close\n2020-01-02,1,1,1,1\n2020-01-03,1,1,1,1\n", 1e-12)
+# violations of exactly the slack (1e9 - h == 1e-9 * 1e9 == 1.0): clamped, not rejected
+@example("date,open,high,low,close\n2020-01-02,1e9,999999999,999999000,1e9\n"
+         "2020-01-03,1e9,1000001000,1000000001,1e9\n", 1e-12)
+def test_columnar_ingestion_equals_per_bar_reference(tmp_path_factory, text, floor_eps):
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    path.write_bytes(text.encode())
+    schema = CsvSchema()
+    want = _outcome(reference_parse_csv, path, schema)
+    got = _outcome(parse_csv, path, schema)
+    if want[0] != "ok":
+        assert got == want
+        assert _outcome(read_ohlc, path, schema) == want
+        return
+    assert _bar_bits(got[1]) == _bar_bits(want[1])
+    want = _outcome(reference_build_series, want[1], floor_eps, "T")
+    for got in (_outcome(build_series, got[1], floor_eps, "T"),
+                _outcome(lambda: series_from_ohlc(*read_ohlc(path, schema), floor_eps, "T"))):
+        if want[0] == "ok":
+            assert got[0] == "ok"
+            assert _frame_bits(got[1]) == _frame_bits(want[1])
+        else:
+            assert got == want

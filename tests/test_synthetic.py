@@ -1,3 +1,4 @@
+import datetime as dt
 import hashlib
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from rvdlm import (ConfigError, ModelClass, SyntheticParams, build_series,
                    generate_synthetic, slowly_varying_theta, validate_bar)
+from rvdlm.synthetic import _weekday_dates
 
 
 def rvl_params(T=300, seed_free=True):
@@ -77,6 +79,27 @@ class TestGenerator:
         bars, _ = generate_synthetic(rvl_params(T=50), np.random.default_rng(1))
         assert all(b.date.weekday() < 5 for b in bars)
         assert all(a.date < b.date for a, b in zip(bars, bars[1:]))
+
+
+def stepped_weekdays(start, count):
+    # the day-stepping reference: walk the calendar, keep Monday to Friday
+    out, d = [], start
+    while len(out) < count:
+        if d.weekday() < 5:
+            out.append(d)
+        d += dt.timedelta(days=1)
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 400])
+@pytest.mark.parametrize("offset", range(7))
+def test_weekday_dates_equal_day_stepping(offset, count):
+    # every start weekday, Saturday and Sunday included; 2021-12-27 is a
+    # Monday, so the first week runs across the year end
+    start = dt.date(2021, 12, 27) + dt.timedelta(days=offset)
+    got = _weekday_dates(start, count)
+    assert got == stepped_weekdays(start, count)
+    assert all(type(d) is dt.date for d in got)
 
 
 class TestSlowlyVaryingTheta:
