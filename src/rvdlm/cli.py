@@ -11,7 +11,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical error.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .dlm_core import ModelClass
 from .errors import ConfigError, RvdlmError
 from .ingestion import write_columns_csv, write_csv
-from .pipeline import (check_keys, config_field, json_number, load_config,
+from .pipeline import (json_number, load_config, load_json, read_object,
                        recompute_bayes_factors, run_filter_pipeline)
 from .synthetic import SyntheticParams, generate_synthetic, slowly_varying_theta
 
@@ -70,39 +70,33 @@ def _json_numeric(value) -> np.ndarray:
     return np.array(json_number(value))
 
 
-_SYNTH_NUMBERS = ("v0", "beta", "alpha", "vol_info", "y0", "floor_eps")
+# The numbers are SyntheticParams' float fields, defaults included. README's
+# "Synthetic generator params" documents every key.
+SYNTH_KEYS = {
+    "theta_path": (_json_numeric, None), "theta_base": (_json_numeric, None),
+    "theta_amplitude": (_json_numeric, None), "theta_period": (_json_numeric, None),
+    **{f.name: (json_number, f.default) for f in dataclasses.fields(SyntheticParams)
+       if isinstance(f.default, float)},
+}
 
 
 def _synth_params(args) -> SyntheticParams:
     model = ModelClass(args.model)
-    raw = {}
-    if args.params:
-        try:
-            with open(args.params, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read generator params {args.params}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"generator params {args.params} must be a JSON object")
-        check_keys(raw, ("theta_path", "theta_base", "theta_amplitude", "theta_period",
-                         *_SYNTH_NUMBERS), f"generator params {args.params}")
-    if "theta_path" in raw:
-        theta = config_field(raw, "theta_path", _json_numeric)
-    else:
-        base = config_field(raw, "theta_base", _json_numeric,
-                        [0.0046, 0.999, -0.5, 0.4] if model is ModelClass.RVLDLM
-                        else [0.0046, 0.999, 0.1])
-        amplitude = config_field(raw, "theta_amplitude", _json_numeric, None)
-        period = config_field(raw, "theta_period", _json_numeric, None)
+    raw = load_json(args.params, "generator params") if args.params else {}
+    p = read_object(raw, SYNTH_KEYS, f"generator params {args.params}")
+    theta, base, amplitude, period = (p.pop(k) for k in ("theta_path", "theta_base",
+                                                         "theta_amplitude", "theta_period"))
+    if theta is None:
+        if base is None:
+            base = ([0.0046, 0.999, -0.5, 0.4] if model is ModelClass.RVLDLM
+                    else [0.0046, 0.999, 0.1])
         try:
             theta = slowly_varying_theta(model, args.days, base, amplitude, period)
         except ValueError as exc:
             raise ConfigError(f"theta_base, theta_amplitude or theta_period: {exc}") from exc
     if theta.shape[:1] != (args.days,):
         raise ConfigError(f"theta_path has shape {theta.shape}, --days is {args.days}")
-    kwargs = {k: config_field(raw, k, json_number)
-              for k in _SYNTH_NUMBERS if k in raw}
-    return SyntheticParams(model=model, theta=theta, **kwargs)
+    return SyntheticParams(model=model, theta=theta, **p)
 
 
 def _cmd_synth(args) -> int:

@@ -14,6 +14,7 @@ supplied.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import datetime as dt
 import json
 import math
@@ -139,44 +140,11 @@ class RunConfig:
                 raise ConfigError(f"output file name {f!r} would be written twice; "
                                   f"rename a series ticker or model")
             seen.add(f)
-        if not self.floor_eps > 0.0:
-            raise ConfigError(f"floor_eps must be positive, got {self.floor_eps!r}")
+        if not (math.isfinite(self.floor_eps) and self.floor_eps > 0.0):
+            raise ConfigError(f"floor_eps must be finite and positive, got {self.floor_eps!r}")
         for s in self.series:
             if not os.path.exists(s.path):
                 raise ConfigError(f"series {s.ticker!r}: file not found: {s.path}")
-
-
-def _series_from_dict(entry: dict) -> SeriesSpec:
-    check_keys(entry, ("ticker", "path", "s1"), f"series {entry.get('ticker', entry)!r}")
-    return SeriesSpec(config_field(entry, "ticker", json_string),
-                      config_field(entry, "path", json_string),
-                      config_field(entry, "s1", json_number))
-
-
-def _model_from_dict(entry: dict) -> ModelSpec:
-    # until its name is known, a model is named by its variant (the default name)
-    label = next((v for v in (entry.get("name"), entry.get("variant")) if isinstance(v, str)),
-                 entry)
-    check_keys(entry, ("name", "variant", "delta", "beta", "alpha", "a1", "r1_diag",
-                       "n_star_1"), f"model {label!r}")
-    try:
-        try:
-            variant = ModelClass(config_field(entry, "variant", json_string).lower())
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"unknown or missing variant (expected one of "
-                              f"{[m.value for m in ModelClass]})") from exc
-        name = config_field(entry, "name", json_string, variant.value)
-        base = DEFAULT_HYPERPARAMS[variant]
-        hp = HyperParams(*(config_field(entry, key, json_number, getattr(base, key))
-                           for key in ("delta", "beta", "alpha")))
-        prior = {key: config_field(entry, key, convert, None) for key, convert in
-                 (("a1", _json_numbers), ("r1_diag", _json_numbers),
-                  ("n_star_1", json_number))}
-    except (ConfigError, DomainError) as exc:
-        raise ConfigError(f"model {label!r}: {exc}") from exc
-    if variant.uses_rv and hp.alpha <= 0.0:
-        raise ConfigError(f"model {name!r}: {variant.value} requires alpha > 0")
-    return ModelSpec(name=name, variant=variant, hp=hp, **prior)
 
 
 def json_number(value) -> float:
@@ -206,77 +174,111 @@ def json_string(value) -> str:
     return value
 
 
-def _json_date(value) -> dt.date:
-    return dt.date.fromisoformat(json_string(value))
-
-
 def _json_objects(value) -> list:
     if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
         raise TypeError("expected a JSON array of objects")
     return value
 
 
-def _json_schema(value) -> CsvSchema:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
-    for v in value.values():
-        json_string(v)
-    return CsvSchema(**value)
+def _json_variant(value) -> ModelClass:
+    try:
+        return ModelClass(json_string(value).lower())
+    except ValueError:
+        raise ValueError(f"expected one of {[m.value for m in ModelClass]}") from None
 
 
-def check_keys(raw: dict, known: tuple, owner: str) -> None:
-    """A key of `raw` that is not in `known` is a ConfigError naming it and
-    `owner`: a misspelled key would otherwise leave its default in place."""
-    unknown = [k for k in raw if k not in known]
+def load_json(path, what: str):
+    """The JSON document in `path`; a ConfigError naming `what` if unreadable or not JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+def read_object(raw, table: dict, owner: str) -> dict:
+    """{key: convert(raw[key]), or the default if absent} for each row
+    `key: (convert, default)` of `table`; a REQUIRED key must be given. An
+    unknown or missing key, or a value `convert` rejects, is a ConfigError
+    naming `owner` and the key (a misspelled key would keep its default)."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{owner} must be a JSON object")
+    unknown = [k for k in raw if k not in table]
     if unknown:
         raise ConfigError(f"{owner}: unknown key {unknown[0]!r} "
-                          f"(known keys: {', '.join(known)})")
+                          f"(known keys: {', '.join(table)})")
+    out = {}
+    for key, (convert, default) in table.items():
+        if key not in raw and default is REQUIRED:
+            raise ConfigError(f"{owner}: missing key {key!r}")
+        try:
+            out[key] = convert(raw[key]) if key in raw else default
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{owner}: {key}: invalid value {raw[key]!r} ({exc})") from exc
+    return out
 
 
-def config_field(raw: dict, key: str, convert, *default):
-    """`convert(raw[key])`, or the default when the key is absent; without a
-    default the key is required (KeyError). A value that `convert` rejects
-    (TypeError, ValueError) is a ConfigError naming the key."""
-    if default and key not in raw:
-        return default[0]
+# One table per JSON object of the config; the keys are the fields of the
+# spec each object builds. README's "Config schema" documents every key.
+SERIES_KEYS = {"ticker": (json_string, REQUIRED), "path": (json_string, REQUIRED),
+               "s1": (json_number, REQUIRED)}
+MODEL_KEYS = {  # None: the variant's name, DEFAULT_HYPERPARAMS or default prior
+    "name": (json_string, None), "variant": (_json_variant, REQUIRED),
+    "delta": (json_number, None), "beta": (json_number, None), "alpha": (json_number, None),
+    "a1": (_json_numbers, None), "r1_diag": (_json_numbers, None),
+    "n_star_1": (json_number, None),
+}
+SCHEMA_KEYS = {f.name: (json_string, f.default) for f in dataclasses.fields(CsvSchema)}
+CONFIG_KEYS = {
+    "series": (lambda v: tuple(map(_read_series, _json_objects(v))), REQUIRED),
+    "models": (lambda v: tuple(map(_read_model, _json_objects(v))), REQUIRED),
+    "train_end": (dt.date.fromisoformat, REQUIRED),  # a str only: TypeError otherwise
+    "eval_start": (dt.date.fromisoformat, REQUIRED),
+    "out_dir": (json_string, "out"),
+    "seed": (_json_integer, 0),
+    "floor_eps": (json_number, DEFAULT_RV_FLOOR),
+    "schema": (lambda v: CsvSchema(**read_object(v, SCHEMA_KEYS, "schema")), CsvSchema()),
+}
+
+
+def _read_series(entry: dict) -> SeriesSpec:
+    return SeriesSpec(**read_object(entry, SERIES_KEYS, f"series {entry.get('ticker', entry)!r}"))
+
+
+def _read_model(entry: dict) -> ModelSpec:
+    # until its name is known, a model is named by its variant (the default name)
+    label = next((v for v in (entry.get("name"), entry.get("variant")) if isinstance(v, str)),
+                 entry)
+    owner = f"model {label!r}"
+    spec = read_object(entry, MODEL_KEYS, owner)
+    variant = spec.pop("variant")
+    if spec["name"] is None:
+        spec["name"] = variant.value
+    given = {f.name: spec.pop(f.name) for f in dataclasses.fields(HyperParams)}
     try:
-        return convert(raw[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: invalid value {raw[key]!r} ({exc})") from exc
+        hp = dataclasses.replace(DEFAULT_HYPERPARAMS[variant],
+                                 **{k: v for k, v in given.items() if v is not None})
+    except DomainError as exc:
+        raise ConfigError(f"{owner}: {exc}") from exc
+    if variant.uses_rv and hp.alpha <= 0.0:
+        raise ConfigError(f"{owner}: {variant.value} requires alpha > 0")
+    return ModelSpec(variant=variant, hp=hp, **spec)
 
 
 def load_config(path_or_dict, out_dir_override=None, seed_override=None) -> RunConfig:
     """Build a validated RunConfig from a JSON file path or a dict."""
-    if isinstance(path_or_dict, dict):
-        raw = path_or_dict
-    else:
-        try:
-            with open(path_or_dict, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path_or_dict}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path_or_dict} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    check_keys(raw, ("series", "models", "train_end", "eval_start", "out_dir", "seed",
-                     "floor_eps", "schema"), "config")
-    try:
-        series = tuple(_series_from_dict(e) for e in config_field(raw, "series", _json_objects))
-        models = tuple(_model_from_dict(e) for e in config_field(raw, "models", _json_objects))
-        train_end = config_field(raw, "train_end", _json_date)
-        eval_start = config_field(raw, "eval_start", _json_date)
-        out_dir = out_dir_override or config_field(raw, "out_dir", json_string, "out")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
-    return RunConfig(
-        series=series, models=models, train_end=train_end, eval_start=eval_start,
-        out_dir=out_dir,
-        seed=(int(seed_override) if seed_override is not None
-              else config_field(raw, "seed", _json_integer, 0)),
-        floor_eps=config_field(raw, "floor_eps", json_number, DEFAULT_RV_FLOOR),
-        schema=config_field(raw, "schema", _json_schema, CsvSchema()),
-    )
+    raw = path_or_dict if isinstance(path_or_dict, dict) else load_json(path_or_dict, "config")
+    fields = read_object(raw, CONFIG_KEYS, "config")
+    if out_dir_override:
+        fields["out_dir"] = out_dir_override
+    if seed_override is not None:
+        fields["seed"] = int(seed_override)
+    return RunConfig(**fields)
 
 
 def _fill_quantiles(quantiles: dict, dofs: list) -> None:
@@ -460,32 +462,29 @@ def _run_into(config: RunConfig, out_dir: str) -> dict:
 
 
 def _echo_config(config: RunConfig) -> dict:
-    return {
-        "series": [{"ticker": s.ticker, "path": s.path, "s1": s.s1} for s in config.series],
-        "models": [{
-            "name": m.name, "variant": m.variant.value,
-            "delta": m.hp.delta, "beta": m.hp.beta, "alpha": m.hp.alpha,
-            "a1": list(m.a1), "r1_diag": list(m.r1_diag), "n_star_1": m.n_star_1,
-        } for m in config.models],
-        "train_end": config.train_end.isoformat(),
-        "eval_start": config.eval_start.isoformat(),
-        "out_dir": config.out_dir,
-        "floor_eps": config.floor_eps,
-    }
+    """The config with its defaults filled in, in its JSON form, less `seed`
+    (the summary holds it beside the echo) and `schema`."""
+    echo = dataclasses.asdict(config)
+    del echo["seed"], echo["schema"]
+    echo.update(train_end=config.train_end.isoformat(), eval_start=config.eval_start.isoformat())
+    for m in echo["models"]:
+        m.update(m.pop("hp"), variant=m["variant"].value)
+    return echo
 
 
 def recompute_bayes_factors(run_dir: str) -> list[str]:
     """Rebuild the pairwise log-BF trajectory files from the per-day score
     increments already emitted in `run_dir` (the `score` subcommand)."""
     summary_path = os.path.join(run_dir, "summary.json")
+    summary = load_json(summary_path, "run summary")
     try:
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            summary = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {summary_path}: {exc}") from exc
-    model_names = [m["name"] for m in summary["config"]["models"]]
+        model_names = [json_string(m["name"]) for m in _json_objects(summary["config"]["models"])]
+        tickers = [json_string(t) for t in summary["series"]]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"run summary {summary_path} must hold config.models, a list of "
+                          f"named models, and series ({type(exc).__name__}: {exc})") from exc
     written = []
-    for ticker in summary["series"]:
+    for ticker in tickers:
         scores = {name: _scored_increments(os.path.join(run_dir, _trajectory_file(ticker, name)))
                   for name in model_names}
         written += [path for path, _ in

@@ -53,10 +53,13 @@ class SyntheticParams:
             raise ConfigError(
                 f"theta path must be (T, {self.model.dim}) for {self.model.value}, "
                 f"got shape {theta.shape}")
+        if not (np.isfinite(theta).all() and math.isfinite(self.y0)):
+            raise ConfigError("theta path and y0 must be finite")
         object.__setattr__(self, "theta", theta)
-        for name, v in (("v0", self.v0), ("alpha", self.alpha), ("vol_info", self.vol_info)):
-            if not v > 0.0:
-                raise ConfigError(f"{name} must be positive, got {v!r}")
+        for name, v in (("v0", self.v0), ("alpha", self.alpha), ("vol_info", self.vol_info),
+                        ("floor_eps", self.floor_eps)):
+            if not (math.isfinite(v) and v > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, got {v!r}")
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError(f"beta must be in (0, 1], got {self.beta!r}")
 

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rvdlm import (ConfigError, DataError, ModelClass, NumericalError, OhlcBar,
+from rvdlm import (ConfigError, CsvSchema, DataError, ModelClass, NumericalError, OhlcBar,
                    SyntheticParams, generate_synthetic, load_config, pipeline,
                    run_filter_pipeline, slowly_varying_theta, write_csv)
-from rvdlm.cli import main
+from rvdlm.cli import SYNTH_KEYS, main
 from rvdlm.ingestion import read_csv_rows
 
 
@@ -128,6 +128,8 @@ class TestConfig:
         (None, "series", "TIC"),
         (None, "series", [["TIC"]]),
         (None, "models", [5]),
+        # finite values only: an infinite floor raised every z to inf (exit 3)
+        (None, "floor_eps", math.inf),
     ])
     def test_malformed_field_is_config_error(self, data_csv, tmp_path, capsys,
                                              owner, field, value):
@@ -192,6 +194,8 @@ class TestConfig:
         (None, "flor_eps", "config"),
         ("series", "sl", "series 'TIC'"),
         ("rvdlm", "detla", "model 'rvdlm'"),
+        ("schema", "dat", "schema"),
+        ("svdlm", "n_star1", "model 'svdlm'"),
     ])
     def test_unknown_key_is_config_error(self, data_csv, tmp_path, capsys, owner, key, named):
         # a misspelled key would leave its default in place, silently
@@ -200,6 +204,8 @@ class TestConfig:
             entry = raw
         elif owner == "series":
             entry = raw["series"][0]
+        elif owner == "schema":
+            entry = raw.setdefault("schema", {})
         else:
             entry = next(m for m in raw["models"] if m["name"] == owner)
         entry[key] = 0.5
@@ -208,6 +214,37 @@ class TestConfig:
         assert main(["filter", "--config", str(cfg)]) == 2
         assert f"{named}: unknown key {key!r}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("owner,key,named", [
+        (None, "train_end", "config"),
+        (None, "eval_start", "config"),
+        (None, "series", "config"),
+        (None, "models", "config"),
+        ("series", "ticker", "series {'path'"),
+        ("series", "path", "series 'TIC'"),
+        ("series", "s1", "series 'TIC'"),
+        ("rvdlm", "variant", "model 'rvdlm'"),
+    ])
+    def test_missing_key_is_config_error(self, data_csv, tmp_path, capsys, owner, key, named):
+        raw = base_config(data_csv[0], str(tmp_path / "o"))
+        if owner is None:
+            entry = raw
+        elif owner == "series":
+            entry = raw["series"][0]
+        else:
+            entry = next(m for m in raw["models"] if m["name"] == owner)
+        del entry[key]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["filter", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f": missing key {key!r}" in err and named in err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_partial_schema_keeps_default_column_names(self, data_csv, tmp_path):
+        raw = base_config(data_csv[0], str(tmp_path / "o"))
+        raw["schema"] = {"date": "Day"}
+        assert load_config(raw).schema == CsvSchema(date="Day")
 
 
 class TestPipeline:
@@ -399,6 +436,11 @@ class TestCli:
         ("theta_base", {"theta_base": ["0.0046", 0.999, 0.1]}),
         ("theta_base", {"theta_base": [0.0046, 0.999]}),
         ("theta_path", {"theta_path": [[0.0046, 0.999, 0.1], [0.0046, 0.999]]}),
+        # a non-finite value wrote inf or nan prices, or crashed
+        ("floor_eps", {"floor_eps": math.inf}),
+        ("v0", {"v0": math.inf}),
+        ("y0", {"y0": math.nan}),
+        ("theta path", {"theta_base": [0.0046, math.inf, 0.1]}),
         ("JSON object", [0.0046, 0.999, 0.1]),
     ])
     def test_synth_bad_params_are_config_errors(self, tmp_path, capsys, field, params):
@@ -429,6 +471,22 @@ class TestCli:
         os.remove(bf_path)
         assert main(["score", "--run-dir", out]) == 0
         assert open(bf_path).read() == before
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[]",
+        '{"seed": 7, "series": {}}',
+        '{"config": {"models": "svdlm"}, "seed": 7, "series": {}}',
+    ])
+    def test_score_rejects_a_malformed_summary(self, data_csv, tmp_path, capsys, text):
+        out = tmp_path / "score_summary"
+        run_filter_pipeline(load_config(base_config(data_csv[0], str(out))))
+        summary = out / "summary.json"
+        summary.write_text(text)
+        before = _digests(str(out))
+        assert main(["score", "--run-dir", str(out)]) == 2
+        assert f"error [score]: run summary {summary}" in capsys.readouterr().err
+        assert _digests(str(out)) == before
 
     @pytest.mark.parametrize("damage", ["short", "score", "flag"])
     def test_score_rejects_a_malformed_row_by_line(self, data_csv, tmp_path, capsys, damage):
@@ -554,3 +612,20 @@ def test_golden_output_digests(tmp_path, monkeypatch):
         run_filter_pipeline(load_config(raw))
     got = {**_digests("out"), **_digests("out_empty")}
     assert got == GOLDEN_DIGESTS
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("section,table", [
+    ("Config schema", pipeline.CONFIG_KEYS),
+    ("Config schema", pipeline.SERIES_KEYS),
+    ("Config schema", pipeline.MODEL_KEYS),
+    ("Config schema", pipeline.SCHEMA_KEYS),
+    ("Synthetic generator params", SYNTH_KEYS),
+], ids=["config", "series", "model", "schema", "synth"])
+def test_every_key_is_documented(section, table):
+    # the README section is the only place besides the table that names each key
+    text = README.read_text(encoding="utf-8").split(f"\n### {section}", 1)[1]
+    text = text.split("\n#", 1)[0]
+    assert [k for k in table if f'"{k}"' not in text] == []
