@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DomainError
 from .rv_measures import (DEFAULT_RV_FLOOR, PRICE_FIELDS, OhlcBar, bar_columns, clamp_ohlc,
                           rs_variance)
 from .special import _each
@@ -64,22 +64,182 @@ def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
 FLOAT_FORMAT = "%.17g"
 
 
-def format_floats(values: np.ndarray) -> list[str]:
-    """The text `write_columns_csv` writes for a numpy column, so a column
-    shared by several files is formatted once and passed as strings."""
-    return [FLOAT_FORMAT % v for v in values.tolist()]
+# FLOAT_FORMAT text on whole arrays. A finite v != 0 with decimal exponent
+# k = floor(log10|v|) in [_K_MIN, _K_MAX] has as its 17 significant digits
+# N = round-half-even(|v| * 10**(16 - k)); there 10**(16 - k) is an exact
+# double, so Dekker's error-free product (Numer. Math. 18, 1971) gives that
+# product exactly as hi + lo.
+_K_MIN, _K_MAX = -6, 16
+_BLOCK_ROWS, _BLOCK_BYTES = 1024, 1 << 17  # at most per block: bounds the temporaries
+
+
+def _split(a):
+    # Dekker's split of a double into two halves of at most 26 bits each
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10 ** j) for j in range(16 - _K_MIN + 1)])
+
+
+def _scaled(a, j):
+    """a * 10**j as hi + lo exactly: hi the rounded product, lo its error."""
+    b = _POW10[j]
+    hi = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _off_range(hi, lo):
+    # hi + lo outside [1e16, 1e17), decided on the exact sum: the bounds are doubles
+    return (hi < 1e16) | ((hi == 1e16) & (lo < 0)) | (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+
+
+# A float field is written in one superset layout of _WIDE bytes, in 4-byte
+# slots, and a mask keyed by (sign, k, digit count) keeps the bytes of its
+# text. The digits appear twice, so that every text is a few runs of bytes:
+#   0 "-0.000"  6 "-"  7..23 digits 0..16  27 "."  28..43 digits 1..16
+#   44 "e-05"  48 "e-06"  55 the separator
+_WIDE = 56
+_QUAD_TEXT = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint32)
+_QUAD_ZEROS = sum(np.arange(10000) % 10 ** j == 0 for j in range(1, 5))  # trailing; 4 for 0000
+_SLOTS = np.frombuffer(b"".join([b"-0.0", b"   .", b"e-05", b"e-06"] +
+                                [b"00-%d" % d for d in range(10)]), np.uint32)
+
+
+def _layout(negative: bool, k: int, digits: int) -> np.ndarray:
+    """The bytes of the superset layout kept for a value of the sign, decimal
+    exponent and significant digit count given, separator included."""
+    keep = [55]
+    if -4 <= k < 0:  # 0.000ddd
+        keep += [0] * negative + [1, 2, *range(3, 2 - k), *range(7, 7 + digits)]
+    else:
+        keep += [6] * negative + [*range(7, 8 + max(k, 0))]
+        if digits > max(k, 0) + 1:  # a point and the fraction, digits 1.. in d.ddde-0X
+            keep += [27, *range(28 + max(k, 0), 27 + digits)]
+        if k < -4:
+            keep += range(44, 48) if k == -5 else range(48, 52)
+    mask = np.zeros(_WIDE, bool)
+    mask[keep] = True
+    return mask
+
+
+_LAYOUTS = np.array([_layout(s, k, d) for s in (False, True)
+                     for k in range(_K_MIN, _K_MAX + 1) for d in range(1, 18)]).view(np.uint64)
+
+
+def _write_floats(v, text, keep) -> None:
+    """Write FLOAT_FORMAT text of the float64 array `v` into `text` and
+    `keep`, byte views of shape v.shape + (_WIDE,) whose separator byte is
+    set: the superset layout and the mask of the bytes its text keeps. A
+    value with no exact array form (non-finite, or k outside
+    [_K_MIN, _K_MAX]) is formatted on its own."""
+    shape, v = v.shape, v.ravel()
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor(np.log10(a))  # may be one off near a power of ten: fixed below
+    exact = (k >= _K_MIN) & (k <= _K_MAX)  # not for 0, inf or NaN
+    k = np.where(exact, k, 0).astype(np.intp)
+    a = np.where(exact, a, 1.0)
+    hi, lo = _scaled(a, 16 - k)
+    off = np.flatnonzero(_off_range(hi, lo))
+    if off.size:
+        k[off] += np.where(hi[off] <= 1e16, -1, 1)
+        inside = (k[off] >= _K_MIN) & (k[off] <= _K_MAX)
+        exact[off[~inside]] = False
+        off = off[inside]
+        hi[off], lo[off] = _scaled(a[off], 16 - k[off])
+        exact[off[_off_range(hi[off], lo[off])]] = False
+    # hi >= 2**53 is an even integer, so rint of the exact lo rounds half-even.
+    # N never rounds up to 10**17: for each k in range the largest double
+    # below 10**(k + 1) is more than 8 units of N below it.
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    n[~exact] = 0  # the digits of zero; the others are formatted below
+    slow = np.flatnonzero(~(exact | (v == 0.0)))
+    lead, rest = np.divmod(n, 10 ** 16)
+    upper, lower = np.divmod(rest, 10 ** 8)
+    quads = np.empty((4, v.size), np.int64)  # N's digits 1..16, four at a time
+    np.divmod(upper, 10 ** 4, out=(quads[0], quads[1]))
+    np.divmod(lower, 10 ** 4, out=(quads[2], quads[3]))
+    z = _QUAD_ZEROS[quads]  # N's trailing zeros: 16 for zero
+    zeros = z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0]))
+    key = (np.signbit(v) * (_K_MAX - _K_MIN + 1) + k - _K_MIN) * 17 + 16 - zeros
+    key[slow] = 0
+    words = text.view(np.uint32)
+    digits = _QUAD_TEXT[quads.T].reshape(shape + (4,))
+    words[..., 0] = _SLOTS[0]
+    words[..., 1] = _SLOTS[4 + lead].reshape(shape)
+    words[..., 2:6] = digits
+    words[..., 6] = _SLOTS[1]
+    words[..., 7:11] = digits
+    words[..., 11:13] = _SLOTS[2:4]
+    keep.view(np.uint64)[...] = _LAYOUTS.take(key, axis=0).reshape(shape + (-1,))
+    for i in slow.tolist():
+        b = (FLOAT_FORMAT % v[i]).encode()
+        at = np.unravel_index(i, shape)
+        text[at][:len(b)] = np.frombuffer(b, np.uint8)
+        keep[at] = np.arange(_WIDE) < len(b)
+        keep[at][-1] = True
+
+
+def _csv_blocks(columns, rows: int):
+    """The CSV bytes of the rows, one block at a time. Every field has a
+    slot of one width, its separator in the last byte of it (of the
+    superset layout for a float field), and one mask compaction per block
+    keeps the bytes of the texts. `columns` holds float64 arrays and lists
+    of encoded texts."""
+    ncol = len(columns)
+    texts = {c: col for c, col in enumerate(columns) if isinstance(col, list)}
+    lens = {c: np.fromiter(map(len, col), np.intp, rows) for c, col in texts.items()}
+    is_float = [c not in texts for c in range(ncol)]
+    # one slot width for all: a whole number of 8-byte words, for the views in _write_floats
+    longest = max([_WIDE - 1] * any(is_float) + [int(n.max()) for n in lens.values()])
+    width = -(-(longest + 1) // 8) * 8
+    block = max(1, min(rows, _BLOCK_ROWS, _BLOCK_BYTES // (ncol * width)))
+    edges = [c for c, (a, b) in enumerate(zip([False, *is_float], [*is_float, False])) if a != b]
+    runs = list(zip(edges[::2], edges[1::2]))  # maximal runs of float columns
+    buf = np.zeros((block, ncol, width), np.uint8)
+    keep = np.zeros((block, ncol, width), bool)
+    sep = [width - 1 if c in texts else _WIDE - 1 for c in range(ncol)]
+    for c in range(ncol):
+        buf[:, c, sep[c]] = ord("\n") if c == ncol - 1 else ord(",")
+        keep[:, c, sep[c]] = True
+    pos = np.arange(width - 1)
+    for r0 in range(0, rows, block):
+        n = min(block, rows - r0)
+        for c, col in texts.items():
+            packed = np.array(col[r0:r0 + n], dtype=f"S{width - 1}")
+            buf[:n, c, :-1] = packed.view(np.uint8).reshape(n, -1)
+            keep[:n, c, :-1] = pos < lens[c][r0:r0 + n, None]
+        for start, stop in runs:
+            v = np.stack([columns[c][r0:r0 + n] for c in range(start, stop)], axis=1)
+            _write_floats(v, buf[:n, start:stop, :_WIDE], keep[:n, start:stop, :_WIDE])
+        yield buf[:n][keep[:n]].tobytes()
 
 
 def write_columns_csv(path, header, columns) -> None:
     """The one CSV writer: a header, then one row per entry of the columns.
     numpy columns are written as FLOAT_FORMAT, other columns as `str` of each
     item (for floats, including numpy floats, the shortest round-trip form).
-    Fields are never quoted."""
-    line = ",".join(FLOAT_FORMAT if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in zip(*columns))
+    Fields are never quoted. Columns of unequal lengths raise DomainError
+    before the file is opened.
+
+    Rows go out in blocks of at most _BLOCK_ROWS rows and _BLOCK_BYTES
+    bytes of field slots (see `_csv_blocks`). The text of a block's numpy
+    values is computed on whole arrays, exactly (see `_write_floats`); a
+    value with no exact array form, such as inf, NaN or one below 1e-6, is
+    formatted by FLOAT_FORMAT on its own."""
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise DomainError(f"{path}: columns of unequal lengths {lengths}")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if lengths and lengths[0]:
+            fh.writelines(_csv_blocks([np.asarray(c, dtype=np.float64) if isinstance(c, np.ndarray)
+                                       else list(map(str.encode, map(str, c)))
+                                       for c in columns], lengths[0]))
 
 
 def _parsed(fn, texts) -> tuple[list, int]:

@@ -27,8 +27,7 @@ import numpy as np
 
 from .dlm_core import HyperParams, ModelClass, PriorMoments
 from .errors import ConfigError, DataError, DomainError, RvdlmError
-from .ingestion import (CsvSchema, apply_split, format_floats, read_ohlc, series_from_ohlc,
-                        write_columns_csv)
+from .ingestion import CsvSchema, apply_split, read_ohlc, series_from_ohlc, write_columns_csv
 from .kernel import FilterTrajectory, run_filter
 from .rv_measures import DEFAULT_RV_FLOOR
 from .scoring import log_score_z_path, running_log_bayes_factor
@@ -283,7 +282,7 @@ def load_config(path_or_dict, out_dir_override=None, seed_override=None) -> RunC
 
 def _fill_quantiles(quantiles: dict, dofs: list) -> None:
     """Add to `quantiles` every dof not yet in it: dof -> (gamma 0.50, 0.95,
-    0.05 quantiles of G(n/2, n/2), t 0.95 quantile, the dof's CSV text).
+    0.05 quantiles of G(n/2, n/2), t 0.95 quantile).
     One lane-parallel solve per level covers all the new dofs."""
     new = [n for n in dofs if n not in quantiles]
     if not new:
@@ -293,15 +292,13 @@ def _fill_quantiles(quantiles: dict, dofs: list) -> None:
     # the gamma_quantile of G(n/2, n/2): the unit-rate quantile over the rate
     g_med, g_hi, g_lo = (inv_reg_lower_gamma_lanes(half, u) / half for u in (0.50, 0.95, 0.05))
     tmult = student_t_quantile_lanes(0.95, n)
-    quantiles.update(zip(new, zip(g_med.tolist(), g_hi.tolist(), g_lo.tolist(),
-                                  tmult.tolist(), format_floats(n))))
+    quantiles.update(zip(new, zip(g_med.tolist(), g_hi.tolist(), g_lo.tolist(), tmult.tolist())))
 
 
-def _trajectory_columns(iso_dates, scored, inputs, mspec: ModelSpec, traj: FilterTrajectory,
+def _trajectory_columns(iso_dates, scored, mspec: ModelSpec, traj: FilterTrajectory,
                         quantiles: dict):
     """Header and whole-series columns of one `{ticker}__{model}.csv`, plus
     the realized-variance log scores (None for the price-only model).
-    `inputs` holds the series' y, z, x columns, already formatted.
 
     The dof path is data-independent and converges, so the quantile
     multipliers are solved once per distinct dof and memoised in `quantiles`
@@ -310,17 +307,15 @@ def _trajectory_columns(iso_dates, scored, inputs, mspec: ModelSpec, traj: Filte
     dofs, day = np.unique(traj.n, return_inverse=True)
     dofs = dofs.tolist()
     _fill_quantiles(quantiles, dofs)
-    table = [quantiles[n] for n in dofs]
-    g_med, g_hi, g_lo, tmult = np.array([row[:4] for row in table])[day].T
-    dof_text = [table[k][4] for k in day.tolist()]
+    g_med, g_hi, g_lo, tmult = np.array([quantiles[n] for n in dofs])[day].T
     s = traj.s
     header = ["date_iso", "y_log_price", "z_realized_var", "x_realized_sd",
               "forecast_log_price", "forecast_scale_var", "forecast_error",
               "log_score_nats", "scored", "dof_n", "vol_scale_s_var",
               "sd_daily_med", "sd_daily_lo05", "sd_daily_hi95"]
     # quantiles of phi ~ G(n/2, n s/2) are g(n)/s; sqrt(v) = 1/sqrt(phi) flips them
-    cols = [iso_dates, *inputs, traj.forecast, traj.scale, traj.error,
-            traj.log_density, scored, dof_text, s,
+    cols = [iso_dates, traj.y, traj.z, traj.x, traj.forecast, traj.scale, traj.error,
+            traj.log_density, scored, traj.n, s,
             1.0 / np.sqrt(g_med / s), 1.0 / np.sqrt(g_hi / s), 1.0 / np.sqrt(g_lo / s)]
     half = tmult[:, None] * np.sqrt(np.maximum(np.diagonal(traj.C, axis1=1, axis2=2), 0.0))
     for i, c in enumerate(mspec.variant.coefficient_names):
@@ -426,15 +421,14 @@ def _run_into(config: RunConfig, out_dir: str) -> dict:
         first = frame.first_eval
         iso_dates = [d.isoformat() for d in frame.dates]
         scored = ["0"] * first + ["1"] * (len(frame) - first)
-        inputs = [format_floats(v) for v in (frame.y, frame.z, frame.x)]  # same in every model
         scores = {}
         for mspec in config.models:
             try:
                 traj = run_filter(mspec.variant, mspec.hp, mspec.initial_prior(sspec.s1),
                                   frame.y, frame.z, frame.x, frame.y_prev, frame.x_prev,
                                   dates=frame.dates)
-                header, cols, z_scores = _trajectory_columns(iso_dates, scored, inputs, mspec,
-                                                             traj, quantiles)
+                header, cols, z_scores = _trajectory_columns(iso_dates, scored, mspec, traj,
+                                                             quantiles)
             except RvdlmError as exc:
                 raise exc.within(f"series {sspec.ticker!r} model {mspec.name!r} [filter]") from exc
             increments = traj.log_density[first:]

@@ -360,6 +360,16 @@ def joint_predictive_quadrature(y_vals, z_vals, a, R, n_star, s_prev, alpha,
 # ingestion, bar by bar
 
 
+def reference_write_columns_csv(path, header, columns) -> None:
+    """The CSV writer one row at a time: numpy columns as "%.17g" of each
+    value, other columns as `str` of each item."""
+    line = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in zip(*columns))
+
+
 def reference_parse_csv(path, schema) -> list:
     """Read, check and date-sort an OHLC file into bars, one row at a time."""
     try:

@@ -158,7 +158,6 @@ def test_pipeline_quantile_table_matches_scalar_solvers():
                 special.inv_reg_lower_gamma(half, 0.05) / half,
                 special.student_t_quantile(0.95, n))
         assert bits(table[n][:4]) == bits(want), n
-        assert table[n][4] == "%.17g" % n
 
 
 def test_pipeline_quantile_table_digest():
