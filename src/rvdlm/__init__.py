@@ -14,8 +14,7 @@ from .ingestion import (CsvSchema, SeriesFrame, apply_split, build_series,
                         parse_csv, read_ohlc, series_from_ohlc, write_csv)
 from .kernel import FilterTrajectory, dof_sequences, run_filter
 from .pipeline import ModelSpec, RunConfig, SeriesSpec, load_config, run_filter_pipeline
-from .rv_measures import (DEFAULT_RV_FLOOR, OhlcBar, realized_sd,
-                          rogers_satchell, validate_bar)
+from .rv_measures import DEFAULT_RV_FLOOR, OhlcBar, rogers_satchell, validate_bar
 from .scoring import ScoreLedger, log_bayes_factor_path, log_score_z_path
 from .smoothing import SmoothedEstimates, backward_sample, smooth
 from .synthetic import (SyntheticParams, SyntheticTruth, generate_synthetic,

@@ -7,9 +7,9 @@ class; the loop runs on plain floats, which keeps a three-model pass over a
 day reads: the forecast error and the log density follow after it as whole
 arrays, with the loop's operations in its order and the logs through libm per
 day. The degrees-of-freedom sequence is data-independent, so the Student-t
-scoring constants are precomputed in one vectorized sweep. `run_filter` is
-asserted equivalent to the step-by-step `dlm_core` composition by the test
-suite.
+scoring constants are precomputed in one vectorized sweep (`on_dof_path`).
+`run_filter` is asserted equivalent to the step-by-step `dlm_core`
+composition by the test suite.
 """
 
 from __future__ import annotations
@@ -84,18 +84,23 @@ def dof_sequences(hp: HyperParams, n_star_1: float, T: int, uses_rv: bool):
     return n_star, n_tilde, n_tilde + 1.0
 
 
-def _score_constants(n_tilde: np.ndarray) -> np.ndarray:
-    # lnG((v+1)/2) - lnG(v/2) - 0.5 ln(v pi), the q-independent part of the
-    # one-step t log density. Evaluated up to the last change of dof; the
-    # constant tail repeats the final value.
-    changes = np.flatnonzero(n_tilde != n_tilde[-1])
-    head = n_tilde[:changes[-1] + 2 if changes.size else 1]
-    out = np.empty_like(n_tilde)
-    out[:head.size] = (special.log_gamma_array(0.5 * (head + 1.0))
-                       - special.log_gamma_array(0.5 * head)
-                       - 0.5 * np.log(head * math.pi))
+def on_dof_path(fn, path: np.ndarray) -> np.ndarray:
+    """fn(path) for an elementwise fn and a dof path of `dof_sequences`: evaluated
+    up to the path's last change, the constant tail repeating the final value."""
+    changes = np.flatnonzero(path != path[-1])
+    head = path[:changes[-1] + 2 if changes.size else 1]
+    out = np.empty_like(path)
+    out[:head.size] = fn(head)
     out[head.size:] = out[head.size - 1]
     return out
+
+
+def _score_constants(n_tilde: np.ndarray) -> np.ndarray:
+    # lnG((v+1)/2) - lnG(v/2) - 0.5 ln(v pi), the q-independent part of the
+    # one-step t log density
+    return on_dof_path(lambda v: special.log_gamma_array(0.5 * (v + 1.0))
+                       - special.log_gamma_array(0.5 * v)
+                       - 0.5 * special._each(math.log, v * math.pi), n_tilde)
 
 
 def _sym_gather(d: int) -> np.ndarray:

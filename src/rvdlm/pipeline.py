@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dlm_core import HyperParams, ModelClass, PriorMoments
-from .errors import ConfigError, DataError, DomainError, RvdlmError
+from .errors import ConfigError, DataError, DomainError, NumericalError, RvdlmError
 from .ingestion import CsvSchema, apply_split, read_ohlc, series_from_ohlc, write_columns_csv
 from .kernel import FilterTrajectory, run_filter
 from .rv_measures import DEFAULT_RV_FLOOR
 from .scoring import log_score_z_path, running_log_bayes_factor
-from .special import inv_reg_lower_gamma_lanes, student_t_quantile_lanes
+from .special import _each, inv_reg_lower_gamma_lanes, student_t_quantile_lanes
 
 DEFAULT_HYPERPARAMS = {
     ModelClass.SVDLM: HyperParams(0.999, 0.925, 0.0),
@@ -325,8 +325,7 @@ def _trajectory_columns(iso_dates, scored, mspec: ModelSpec, traj: FilterTraject
     if mspec.variant is ModelClass.RVLDLM:
         now = traj.m[:, 2] * traj.x
         header += ["price_effect_med", "net_rv_med"]
-        # math.exp per day: np.exp may differ from libm in the last ulp
-        cols += [np.array([math.exp(v) for v in now.tolist()]), now + traj.m[:, 3] * traj.x_prev]
+        cols += [_each(math.exp, now), now + traj.m[:, 3] * traj.x_prev]
     z_scores = None
     if mspec.variant.uses_rv:
         z_scores = log_score_z_path(traj)
@@ -430,7 +429,11 @@ def _run_into(config: RunConfig, out_dir: str) -> dict:
                 header, cols, z_scores = _trajectory_columns(iso_dates, scored, mspec, traj,
                                                              quantiles)
             except RvdlmError as exc:
-                raise exc.within(f"series {sspec.ticker!r} model {mspec.name!r} [filter]") from exc
+                err, floored = exc, int(np.count_nonzero(frame.z == config.floor_eps))
+                if isinstance(exc, NumericalError) and floored:  # a floor may swamp the data
+                    err = type(exc)(f"{exc.args[0]} ({floored} of {len(frame)} realized variances"
+                                    f" floored at floor_eps={config.floor_eps!r})", exc.date)
+                raise err.within(f"series {sspec.ticker!r} model {mspec.name!r} [filter]") from exc
             increments = traj.log_density[first:]
             scores[mspec.name] = (frame.dates[first:], increments)
             write_columns_csv(os.path.join(out_dir, _trajectory_file(sspec.ticker, mspec.name)),

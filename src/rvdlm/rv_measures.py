@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError
 from .special import _each
 
 #: Relative slack for vendor rounding: OHLC ordering violations below this are
@@ -53,11 +53,11 @@ def bar_columns(bars) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndar
     return [b.date for b in bars], o, h, l, c
 
 
-def clamp_ohlc(dates, o, h, l, c, rel_tol: float = OHLC_REL_TOL):
+def clamp_ohlc(dates, o, h, l, c):
     """Enforce L <= min(O, C) and max(O, C) <= H on finite positive prices,
     bar by bar; returns the high and low columns.
 
-    Violations within `rel_tol` (relative) are clamped. The first bar that
+    Violations within `OHLC_REL_TOL` (relative) are clamped. The first bar that
     fails a check raises `DataError` carrying its date and naming the first
     check it fails: the four prices in order, then the high, then the low.
     """
@@ -67,8 +67,8 @@ def clamp_ohlc(dates, o, h, l, c, rel_tol: float = OHLC_REL_TOL):
         high_short = h < hi_floor
         low_over = l > lo_cap
         checks = [~(np.isfinite(p) & (p > 0.0)) for p in (o, h, l, c)]
-        checks.append(high_short & ~(hi_floor - h <= rel_tol * hi_floor))
-        checks.append(low_over & ~(l - lo_cap <= rel_tol * lo_cap))
+        checks.append(high_short & ~(hi_floor - h <= OHLC_REL_TOL * hi_floor))
+        checks.append(low_over & ~(l - lo_cap <= OHLC_REL_TOL * lo_cap))
     bad = np.logical_or.reduce(checks)
     if bad.any():
         i = int(bad.argmax())
@@ -93,11 +93,11 @@ def rs_variance(o, h, l, c) -> np.ndarray:
     return np.maximum(h_c * h_o + l_c * l_o, 0.0)
 
 
-def validate_bar(bar: OhlcBar, rel_tol: float = OHLC_REL_TOL) -> OhlcBar:
+def validate_bar(bar: OhlcBar) -> OhlcBar:
     """`clamp_ohlc` on one bar: the bar itself when it passes unchanged, a
-    clamped copy when a violation is within `rel_tol`."""
+    clamped copy when a violation is within `OHLC_REL_TOL`."""
     dates, o, h, l, c = bar_columns([bar])
-    high, low = clamp_ohlc(dates, o, h, l, c, rel_tol)
+    high, low = clamp_ohlc(dates, o, h, l, c)
     if high[0] == h[0] and low[0] == l[0]:
         return bar
     return dataclasses.replace(bar, high=float(high[0]), low=float(low[0]))
@@ -108,10 +108,3 @@ def rogers_satchell(bar: OhlcBar) -> float:
     dates, o, h, l, c = bar_columns([bar])
     h, l = clamp_ohlc(dates, o, h, l, c)
     return float(rs_variance(o, h, l, c)[0])
-
-
-def realized_sd(z: float) -> float:
-    """sqrt of a realized variance."""
-    if not (isinstance(z, (int, float)) and math.isfinite(z)) or z < 0.0:
-        raise DomainError(f"realized variance must be finite and nonnegative, got {z!r}")
-    return math.sqrt(z)

@@ -14,6 +14,8 @@ import numpy as np
 
 from . import special
 from .errors import DomainError, NumericalError
+from .kernel import on_dof_path
+from .special import _each
 
 
 def log_score_z_path(traj) -> np.ndarray:
@@ -30,12 +32,12 @@ def log_score_z_path(traj) -> np.ndarray:
     n_star = traj.n_star
     s_prev = np.concatenate([[traj.init.s_prev], traj.s[:-1]])
     x = traj.z / s_prev
-    half_sum = 0.5 * (alpha + n_star)
-    return (special.log_gamma_array(half_sum)
-            - special.log_gamma(0.5 * alpha) - special.log_gamma_array(0.5 * n_star)
-            + 0.5 * alpha * np.log(alpha / n_star) + (0.5 * alpha - 1.0) * np.log(x)
-            - half_sum * np.log1p(alpha * x / n_star)
-            - np.log(s_prev))
+    const = on_dof_path(lambda n: special.log_gamma_array(0.5 * (alpha + n))
+                        - special.log_gamma(0.5 * alpha) - special.log_gamma_array(0.5 * n)
+                        + 0.5 * alpha * _each(math.log, alpha / n), n_star)
+    return (const + (0.5 * alpha - 1.0) * _each(math.log, x)
+            - 0.5 * (alpha + n_star) * _each(math.log1p, alpha * x / n_star)
+            - _each(math.log, s_prev))
 
 
 class ScoreLedger:

@@ -64,22 +64,17 @@ def smooth(traj: FilterTrajectory) -> SmoothedEstimates:
 
 def _cholesky_all(traj: FilterTrajectory) -> np.ndarray:
     """Lower Cholesky factors of every filtered scale C_t, as one batched
-    factorization; a day whose C_t is not positive definite is named."""
+    factorization; the first day whose C_t LAPACK rejects is named."""
     try:
         return np.linalg.cholesky(traj.C)
-    except np.linalg.LinAlgError:
-        pass
-    # Sylvester's criterion: C_t is positive definite iff every leading
-    # principal minor is positive. Name the first day that fails it, or the
-    # day nearest to failing when rounding kept every minor positive.
-    minors = np.stack([np.linalg.det(traj.C[:, :k, :k])
-                       for k in range(1, traj.dim + 1)], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pivots = minors / np.concatenate([np.ones((len(traj), 1)), minors[:, :-1]], axis=1)
-    worst = np.nan_to_num(pivots.min(axis=1), nan=-np.inf)
-    t = int(np.argmax(worst <= 0.0)) if np.any(worst <= 0.0) else int(np.argmin(worst))
-    raise NumericalError(f"filtered scale C is not positive definite at step {t}",
-                         traj.dates[t] if traj.dates is not None else None)
+    except np.linalg.LinAlgError as exc:
+        for t, C in enumerate(traj.C):
+            try:
+                np.linalg.cholesky(C)
+            except np.linalg.LinAlgError:
+                raise NumericalError(f"filtered scale C is not positive definite at step {t}",
+                                     traj.dates[t] if traj.dates is not None else None) from exc
+        raise
 
 
 _BLOCK_DAYS = 512  # days per batched matmul in backward_sample

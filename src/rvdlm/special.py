@@ -6,6 +6,12 @@ without array overhead; `log_gamma_array` is the vectorized variant used to
 precompute per-day scoring constants. `inv_reg_lower_gamma_lanes` and
 `student_t_quantile_lanes` solve many lanes (shapes, dofs, levels) at once,
 bit-identical to the scalar solvers lane by lane.
+
+Every log, log1p, exp and sin whose value reaches an output comes from libm
+(`math`), one element at a time, through `_each`: numpy picks its ufunc loops
+by CPU at import, and its AVX-512 log, log1p and exp differ from libm in the
+last bit on some inputs. + - * /, sqrt and comparisons are exact IEEE
+operations and stay on whole arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +42,12 @@ _EPS = 2.220446049250313e-16
 _TINY = 1e-300
 
 
+def _each(fn, v: np.ndarray) -> np.ndarray:
+    """fn of every element of the float array v, one Python float at a time:
+    the route by which libm's functions reach arrays."""
+    return np.fromiter(map(fn, v.ravel().tolist()), dtype=float, count=v.size).reshape(v.shape)
+
+
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for finite x > 0."""
     if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0.0:
@@ -52,7 +64,7 @@ def log_gamma(x: float) -> float:
 
 
 def log_gamma_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized `log_gamma` for positive arrays."""
+    """`log_gamma` of every entry of a positive array, bit for bit."""
     x = np.asarray(x, dtype=float)
     if x.size and (not np.all(np.isfinite(x)) or np.any(x <= 0.0)):
         raise DomainError("log_gamma_array requires finite positive entries")
@@ -63,10 +75,8 @@ def log_gamma_array(x: np.ndarray) -> np.ndarray:
     for i in range(1, 9):
         acc += _LANCZOS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    out = _HALF_LOG_2PI + (z + 0.5) * np.log(t) - t + np.log(acc)
-    if np.any(small):
-        xs = x[small]
-        out[small] = _LOG_PI - np.log(np.sin(np.pi * xs)) - out[small]
+    out = _HALF_LOG_2PI + (z + 0.5) * _each(math.log, t) - t + _each(math.log, acc)
+    out[small] = _LOG_PI - _each(math.log, _each(math.sin, math.pi * x[small])) - out[small]
     return out
 
 
@@ -90,6 +100,19 @@ def _gamma_series(a: float, x: float, itmax: int) -> float:
     raise NumericalError(f"incomplete gamma series failed to converge (a={a}, x={x})")
 
 
+def _lentz(an: float, bn: float, c: float, d: float) -> tuple[float, float, float]:
+    """One modified-Lentz step with partial numerator an and denominator bn:
+    the new c and d, each kept off zero, and the convergent's factor c d."""
+    d = an * d + bn
+    if abs(d) < _TINY:
+        d = _TINY
+    c = bn + an / c
+    if abs(c) < _TINY:
+        c = _TINY
+    d = 1.0 / d
+    return c, d, d * c
+
+
 def _gamma_contfrac(a: float, x: float, itmax: int) -> float:
     # Lentz continued fraction of Q(a, x) without its prefactor, for x >= a + 1.
     b = x + 1.0 - a
@@ -99,14 +122,7 @@ def _gamma_contfrac(a: float, x: float, itmax: int) -> float:
     for i in range(1, itmax + 1):
         an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz(an, b, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
@@ -224,24 +240,9 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 400):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
+        h *= delta
+        c, d, delta = _lentz(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
@@ -293,16 +294,10 @@ def student_t_quantile(u: float, dof: float) -> float:
 
 
 # Lane-parallel solvers. Every lane performs exactly the operation sequence
-# of the scalar solvers above: + - * /, abs, sqrt and comparisons run in numpy
-# (exact IEEE operations), exp/log/log1p and log_gamma run per lane through
-# libm, every branch is taken per lane, and a lane leaves the active set the
-# iteration it converges. Results are therefore bit-identical to the scalar
-# solvers, which `tests/test_special.py` checks.
-
-
-def _each(fn, v: np.ndarray) -> np.ndarray:
-    # libm per lane: np.exp and np.log may differ from math in the last ulp
-    return np.fromiter(map(fn, v.tolist()), dtype=float, count=v.size)
+# of the scalar solvers above: exact IEEE operations on whole arrays, libm
+# through `_each`, every branch taken per lane, and a lane leaves the active
+# set the iteration it converges. Results are therefore bit-identical to the
+# scalar solvers, which `tests/test_special.py` checks.
 
 
 def _lanes(u, v, what: str) -> list[np.ndarray]:
@@ -372,6 +367,16 @@ def _gamma_series_lanes(a, x, itmax):
     return out
 
 
+def _lentz_lanes(an, bn, c, d):
+    """`_lentz` in every lane."""
+    d = an * d + bn
+    d = np.where(np.abs(d) < _TINY, _TINY, d)
+    c = bn + an / c
+    c = np.where(np.abs(c) < _TINY, _TINY, c)
+    d = 1.0 / d
+    return c, d, d * c
+
+
 def _gamma_contfrac_lanes(a, x, itmax):
     # Lentz continued fraction of Q(a, x) without its prefactor, for x >= a + 1.
     out = np.empty_like(a)
@@ -385,12 +390,7 @@ def _gamma_contfrac_lanes(a, x, itmax):
         i += 1
         an = -i * (i - a)
         b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz_lanes(an, b, c, d)
         h = h * delta
         done = np.abs(delta - 1.0) < _EPS
         if done.any():
@@ -489,20 +489,10 @@ def _betacf_lanes(a, b, x):
                                  f"(a={float(a[0])}, b={float(b[0])}, x={float(x[0])})")
         m += 1
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
-        h = h * (d * c)
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz_lanes(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
+        h = h * delta
+        c, d, delta = _lentz_lanes(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0,
+                                   c, d)
         h = h * delta
         done = np.abs(delta - 1.0) < _EPS
         if done.any():

@@ -15,7 +15,6 @@ ticks would break the round trip.
 from __future__ import annotations
 
 import datetime as dt
-import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -90,7 +89,7 @@ def slowly_varying_theta(model: ModelClass, T: int, base, amplitude=None,
     per = np.full(d, 750.0) if period is None else np.broadcast_to(
         np.asarray(period, dtype=float), (d,))
     t = np.arange(T)[:, None]
-    return base[None, :] + amp[None, :] * np.sin(2.0 * math.pi * t / per[None, :])
+    return base[None, :] + amp[None, :] * _each(math.sin, 2.0 * math.pi * t / per[None, :])
 
 
 def _weekday_dates(start: dt.date, count: int) -> list[dt.date]:
@@ -138,8 +137,7 @@ def generate_synthetic(params: SyntheticParams,
     u = rng.uniform(0.25, 0.75, T + 1)
     su = c_log + o_log
     # squared with libm pow, as `** 2` on a float does: x * x differs in a last bit now and then
-    spread = np.fromiter(map(pow, (c_log - o_log).tolist(), itertools.repeat(2)),
-                         dtype=float, count=T + 1)
+    spread = _each(lambda v: v ** 2, c_log - o_log)
     h_log = 0.5 * (su + np.sqrt(spread + 4.0 * u * z))
     l_log = 0.5 * (su - np.sqrt(spread + 4.0 * (1.0 - u) * z))
     close = _each(math.exp, c_log).tolist()

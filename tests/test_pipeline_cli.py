@@ -3,11 +3,14 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rvdlm
 from rvdlm import (ConfigError, CsvSchema, DataError, ModelClass, NumericalError, OhlcBar,
                    SyntheticParams, generate_synthetic, load_config, pipeline,
                    run_filter_pipeline, slowly_varying_theta, write_csv)
@@ -398,6 +401,19 @@ class TestCli:
         assert "series 'TIC' model 'svdlm'" in err and "gamma quantile solver failed" in err
         assert not os.path.exists(tmp_path / "o")
 
+    def test_numerical_error_names_the_floor(self, data_csv, tmp_path, capsys):
+        # a floor far above every realized variance raises all of them; the
+        # filter then fails, and its error says how many days the floor took
+        raw = base_config(data_csv[0], str(tmp_path / "o"))
+        raw["floor_eps"] = 1e300
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["filter", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "series 'TIC' model 'svdlm'" in err and "nonpositive one-step scale" in err
+        assert "(700 of 700 realized variances floored at floor_eps=1e+300)" in err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_failed_run_leaves_no_outputs(self, data_csv, tmp_path, capsys):
         # the first series filters fine; the second has a bar with high < low
         bad_csv = tmp_path / "bad.csv"
@@ -550,13 +566,13 @@ GOLDEN_DIGESTS = {
     "out/TIC__BF__sv_beta1_over_svdlm.csv":
         "be5cafc649ce8e5bbeb9bb563324fc69461134ace2afefe71a6c74a85a314ada",
     "out/TIC__rv_beta1.csv":
-        "5af840b91600553d7e77532c2e527d5ed1aeb5bb78c7ca4c189a003dc9988965",
+        "d878c97aaa826a8d44b208898e5e309b2ab22a93b58afff68e308c0fb9741035",
     "out/TIC__rvdlm.csv":
-        "31c4207d4e5da22cbc3a0d7acbdbe314a8a96e44d0d175a032e115ff3f48d9e9",
+        "0d075eb23af795c6a011463d8453836d1b0ccbbfd69e37389d8ad0c100d2f2ae",
     "out/TIC__rvl_static.csv":
-        "cfd5bdf9c8f283938db1c3cb370b5cc5ec5dac77a1ec0a82f132993161618b97",
+        "1d02169ffd22986c309223a0248d4c65888b2f572eed5e5e30801bcb1191b596",
     "out/TIC__rvldlm.csv":
-        "8d9a722b0be0c9fa25fddc438f056d579ca14d0637732c20f5c2c2983b553ceb",
+        "83fec8e4b2d41ddad5f188cd2bbef39350d8730bcee0e8445f8a3aa985a6002f",
     "out/TIC__sv_beta1.csv":
         "9340b4350938a5beabe032369ad4e8415951a9f3979b4209d12e5cff4dbe537f",
     "out/TIC__svdlm.csv":
@@ -570,9 +586,9 @@ GOLDEN_DIGESTS = {
     "out_empty/TIC__BF__rvldlm_over_svdlm.csv":
         "1801fa3c1544b7df02fc14ea66b0b4b2f94cd7cc412ec12a61f76f6cf877053d",
     "out_empty/TIC__rvdlm.csv":
-        "555918584675b559ddd64ccb1381ba4ef6482ea3451370f0474dde71d3a78be1",
+        "997e0fd2a8ba66301baea367f87deb32fc7cf2176442ea37bf38003c23fa98a5",
     "out_empty/TIC__rvldlm.csv":
-        "1317dd9e4d9e48df1d0013d8cad5c268dd0135ded8d68c39ecac39d26d051b4e",
+        "5c452bbbd0b088eb840027afd342fe685e3e228d397aebaa5fe7f06d4d32e3a7",
     "out_empty/TIC__svdlm.csv":
         "25ccc66cc85dde40d3c8ddb26772f38967be8487050f86b47f6cc36d51fb7a6b",
     "out_empty/summary.json":
@@ -598,8 +614,9 @@ def _digests(out_dir):
             for name in sorted(os.listdir(out_dir))}
 
 
-def test_golden_output_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def _golden_run() -> dict:
+    """Run the two golden configurations in the working directory; returns
+    the digest of every output file."""
     bars = _golden_inputs()
     raw = base_config("tic.csv", "out", models=GOLDEN_MODELS)
     raw["train_end"] = bars[120].date.isoformat()
@@ -610,8 +627,26 @@ def test_golden_output_digests(tmp_path, monkeypatch):
                eval_start=(last + dt.timedelta(days=1)).isoformat())
     with pytest.warns(UserWarning):
         run_filter_pipeline(load_config(raw))
-    got = {**_digests("out"), **_digests("out_empty")}
-    assert got == GOLDEN_DIGESTS
+    return {**_digests("out"), **_digests("out_empty")}
+
+
+def test_golden_output_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _golden_run() == GOLDEN_DIGESTS
+
+
+def test_golden_digests_whatever_numpy_dispatches(tmp_path):
+    # numpy picks its SIMD loops by CPU at import; with the AVX-512 ones off its
+    # log, log1p and exp give other last bits on some inputs. Every such value
+    # that reaches an output comes from libm, so the bytes do not move.
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join([str(Path(rvdlm.__file__).parents[1]),
+                                           str(Path(__file__).parent)]))
+    code = "import json, test_pipeline_cli as t; print(json.dumps(t._golden_run()))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == GOLDEN_DIGESTS
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -4,8 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rvdlm import (DataError, DomainError, OhlcBar, realized_sd,
-                   rogers_satchell, validate_bar)
+from rvdlm import DataError, OhlcBar, rogers_satchell, validate_bar
 
 D = dt.date(2020, 3, 16)
 
@@ -79,14 +78,3 @@ class TestBarValidation:
     def test_nonpositive_prices_rejected(self):
         with pytest.raises(DataError):
             validate_bar(bar(0.0, 1.0, 0.5, 0.8))
-
-
-class TestRealizedSd:
-    def test_values(self):
-        assert realized_sd(0.0) == 0.0
-        assert realized_sd(4.0) == 2.0
-        assert realized_sd(RS_EXAMPLE) == pytest.approx(0.0199026, rel=1e-5)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            realized_sd(-1e-9)

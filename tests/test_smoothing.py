@@ -283,6 +283,20 @@ class TestBackwardSample:
         with pytest.raises(NumericalError, match="step 17$"):
             backward_sample(bad, rng=np.random.default_rng(0))
 
+    def test_indefinite_scale_names_the_first_day_lapack_rejects(self):
+        # positive diagonals, an off-diagonal beyond the Cauchy-Schwarz bound:
+        # indefinite on days 23 and 40; day 23 is named
+        traj = synthetic_run(ModelClass.RVDLM, 0.999, T=60)
+        C = traj.C.copy()
+        for t in (23, 40):
+            C[t, 0, 1] = C[t, 1, 0] = 2.0 * math.sqrt(C[t, 0, 0] * C[t, 1, 1])
+        assert (np.diagonal(C, axis1=1, axis2=2) > 0.0).all()
+        assert np.linalg.eigvalsh(C[23]).min() < 0.0
+        with pytest.raises(NumericalError, match="at step 23$") as info:
+            backward_sample(dataclasses.replace(traj, C=C, dates=None),
+                            rng=np.random.default_rng(0))
+        assert info.value.date is None
+
     def test_requires_generator(self):
         hp, traj = rvl_run(T=5)
         with pytest.raises(ValueError):
