@@ -14,7 +14,7 @@ import numpy as np
 
 from . import special
 from .errors import DomainError, NumericalError
-from .kernel import on_dof_path
+from .kernel import _date, on_dof_path
 from .special import _each
 
 
@@ -32,6 +32,9 @@ def log_score_z_path(traj) -> np.ndarray:
     n_star = traj.n_star
     s_prev = np.concatenate([[traj.init.s_prev], traj.s[:-1]])
     x = traj.z / s_prev
+    if not (x > 0.0).all():  # math.log(0) raises; the true density is finite
+        t = int(np.argmin(x > 0.0))
+        raise NumericalError(f"z / s_prev underflows to 0 at step {t}", _date(traj.dates, t))
     const = on_dof_path(lambda n: special.log_gamma_array(0.5 * (alpha + n))
                         - special.log_gamma(0.5 * alpha) - special.log_gamma_array(0.5 * n)
                         + 0.5 * alpha * _each(math.log, alpha / n), n_star)

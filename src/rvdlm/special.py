@@ -43,8 +43,7 @@ _TINY = 1e-300
 
 
 def _each(fn, v: np.ndarray) -> np.ndarray:
-    """fn of every element of the float array v, one Python float at a time:
-    the route by which libm's functions reach arrays."""
+    """fn of each element of the float array v, one Python float at a time."""
     return np.fromiter(map(fn, v.ravel().tolist()), dtype=float, count=v.size).reshape(v.shape)
 
 
@@ -69,8 +68,7 @@ def log_gamma_array(x: np.ndarray) -> np.ndarray:
     if x.size and (not np.all(np.isfinite(x)) or np.any(x <= 0.0)):
         raise DomainError("log_gamma_array requires finite positive entries")
     small = x < 0.5
-    xa = np.where(small, 1.0 - x, x)
-    z = xa - 1.0
+    z = np.where(small, 1.0 - x, x) - 1.0  # reflected below 0.5
     acc = np.full_like(z, _LANCZOS[0])
     for i in range(1, 9):
         acc += _LANCZOS[i] / (z + i)
@@ -101,8 +99,7 @@ def _gamma_series(a: float, x: float, itmax: int) -> float:
 
 
 def _lentz(an: float, bn: float, c: float, d: float) -> tuple[float, float, float]:
-    """One modified-Lentz step with partial numerator an and denominator bn:
-    the new c and d, each kept off zero, and the convergent's factor c d."""
+    """One modified-Lentz step of (an, bn): new c and d, kept off zero, and c d."""
     d = an * d + bn
     if abs(d) < _TINY:
         d = _TINY

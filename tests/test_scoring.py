@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rvdlm import (DomainError, HyperParams, ModelClass, PriorMoments,
+from rvdlm import (DomainError, HyperParams, ModelClass, NumericalError, PriorMoments,
                    ScaledFParams, ScoreLedger, log_bayes_factor_path,
                    log_score_z_path, run_filter, scaled_f_logpdf)
 
@@ -81,6 +81,25 @@ class TestZMarginTally:
             ref = scaled_f_logpdf(float(z[t]),
                                   ScaledFParams(hp.alpha, pr.n_star, pr.s_prev))
             assert got[t] == pytest.approx(ref, rel=1e-11, abs=1e-11)
+
+    def test_underflowed_ratio_is_a_numerical_error(self):
+        # z / s_prev rounds to 0 for a subnormal z over a large scale: libm has
+        # no log of 0, and the true log density is finite, so the day is named
+        rng = np.random.default_rng(12)
+        T = 20
+        y = np.cumsum(rng.normal(0.0, 0.01, T)) + 4.6
+        z = rng.gamma(1.4, 1e-4 / 1.4, T) + 1e-12
+        x = np.sqrt(z)
+        hp = HyperParams(0.999, 0.875, 2.75)
+        init = PriorMoments(np.array([0.0, 1.0, 0.0]),
+                            np.diag([0.1, 0.01, 0.05]) / hp.delta, hp.beta, 1e-4)
+        traj = run_filter(ModelClass.RVDLM, hp, init, y, z, x,
+                          np.concatenate([[y[0]], y[:-1]]),
+                          np.concatenate([[x[0]], x[:-1]]), dates=list(range(100, 100 + T)))
+        traj.z[5], traj.s[4] = 5e-324, 4.0
+        with pytest.raises(NumericalError, match="at step 5") as info:
+            log_score_z_path(traj)
+        assert info.value.date == 105
 
     def test_rejected_for_price_only_model(self):
         rng = np.random.default_rng(1)
