@@ -1,5 +1,7 @@
 import datetime as dt
+import hashlib
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -7,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rvdlm import (DataError, HyperParams, ModelClass, NumericalError, OhlcBar,
-                   PriorMoments, build_regressor, build_series, dof_sequences, evolve,
-                   price_update, run_filter, rv_update, special,
-                   sv_volatility_update_path)
+                   PriorMoments, SyntheticParams, build_regressor, build_series,
+                   dof_sequences, evolve, generate_synthetic, price_update, run_filter,
+                   rv_update, slowly_varying_theta, special, sv_volatility_update_path)
 from rvdlm.kernel import _LOOPS, _loop_source, _score_constants
 
 
@@ -332,3 +334,35 @@ def test_positive_scale_and_dof_growth_along_path():
     for t in (0, 700, 1499):
         evals = np.linalg.eigvalsh(traj.C[t])
         assert evals.min() >= -1e-12 * max(1.0, evals.max())
+
+
+@pytest.mark.parametrize("variant, digest", [
+    (ModelClass.SVDLM,
+     "4260b5ff2a00b5ce7bdc9f7d9fc62bf6694f2ed3201c74f7af010acea9c48b53"),
+    (ModelClass.RVDLM,
+     "298fa7d49999be12d22dc2b6105f3217c18f8783b41ab9d984e42191bda9f51b"),
+    (ModelClass.RVLDLM,
+     "b87fb1b5e596f5d381929bdda9a0a994a193eba9ea8867bdcced3d82d4927eb3"),
+])
+def test_trajectory_bits_are_pinned(variant, digest):
+    # sha256 of every per-day output of the kernel on one 2,400-day synthetic
+    # series: a change to the loop or to how its rows leave it may not move a bit
+    theta = slowly_varying_theta(ModelClass.RVLDLM, 2400, [0.0046, 0.998, -0.35, 0.30],
+                                 amplitude=[0.001, 0.0, 0.15, 0.15],
+                                 period=[500.0, 750.0, 800.0, 900.0])
+    bars, _ = generate_synthetic(SyntheticParams(model=ModelClass.RVLDLM, theta=theta,
+                                                 v0=1.3e-4, vol_info=400.0),
+                                 np.random.default_rng(23))
+    frame = build_series(bars)
+    hp = hp_for(variant)
+    traj = run_filter(variant, hp, default_init(variant, hp, s1=1.3e-4),
+                      frame.y, frame.z, frame.x, frame.y_prev, frame.x_prev)
+    outputs = (traj.m, traj.C, traj.n, traj.s, traj.forecast, traj.scale, traj.error,
+               traj.log_density)
+    h = hashlib.sha256()
+    for v in outputs:
+        h.update(np.ascontiguousarray(v).tobytes())
+    assert h.hexdigest() == digest
+    # no output is a view of another, or of a row buffer that it would keep alive
+    for a, b in itertools.combinations(outputs + (traj.n_star,), 2):
+        assert not np.shares_memory(a, b)
