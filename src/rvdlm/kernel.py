@@ -2,8 +2,10 @@
 
 The per-day recursions from `dlm_core` are written once in index form
 (`_loop_source`) and generated, unrolled over named scalars, once per model
-class; the loop runs on plain floats, which keeps a three-model pass over a
-6,500-day series in the tens of milliseconds. It computes only what the next
+class; the loop runs on plain floats, reads each day's inputs as one packed
+float64 row and appends its outputs to one `bytearray` as another, which keeps
+a three-model pass over a 6,500-day series in the tens of milliseconds and
+leaves no float object alive per day. It computes only what the next
 day reads: the forecast error and the log density follow after it as whole
 arrays, with the loop's operations in its order and the logs through libm per
 day. The degrees-of-freedom sequence is data-independent, so the Student-t
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import linecache
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,20 +164,20 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
     d = variant.dim
     npack = d * (d + 1) // 2
     width = d + npack + 3
-    flat = []
-    # plain-list views: elementwise float iteration is several times faster
-    # than numpy scalar extraction inside the sequential loop
-    columns = [y.tolist()]
-    if uses_rv:
-        columns.append((hp.alpha * z).tolist())
-    columns += [r.tolist() for r in variant.regressors(y_prev, x, x_prev)]
-    if uses_rv:
-        columns.append(n_star_seq.tolist())
-    bad_q = _LOOPS[variant](hp.delta, init.a, init.R, float(init.s_prev), flat,
-                               zip(*columns, n_tilde_seq.tolist(), n_arr.tolist()))
-    # one row per day the loop finished: m (d), packed upper triangle of C, then s, f, q
-    days = len(flat) // width
-    rows = np.fromiter(flat, dtype=float, count=len(flat)).reshape(days, width)
+    # the loop's input columns as one C-contiguous (T, k) block, read a row of k
+    # native doubles at a time: no Python list or float object per column entry
+    columns = [y, hp.alpha * z] if uses_rv else [y]
+    columns += variant.regressors(y_prev, x, x_prev)
+    columns += [n_star_seq, n_tilde_seq, n_arr] if uses_rv else [n_tilde_seq, n_arr]
+    block = np.column_stack(columns)
+    buf = bytearray()
+    bad_q = _LOOPS[variant](hp.delta, init.a, init.R, float(init.s_prev), buf,
+                           struct.Struct(f"{width}d").pack,
+                           struct.iter_unpack(f"{block.shape[1]}d", block))
+    # one row per day the loop finished: m (d), packed upper triangle of C, then s, f, q;
+    # every field below is a copy, so no trajectory keeps the buffer alive
+    rows = np.frombuffer(buf, dtype=float).reshape(-1, width)
+    days = rows.shape[0]
     m = rows[:, :d].copy()
     C = rows[:, d + _SYM_GATHER[d]].reshape(days, d, d)
     s_arr, f_arr, q_arr = (rows[:, k].copy() for k in range(d + npack, width))
@@ -220,9 +223,9 @@ def _loop_source(variant: ModelClass) -> str:
     which fixes every float operation.
     A realized-variance loop reads alpha z_t and n*_t with each day and moves
     s to s~ before the price update; a price-only loop prices at s. Only what
-    the next day reads is computed: one row per day goes to `flat`: m, packed
-    C, s, f, q. Returns None, or the first one-step scale q that is not finite
-    and positive (its day is the row count of `flat`).
+    the next day reads is computed: each day appends one row of native doubles
+    (`pack`) to `buf`: m, packed C, s, f, q. Returns None, or the first one-step
+    scale q that is not finite and positive (its day is the row count of `buf`).
     """
     d, uses_rv = variant.dim, variant.uses_rv
     idx = range(d)
@@ -236,11 +239,11 @@ def _loop_source(variant: ModelClass) -> str:
     C = ", ".join(f"C{i}{j}" for i, j in upper)
     s_til = "s_til" if uses_rv else "s"
     return "\n".join([
-        "def loop(delta, a0, R0, s, flat, days):",
+        "def loop(delta, a0, R0, s, buf, pack, days):",
         "    inv_delta = 1.0 / delta",
         f"    {m} = (float(v) for v in a0)",
         *(f"    R{i}{j} = float(R0[{i}, {j}])" for i, j in upper),
-        "    push = flat.extend",
+        "    push = buf.extend",
         *([f"    for yt, az, {F}, ns, n_til, n in days:",
            "        s_til = (ns + az / s) / n_til * s"] if uses_rv else
           [f"    for yt, {F}, n_til, n in days:"]),
@@ -256,7 +259,7 @@ def _loop_source(variant: ModelClass) -> str:
         *(f"        qA{i} = q * A{i}" for i in idx),
         *(f"        C{i}{j} = R{i}{j} - qA{i} * A{j}" for i, j in upper),
         f"        s = (n_til + e * e * iq) / n * {s_til}",
-        f"        push(({m}, {C}, s, f, q))",
+        f"        push(pack({m}, {C}, s, f, q))",
         *(f"        R{i}{j} = C{i}{j} * inv_delta" for i, j in upper),
     ]) + "\n"
 
