@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import datetime as dt
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,10 @@ def clamp_ohlc(dates, o, h, l, c):
 
     Violations within `OHLC_REL_TOL` (relative) are clamped. The first bar that
     fails a check raises `DataError` carrying its date and naming the first
-    check it fails: the four prices in order, then the high, then the low.
+    check it fails: the four prices in order, the high, the low, then low/high at
+    least the smallest normal float (every ratio `rs_variance` logs is then normal).
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         hi_floor = np.maximum(o, c)
         lo_cap = np.minimum(o, c)
         high_short = h < hi_floor
@@ -69,6 +71,8 @@ def clamp_ohlc(dates, o, h, l, c):
         checks = [~(np.isfinite(p) & (p > 0.0)) for p in (o, h, l, c)]
         checks.append(high_short & ~(hi_floor - h <= OHLC_REL_TOL * hi_floor))
         checks.append(low_over & ~(l - lo_cap <= OHLC_REL_TOL * lo_cap))
+        high, low = np.where(high_short, hi_floor, h), np.where(low_over, lo_cap, l)
+        checks.append(~(low / high >= sys.float_info.min))
     bad = np.logical_or.reduce(checks)
     if bad.any():
         i = int(bad.argmax())
@@ -77,11 +81,11 @@ def clamp_ohlc(dates, o, h, l, c):
             p = float((o, h, l, c)[k][i])
             raise DataError(f"{PRICE_FIELDS[k]} price must be finite and positive, got {p!r}",
                             dates[i])
-        if k == 4:
-            raise DataError(f"high {float(h[i])} below max(open, close) {float(hi_floor[i])}",
-                            dates[i])
-        raise DataError(f"low {float(l[i])} above min(open, close) {float(lo_cap[i])}", dates[i])
-    return np.where(high_short, hi_floor, h), np.where(low_over, lo_cap, l)
+        why = (f"high {float(h[i])} below max(open, close) {float(hi_floor[i])}",
+               f"low {float(l[i])} above min(open, close) {float(lo_cap[i])}",
+               f"low {float(low[i])} / high {float(high[i])} below {sys.float_info.min}")
+        raise DataError(why[k - 4], dates[i])
+    return high, low
 
 
 def rs_variance(o, h, l, c) -> np.ndarray:

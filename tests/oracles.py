@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import datetime as dt
 import math
+import sys
 
 import numpy as np
 from scipy import special as sp
@@ -440,6 +441,8 @@ def reference_validate_bar(bar, rel_tol=1e-9):
             l = lo_cap
         else:
             raise DataError(f"low {l} above min(open, close) {lo_cap}", bar.date)
+    if not l / h >= sys.float_info.min:
+        raise DataError(f"low {l} / high {h} below {sys.float_info.min}", bar.date)
     return dataclasses.replace(bar, high=h, low=l)
 
 

@@ -288,6 +288,10 @@ def _bar_bits(bars):
 # violations of exactly the slack (1e9 - h == 1e-9 * 1e9 == 1.0): clamped, not rejected
 @example("date,open,high,low,close\n2020-01-02,1e9,999999999,999999000,1e9\n"
          "2020-01-03,1e9,1000001000,1000000001,1e9\n", 1e-12)
+# low/high below the float range: l/c underflows to 0, or h/l overflows
+@example("date,open,high,low,close\n2020-01-02,1,1,1,1\n2020-01-03,1e300,1e300,1e-300,1e300\n",
+         1e-12)
+@example("date,open,high,low,close\n2020-01-02,1e-300,1e300,1e-300,1e-300\n", 1e-12)
 def test_columnar_ingestion_equals_per_bar_reference(tmp_path_factory, text, floor_eps):
     path = tmp_path_factory.getbasetemp() / "property.csv"
     path.write_bytes(text.encode())

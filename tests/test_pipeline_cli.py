@@ -379,6 +379,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "TIC" in err and "2020-01-02" in err
 
+    def test_price_ratio_outside_the_float_range_exit_code(self, tmp_path, capsys):
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("date,open,high,low,close\n2020-01-02,100,101,99,100\n"
+                           "2020-01-03,1e300,1e300,1e-300,1e300\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config(str(bad_csv), str(tmp_path / "o"))))
+        assert main(["filter", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "TIC" in err and "2020-01-03" in err and "below 2.2250738585072014e-308" in err
+
     def test_wrapped_error_keeps_its_date(self, tmp_path):
         bad_csv = tmp_path / "bad.csv"
         bad_csv.write_text("date,open,high,low,close\n2020-01-02,100,90,99,100\n"

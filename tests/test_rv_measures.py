@@ -78,3 +78,17 @@ class TestBarValidation:
     def test_nonpositive_prices_rejected(self):
         with pytest.raises(DataError):
             validate_bar(bar(0.0, 1.0, 0.5, 0.8))
+
+    @pytest.mark.parametrize("o, h, l, c", [(1e300, 1e300, 1e-300, 1e300),
+                                            (1e-300, 1e300, 1e-300, 1e-300)])
+    def test_price_ratio_outside_the_float_range_rejected(self, o, h, l, c):
+        # low/high underflows: log(l/c) would raise, or h/l overflow z to inf
+        for check in (validate_bar, rogers_satchell):
+            with pytest.raises(DataError, match="below 2.2250738585072014e-308") as excinfo:
+                check(bar(o, h, l, c))
+            assert excinfo.value.date == D
+
+    def test_widest_normal_price_ratio_accepted(self):
+        h = 1e300
+        l = h * 2.2250738585072014e-308
+        assert math.isfinite(rogers_satchell(bar(h, h, l, l)))
