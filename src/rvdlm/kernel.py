@@ -165,7 +165,7 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
     npack = d * (d + 1) // 2
     width = d + npack + 3
     # the loop's input columns as one C-contiguous (T, k) block, read a row of k
-    # native doubles at a time: no Python list or float object per column entry
+    # native doubles at a time: no Python list holds a float object per entry
     columns = [y, hp.alpha * z] if uses_rv else [y]
     columns += variant.regressors(y_prev, x, x_prev)
     columns += [n_star_seq, n_tilde_seq, n_arr] if uses_rv else [n_tilde_seq, n_arr]
