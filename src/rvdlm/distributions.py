@@ -100,12 +100,6 @@ def scaled_f_logpdf(z: float, p: ScaledFParams) -> float:
             - math.log(p.scale))
 
 
-def gamma_cdf(x: float, p: GammaParams) -> float:
-    if x <= 0.0:
-        return 0.0
-    return special.reg_lower_gamma(p.shape, p.rate * x)
-
-
 def gamma_quantile(u: float, p: GammaParams) -> float:
     """x with gamma CDF(x) = u, solved to well below 1e-10 absolute."""
     return special.inv_reg_lower_gamma(p.shape, u) / p.rate
@@ -116,17 +110,8 @@ def student_t_quantile(u: float, p: StudentTParams) -> float:
     return p.location + math.sqrt(p.scale) * special.student_t_quantile(u, p.dof)
 
 
-def sample_gamma(p: GammaParams, rng: np.random.Generator, size: int | None = None):
-    """Draws from Gamma(shape, rate). Returns a float when size is None."""
-    n = 1 if size is None else int(size)
-    draws = rng.standard_gamma(p.shape, n) / p.rate
-    return float(draws[0]) if size is None else draws
-
-
-def sample_scaled_f(p: ScaledFParams, rng: np.random.Generator, size: int | None = None):
-    """Compositional scaled-F draw: precision from the gamma margin, then a
-    conditional-gamma observation with that precision."""
-    n = 1 if size is None else int(size)
-    phi = rng.standard_gamma(0.5 * p.dof_den, n) / (0.5 * p.dof_den * p.scale)
-    z = rng.standard_gamma(0.5 * p.dof_num, n) / (0.5 * p.dof_num * phi)
-    return float(z[0]) if size is None else z
+def sample_scaled_f(p: ScaledFParams, rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` compositional scaled-F draws, as an array: precisions from the
+    gamma margin, then a conditional-gamma observation with each precision."""
+    phi = rng.standard_gamma(0.5 * p.dof_den, size) / (0.5 * p.dof_den * p.scale)
+    return rng.standard_gamma(0.5 * p.dof_num, size) / (0.5 * p.dof_num * phi)

@@ -39,58 +39,49 @@ def predictive_z(prior: PriorMoments, alpha: float) -> ScaledFParams:
     return ScaledFParams(alpha, prior.n_star, prior.s_prev)
 
 
-def predictive_y_given_z(prior: PriorMoments, alpha: float, z: float,
-                         reg: RegressorInputs) -> StudentTParams:
-    """t-parameters of y | z: dof n~, location F'a, scale s~ + F'RF.
-
-    For the SV layout (alpha ignored in volatility learning) the z value
-    influences nothing and the section reduces to the plain one-step t.
-    """
-    if reg.model.uses_rv:
-        rvp = rv_update(prior, z, alpha)
-        dof, scale0 = rvp.n_tilde, rvp.s_tilde
-    else:
-        dof, scale0 = prior.n_star, prior.s_prev
-    x_now = math.sqrt(max(z, reg.floor_eps))
-    F = build_regressor(reg.model, reg.y_prev, x_now, reg.x_prev)
-    f = float(F @ prior.a)
-    q = scale0 + float(F @ (prior.R @ F))
-    return StudentTParams(dof, f, q)
-
-
-def sample_joint(prior: PriorMoments, alpha: float, reg: RegressorInputs,
-                 rng: np.random.Generator, size: int | None = None):
-    """Compositional draws of (z, y).
-
-    z from its scaled-F margin (`predictive_z`), floored at `floor_eps`, then
-    y from the z-conditional t. Vectorized; returns floats for size None.
-    """
-    n = 1 if size is None else int(size)
+def _conditional_law(prior: PriorMoments, alpha: float, reg: RegressorInputs, z):
+    """(dof, location, squared scale) of y given a floored z, a float or an
+    array of draws: dof n~, location F'a and scale s~ + F'RF."""
     ns, sp = prior.n_star, prior.s_prev
-    z = np.maximum(sample_scaled_f(predictive_z(prior, alpha), rng, n), reg.floor_eps)
-
+    dof, s_til = ns, sp  # the SV layout: z does not enter
     if reg.model.uses_rv:
         dof = ns + alpha
         s_til = (ns + alpha * z / sp) / dof * sp
-    else:
-        dof, s_til = ns, sp
-
     # F0 holds the regressors known before the day (x_now = 0); the x_now
     # terms follow for a class that has them
     a, R, names = prior.a, prior.R, reg.model.coefficient_names
     F0 = np.array([1.0, *reg.model.regressors(reg.y_prev, 0.0, reg.x_prev)])
     RF0 = R @ F0
-    f = float(F0 @ a)
-    frf = float(F0 @ RF0)
+    f, frf = float(F0 @ a), float(F0 @ RF0)
     if "rv_now" in names:
-        x_now = np.sqrt(z)
-        ix = names.index("rv_now")
+        x_now, ix = np.sqrt(z), names.index("rv_now")
         f = f + a[ix] * x_now
         frf = frf + 2.0 * RF0[ix] * x_now + R[ix, ix] * z
-    q = s_til + frf
+    return dof, f, s_til + frf
 
-    y = f + np.sqrt(q) * rng.standard_t(dof, n)
-    if size is None:
-        return float(z[0]), float(y[0])
-    return z, y
 
+def predictive_y_given_z(prior: PriorMoments, alpha: float, z: float,
+                         reg: RegressorInputs) -> StudentTParams:
+    """t-parameters of y | z: dof n~, location F'a, scale s~ + F'RF, at z
+    floored at `floor_eps` as `sample_joint` floors its draws.
+
+    For the SV layout (alpha ignored in volatility learning) the z value
+    influences nothing and the section reduces to the plain one-step t.
+    """
+    if reg.model.uses_rv:
+        rv_update(prior, z, alpha)  # the DomainError for a bad z or alpha
+    z = max(z, reg.floor_eps)
+    build_regressor(reg.model, reg.y_prev, math.sqrt(z), reg.x_prev)  # ... for a bad regressor
+    return StudentTParams(*map(float, _conditional_law(prior, alpha, reg, z)))
+
+
+def sample_joint(prior: PriorMoments, alpha: float, reg: RegressorInputs,
+                 rng: np.random.Generator, size: int):
+    """`size` compositional draws of (z, y), as two arrays.
+
+    z from its scaled-F margin (`predictive_z`), floored at `floor_eps`, then
+    y from the z-conditional t of `predictive_y_given_z`.
+    """
+    z = np.maximum(sample_scaled_f(predictive_z(prior, alpha), rng, size), reg.floor_eps)
+    dof, f, q = _conditional_law(prior, alpha, reg, z)
+    return z, f + np.sqrt(q) * rng.standard_t(dof, size)

@@ -80,9 +80,9 @@ def _cholesky_all(traj: FilterTrajectory) -> np.ndarray:
 _BLOCK_DAYS = 512  # days per batched matmul in backward_sample
 
 
-def backward_sample(traj: FilterTrajectory, rng: np.random.Generator | None = None,
-                    n_samples: int = 1):
-    """Joint retrospective draws of (theta_{1:T}, phi_{1:T}).
+def backward_sample(traj: FilterTrajectory, rng: np.random.Generator, n_samples: int = 1):
+    """`n_samples` joint retrospective draws of (theta_{1:T}, phi_{1:T}) from
+    `rng`, the generator the caller owns (a seed replays the draws).
 
     Sample the filtered posterior at T, then recurse backward: the precision
     uses the additive decomposition phi_t = beta phi_{t+1} + Gamma((1-beta)
@@ -99,8 +99,6 @@ def backward_sample(traj: FilterTrajectory, rng: np.random.Generator | None = No
     Returns (theta, phi) with shapes (n_samples, T, d) and (n_samples, T),
     as views of day-major arrays.
     """
-    if rng is None:
-        raise ValueError("backward_sample needs an explicit random generator")
     delta, beta = traj.hp.delta, traj.hp.beta
     T, d = len(traj), traj.dim
     ns = int(n_samples)

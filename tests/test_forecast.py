@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from rvdlm import (HyperParams, ModelClass, PriorMoments, RegressorInputs,
-                   StudentTParams, predictive_y_given_z, predictive_z,
-                   rv_update, sample_joint, scaled_f_logpdf, student_t_logpdf)
+from rvdlm import (DomainError, HyperParams, ModelClass, PriorMoments, RegressorInputs,
+                   StudentTParams, predictive_y_given_z, predictive_z, rv_update,
+                   sample_joint, sample_scaled_f, scaled_f_logpdf, student_t_logpdf)
 
 from oracles import joint_predictive_quadrature
 
@@ -75,6 +75,30 @@ class TestPredictiveYGivenZ:
         F = np.array([1.0, 0.5, 0.03])
         assert p.dof == rvp.n_tilde
         assert p.scale == pytest.approx(rvp.s_tilde + float(F @ pr.R @ F), rel=1e-14)
+
+    def test_z_below_the_floor_is_floored(self):
+        pr = PriorMoments(np.array([0.0, 0.0, -0.5, 0.4]),
+                          np.diag([0.1, 0.01, 0.05, 0.05]), 17.5, 1e-4)
+        reg = RegressorInputs(ModelClass.RVLDLM, y_prev=4.6, x_prev=0.01, floor_eps=1e-8)
+        assert predictive_y_given_z(pr, 2.75, 1e-12, reg) == \
+            predictive_y_given_z(pr, 2.75, 1e-8, reg)
+
+    @pytest.mark.parametrize("variant, alpha, z, y_prev, x_prev", [
+        (ModelClass.RVDLM, 2.75, 0.0, 0.5, 0.03),
+        (ModelClass.RVDLM, 2.75, -1.0, 0.5, 0.03),
+        (ModelClass.RVLDLM, 2.75, math.nan, 0.5, 0.03),
+        (ModelClass.RVLDLM, 2.75, math.inf, 0.5, 0.03),
+        (ModelClass.RVDLM, 0.0, 0.9, 0.5, 0.03),
+        (ModelClass.RVLDLM, -1.0, 0.9, 0.5, 0.03),
+        (ModelClass.SVDLM, 0.0, math.inf, 0.5, 0.03),
+        (ModelClass.SVDLM, 0.0, 0.9, math.nan, 0.03),
+        (ModelClass.RVLDLM, 2.75, 0.9, 0.5, math.inf),
+    ])
+    def test_bad_z_alpha_or_regressor_is_domain_error(self, variant, alpha, z, y_prev, x_prev):
+        d = variant.dim
+        pr = PriorMoments(np.zeros(d), 0.3 * np.eye(d), 7.0, 1.2)
+        with pytest.raises(DomainError):
+            predictive_y_given_z(pr, alpha, z, RegressorInputs(variant, y_prev, x_prev))
 
 
 PINNED_R = np.array([[0.10, 0.002, -0.003, 0.001],
@@ -145,11 +169,21 @@ class TestSampleJoint:
         z, y = sample_joint(pr, 2.75, reg, np.random.default_rng(99), size=2000)
         assert hashlib.sha256(z.tobytes() + y.tobytes()).hexdigest() == digest
 
-    def test_scalar_mode(self):
-        pr = PriorMoments(np.zeros(3), np.eye(3), 10.0, 1.0)
-        reg = RegressorInputs(ModelClass.RVDLM, 0.0, 0.0)
-        z, y = sample_joint(pr, 2.0, reg, np.random.default_rng(1))
-        assert isinstance(z, float) and isinstance(y, float) and z > 0.0
+    @pytest.mark.parametrize("variant", list(ModelClass))
+    def test_draws_follow_predictive_y_given_z(self, variant):
+        # each y is the t draw of its z's conditional law, taken from the same stream
+        keep = [0, 1, 2, 3] if variant is ModelClass.RVLDLM else [0, 1, 3]
+        pr = PriorMoments(np.array([0.01, 0.9, -0.5, 0.4])[keep],
+                          PINNED_R[np.ix_(keep, keep)], 17.5, 1.2e-4)
+        reg = RegressorInputs(variant, y_prev=4.6, x_prev=0.012)
+        z, y = sample_joint(pr, 2.75, reg, np.random.default_rng(8), size=50)
+        assert isinstance(z, np.ndarray) and z.shape == y.shape == (50,)
+        rng = np.random.default_rng(8)
+        sample_scaled_f(predictive_z(pr, 2.75), rng, 50)
+        dof = predictive_y_given_z(pr, 2.75, float(z[0]), reg).dof
+        for zi, yi, ti in zip(z.tolist(), y.tolist(), rng.standard_t(dof, 50).tolist()):
+            p = predictive_y_given_z(pr, 2.75, zi, reg)
+            assert yi == pytest.approx(p.location + math.sqrt(p.scale) * ti, rel=1e-12)
 
 
 class TestJointFactorization:

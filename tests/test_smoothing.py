@@ -296,8 +296,3 @@ class TestBackwardSample:
             backward_sample(dataclasses.replace(traj, C=C, dates=None),
                             rng=np.random.default_rng(0))
         assert info.value.date is None
-
-    def test_requires_generator(self):
-        hp, traj = rvl_run(T=5)
-        with pytest.raises(ValueError):
-            backward_sample(traj)
