@@ -52,7 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_filter(args) -> int:
-    config = load_config(args.config, out_dir_override=args.out, seed_override=args.seed)
+    config = load_config(args.config)
+    # --out and --seed win over the config; replace() validates the result again
+    given = {"out_dir": args.out, "seed": args.seed}
+    config = dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
     summary = run_filter_pipeline(config)
     for ticker, entry in summary["series"].items():
         scores = ", ".join(f"{m}={v['cumulative_log_score']:.3f}"

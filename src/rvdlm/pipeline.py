@@ -141,6 +141,13 @@ class RunConfig:
             seen.add(f)
         if not (math.isfinite(self.floor_eps) and self.floor_eps > 0.0):
             raise ConfigError(f"floor_eps must be finite and positive, got {self.floor_eps!r}")
+        if not self.out_dir:
+            raise ConfigError("out_dir must be non-empty")
+        head = os.path.abspath(self.out_dir)  # out_dir, or its nearest existing ancestor
+        while not os.path.exists(head):
+            head = os.path.dirname(head)
+        if not os.path.isdir(head):
+            raise ConfigError(f"out_dir {self.out_dir!r}: {head} is not a directory")
         for s in self.series:
             if not os.path.exists(s.path):
                 raise ConfigError(f"series {s.ticker!r}: file not found: {s.path}")
@@ -266,18 +273,16 @@ def _read_model(entry: dict) -> ModelSpec:
         raise ConfigError(f"{owner}: {exc}") from exc
     if variant.uses_rv and hp.alpha <= 0.0:
         raise ConfigError(f"{owner}: {variant.value} requires alpha > 0")
+    if not variant.uses_rv and hp.alpha != 0.0:  # it would be echoed, yet change nothing
+        raise ConfigError(f"{owner}: alpha must be 0 for {variant.value}, which observes "
+                          f"no realized variance, got {hp.alpha!r}")
     return ModelSpec(variant=variant, hp=hp, **spec)
 
 
-def load_config(path_or_dict, out_dir_override=None, seed_override=None) -> RunConfig:
+def load_config(path_or_dict) -> RunConfig:
     """Build a validated RunConfig from a JSON file path or a dict."""
     raw = path_or_dict if isinstance(path_or_dict, dict) else load_json(path_or_dict, "config")
-    fields = read_object(raw, CONFIG_KEYS, "config")
-    if out_dir_override:
-        fields["out_dir"] = out_dir_override
-    if seed_override is not None:
-        fields["seed"] = int(seed_override)
-    return RunConfig(**fields)
+    return RunConfig(**read_object(raw, CONFIG_KEYS, "config"))
 
 
 def _fill_quantiles(quantiles: dict, dofs: list) -> None:
@@ -471,7 +476,11 @@ def _echo_config(config: RunConfig) -> dict:
 
 def recompute_bayes_factors(run_dir: str) -> list[str]:
     """Rebuild the pairwise log-BF trajectory files from the per-day score
-    increments already emitted in `run_dir` (the `score` subcommand)."""
+    increments already emitted in `run_dir` (the `score` subcommand).
+
+    All or nothing: every trajectory is read before any file is written,
+    and the files reach `run_dir` through `_staged`. Returns their paths
+    in `run_dir`."""
     summary_path = os.path.join(run_dir, "summary.json")
     summary = load_json(summary_path, "run summary")
     try:
@@ -480,12 +489,14 @@ def recompute_bayes_factors(run_dir: str) -> list[str]:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"run summary {summary_path} must hold config.models, a list of "
                           f"named models, and series ({type(exc).__name__}: {exc})") from exc
+    scores = {ticker: {name: _scored_increments(os.path.join(run_dir,
+                                                             _trajectory_file(ticker, name)))
+                       for name in model_names} for ticker in tickers}
     written = []
-    for ticker in tickers:
-        scores = {name: _scored_increments(os.path.join(run_dir, _trajectory_file(ticker, name)))
-                  for name in model_names}
-        written += [path for path, _ in
-                    _write_bayes_factors(run_dir, ticker, scores).values()]
+    with _staged(run_dir) as stage:
+        for ticker, by_model in scores.items():
+            written += [os.path.join(run_dir, os.path.basename(path)) for path, _ in
+                        _write_bayes_factors(stage, ticker, by_model).values()]
     return written
 
 
@@ -515,10 +526,13 @@ def _scored_increments(path: str) -> tuple[list, list]:
             flag = fields[i_flag]
             if flag == "1":
                 try:
-                    increments.append(float(fields[i_score]))
-                except ValueError as exc:
-                    raise DataError(f"{path}:{line_no}: unparseable log score "
-                                    f"{fields[i_score]!r}") from exc
+                    score = float(fields[i_score])
+                except ValueError:
+                    score = math.nan
+                if not math.isfinite(score):
+                    raise DataError(f"{path}:{line_no}: log score must be a finite number, "
+                                    f"got {fields[i_score]!r}")
+                increments.append(score)
                 dates.append(fields[i_date])
             elif flag != "0":
                 raise DataError(f"{path}:{line_no}: scored flag must be 0 or 1, got {flag!r}")

@@ -133,6 +133,11 @@ class TestConfig:
         (None, "models", [5]),
         # finite values only: an infinite floor raised every z to inf (exit 3)
         (None, "floor_eps", math.inf),
+        # svdlm observes no realized variance: its alpha was echoed but changed nothing
+        ("svdlm", "alpha", 2.0),
+        # these failed with a traceback (exit 1) once every series had been filtered
+        (None, "out_dir", ""),
+        (None, "out_dir", __file__),
     ])
     def test_malformed_field_is_config_error(self, data_csv, tmp_path, capsys,
                                              owner, field, value):
@@ -243,6 +248,11 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f": missing key {key!r}" in err and named in err
         assert not os.path.exists(tmp_path / "o")
+
+    def test_zero_alpha_on_svdlm_is_accepted(self, data_csv, tmp_path):
+        raw = base_config(data_csv[0], str(tmp_path / "o"),
+                          models=[{"name": "svdlm", "variant": "svdlm", "alpha": 0}])
+        assert load_config(raw).models[0].hp.alpha == 0.0
 
     def test_partial_schema_keeps_default_column_names(self, data_csv, tmp_path):
         raw = base_config(data_csv[0], str(tmp_path / "o"))
@@ -362,6 +372,25 @@ class TestCli:
         assert rc == 0
         assert "TIC" in capsys.readouterr().out
         assert os.path.exists(os.path.join(out, "summary.json"))
+
+    def test_out_and_seed_flags_win_over_the_config(self, data_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(data_csv[0], str(tmp_path / "cfg_out"))))
+        out = str(tmp_path / "flag_out")
+        assert main(["filter", "--config", str(cfg_path), "--out", out, "--seed", "5"]) == 0
+        assert f"outputs written to {out}" in capsys.readouterr().out
+        assert not os.path.exists(tmp_path / "cfg_out")
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert summary["config"]["out_dir"] == out
+        assert summary["seed"] == 5
+
+    def test_empty_out_flag_is_config_error(self, data_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(data_csv[0], str(tmp_path / "cfg_out"))))
+        before = sorted(os.listdir(tmp_path))
+        assert main(["filter", "--config", str(cfg_path), "--out", ""]) == 2
+        assert "out_dir must be non-empty" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -514,7 +543,7 @@ class TestCli:
         assert f"error [score]: run summary {summary}" in capsys.readouterr().err
         assert _digests(str(out)) == before
 
-    @pytest.mark.parametrize("damage", ["short", "score", "flag"])
+    @pytest.mark.parametrize("damage", ["short", "score", "flag", "nan", "inf"])
     def test_score_rejects_a_malformed_row_by_line(self, data_csv, tmp_path, capsys, damage):
         out = str(tmp_path / "score_bad")
         run_filter_pipeline(load_config(base_config(data_csv[0], out)))
@@ -525,12 +554,35 @@ class TestCli:
             fields = fields[:5]
         elif damage == "score":
             fields[7] = "nan?"
-        else:
+        elif damage == "flag":
             fields[8] = "yes"
+        else:  # parses as a float, but would write a non-finite Bayes factor
+            fields[7] = damage
         lines[-1] = ",".join(fields).rstrip("\n") + "\n"
         open(path, "w").write("".join(lines))
         assert main(["score", "--run-dir", out]) == 3
         assert f"{path}:{len(lines)}:" in capsys.readouterr().err
+
+    def test_score_is_all_or_nothing(self, data_csv, tmp_path, capsys):
+        # A's Bayes factors are gone and B's trajectory is bad: a score that
+        # wrote A's files before it read B's would leave them behind
+        out = tmp_path / "score_two"
+        raw = base_config(data_csv[0], str(out))
+        raw["series"] = [{"ticker": t, "path": data_csv[0], "s1": 1e-4} for t in ("A", "B")]
+        run_filter_pipeline(load_config(raw))
+        for name in os.listdir(out):
+            if name.startswith("A__BF__"):
+                os.remove(out / name)
+        path = out / "B__rvdlm.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[-1].split(",")  # the last day is scored
+        fields[8] = "yes"
+        path.write_text("".join(lines[:-1] + [",".join(fields)]))
+        before = _digests(str(out))
+        assert main(["score", "--run-dir", str(out)]) == 3
+        assert f"{path}:" in capsys.readouterr().err
+        assert _digests(str(out)) == before
+        assert sorted(os.listdir(tmp_path)) == ["score_two"]
 
 
 GOLDEN_MODELS = [
