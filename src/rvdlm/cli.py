@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -103,6 +104,16 @@ def _synth_params(args) -> SyntheticParams:
 
 
 def _cmd_synth(args) -> int:
+    # checked before anything is generated or written
+    for flag, path in (("--out", args.out), ("--truth-out", args.truth_out or None)):
+        if path is None:
+            continue
+        target = os.path.abspath(path)
+        if os.path.isdir(target):
+            raise ConfigError(f"{flag} {path!r} is a directory, not a file path")
+        if not os.path.isdir(os.path.dirname(target)):
+            raise ConfigError(f"{flag} {path!r}: {os.path.dirname(target)} is not an "
+                              f"existing directory")
     params = _synth_params(args)
     rng = np.random.default_rng(args.seed)
     bars, truth = generate_synthetic(params, rng)

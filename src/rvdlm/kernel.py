@@ -1,15 +1,17 @@
 """Fused sequential filter: the O(T d^2) hot path.
 
 The per-day recursions from `dlm_core` are written once in index form
-(`_loop_source`) and generated, unrolled over named scalars, once per model
-class; the loop runs on plain floats, reads each day's inputs as one packed
-float64 row and appends its outputs to one `bytearray` as another, which keeps
-a three-model pass over a 6,500-day series in the tens of milliseconds and
-leaves no float object alive per day. It computes only what the next
-day reads: the forecast error and the log density follow after it as whole
-arrays, with the loop's operations in its order and the logs through libm per
-day. The degrees-of-freedom sequence is data-independent, so the Student-t
-scoring constants are precomputed in one vectorized sweep (`on_dof_path`).
+(`_loop_source`) and generated, unrolled over named scalars, once per
+regressor dimension; the price-only class runs the realized-variance
+recursion at alpha = 0, where s~ = s bit for bit. The loop runs on plain
+floats, reads each day's inputs as one packed float64 row and appends its
+outputs to one `bytearray` as another, which keeps a three-model pass over a
+6,500-day series in the tens of milliseconds and leaves no float object
+alive per day. It computes only what the next day reads: the forecast error
+and the log density follow after it as whole arrays, with the loop's
+operations in its order and the logs through libm per day. The
+degrees-of-freedom sequence is data-independent, so the Student-t scoring
+constants are precomputed in one vectorized sweep (`on_dof_path`).
 `run_filter` is asserted equivalent to the step-by-step `dlm_core`
 composition by the test suite.
 """
@@ -150,6 +152,7 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
         raise DomainError(f"initial prior dimension {init.dim} does not match "
                           f"{variant.value} layout ({variant.dim})")
     uses_rv = variant.uses_rv
+    alpha = hp.alpha if uses_rv else 0.0  # the price-only class ignores hp.alpha
     if uses_rv:
         if hp.alpha <= 0.0:
             raise DomainError(f"{variant.value} requires alpha > 0")
@@ -166,14 +169,12 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
     width = d + npack + 3
     # the loop's input columns as one C-contiguous (T, k) block, read a row of k
     # native doubles at a time: no Python list holds a float object per entry
-    columns = [y, hp.alpha * z] if uses_rv else [y]
-    columns += variant.regressors(y_prev, x, x_prev)
-    columns += [n_star_seq, n_tilde_seq, n_arr] if uses_rv else [n_tilde_seq, n_arr]
-    block = np.column_stack(columns)
+    block = np.column_stack([y, alpha * z, *variant.regressors(y_prev, x, x_prev),
+                             n_star_seq, n_tilde_seq, n_arr])
     buf = bytearray()
-    bad_q = _LOOPS[variant](hp.delta, init.a, init.R, float(init.s_prev), buf,
-                           struct.Struct(f"{width}d").pack,
-                           struct.iter_unpack(f"{block.shape[1]}d", block))
+    bad_q = _LOOPS[d](hp.delta, init.a, init.R, float(init.s_prev), buf,
+                      struct.Struct(f"{width}d").pack,
+                      struct.iter_unpack(f"{block.shape[1]}d", block))
     # one row per day the loop finished: m (d), packed upper triangle of C, then s, f, q;
     # every field below is a copy, so no trajectory keeps the buffer alive
     rows = np.frombuffer(buf, dtype=float).reshape(-1, width)
@@ -214,20 +215,20 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
                             list(dates) if dates is not None else None)
 
 
-def _loop_source(variant: ModelClass) -> str:
-    """Source of the per-day filter recursion of one model class.
+def _loop_source(d: int) -> str:
+    """Source of the per-day filter recursion for d regressors.
 
     Index form, unrolled over named scalars: F_0 = 1 and F_1..F_{d-1} come
     from `days`, in `ModelClass.regressors` order; R and C are kept as their
     packed upper triangles (R_ij with i <= j). Sums run left to right over j,
     which fixes every float operation.
-    A realized-variance loop reads alpha z_t and n*_t with each day and moves
-    s to s~ before the price update; a price-only loop prices at s. Only what
-    the next day reads is computed: each day appends one row of native doubles
-    (`pack`) to `buf`: m, packed C, s, f, q. Returns None, or the first one-step
-    scale q that is not finite and positive (its day is the row count of `buf`).
+    Each day reads alpha z_t and n*_t and moves s to s~ before the price
+    update; at alpha = 0 (the price-only class) n~ = n* and s~ = s exactly.
+    Only what the next day reads is computed: each day appends one row of
+    native doubles (`pack`) to `buf`: m, packed C, s, f, q. Returns None, or
+    the first one-step scale q that is not finite and positive (its day is the
+    row count of `buf`).
     """
-    d, uses_rv = variant.dim, variant.uses_rv
     idx = range(d)
     upper = [(i, j) for i in idx for j in range(i, d)]
 
@@ -237,19 +238,17 @@ def _loop_source(variant: ModelClass) -> str:
     m = ", ".join(f"m{i}" for i in idx)
     F = ", ".join(f"F{j}" for j in range(1, d))
     C = ", ".join(f"C{i}{j}" for i, j in upper)
-    s_til = "s_til" if uses_rv else "s"
     return "\n".join([
         "def loop(delta, a0, R0, s, buf, pack, days):",
         "    inv_delta = 1.0 / delta",
         f"    {m} = (float(v) for v in a0)",
         *(f"    R{i}{j} = float(R0[{i}, {j}])" for i, j in upper),
         "    push = buf.extend",
-        *([f"    for yt, az, {F}, ns, n_til, n in days:",
-           "        s_til = (ns + az / s) / n_til * s"] if uses_rv else
-          [f"    for yt, {F}, n_til, n in days:"]),
+        f"    for yt, az, {F}, ns, n_til, n in days:",
+        "        s_til = (ns + az / s) / n_til * s",
         *(f"        RF{i} = " + dot(f"R{min(i, j)}{max(i, j)}" for j in idx) for i in idx),
         "        f = " + dot(f"m{j}" for j in idx),
-        f"        q = {s_til} + " + dot(f"RF{j}" for j in idx),
+        "        q = s_til + " + dot(f"RF{j}" for j in idx),
         "        if not 0.0 < q < inf:",
         "            return q",
         "        e = yt - f",
@@ -258,15 +257,15 @@ def _loop_source(variant: ModelClass) -> str:
         *(f"        m{i} += A{i} * e" for i in idx),
         *(f"        qA{i} = q * A{i}" for i in idx),
         *(f"        C{i}{j} = R{i}{j} - qA{i} * A{j}" for i, j in upper),
-        f"        s = (n_til + e * e * iq) / n * {s_til}",
+        "        s = (n_til + e * e * iq) / n * s_til",
         f"        push(pack({m}, {C}, s, f, q))",
         *(f"        R{i}{j} = C{i}{j} * inv_delta" for i, j in upper),
     ]) + "\n"
 
 
-def _compile_loop(variant: ModelClass):
-    source = _loop_source(variant)
-    filename = f"<rvdlm.kernel loop {variant.value}>"
+def _compile_loop(d: int):
+    source = _loop_source(d)
+    filename = f"<rvdlm.kernel loop d={d}>"
     # tracebacks and profilers read generated lines from the linecache
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
@@ -274,4 +273,4 @@ def _compile_loop(variant: ModelClass):
     return namespace["loop"]
 
 
-_LOOPS = {variant: _compile_loop(variant) for variant in ModelClass}
+_LOOPS = {d: _compile_loop(d) for d in _SYM_GATHER}

@@ -38,8 +38,8 @@ DEFAULT_HYPERPARAMS = {
     ModelClass.RVDLM: HyperParams(0.999, 0.875, 2.75),
     ModelClass.RVLDLM: HyperParams(0.999, 0.875, 2.75),
 }
-DEFAULT_A1 = {3: (0.0, 1.0, 0.0), 4: (0.0, 1.0, 0.0, 0.0)}
-DEFAULT_R1_DIAG = {3: (0.10, 0.01, 0.05), 4: (0.10, 0.01, 0.05, 0.05)}
+DEFAULT_PRIOR = {"intercept": (0.0, 0.10), "ar1": (1.0, 0.01),
+                 "rv_now": (0.0, 0.05), "rv_lag": (0.0, 0.05)}
 
 
 def _check_name(what: str, name: str, banned=()) -> None:
@@ -53,6 +53,37 @@ def _check_name(what: str, name: str, banned=()) -> None:
             raise ConfigError(f"{what} {name!r} must not contain {part!r}")
 
 
+def _check_output_names(tickers: list, names: list) -> None:
+    """The tickers and model names of a run, as `filter` takes them from its
+    config and `score` from a summary: each a legal name, neither list with a
+    repeat, and no two output files of the run with one name."""
+    for ticker in tickers:
+        _check_name("series ticker", ticker)
+    for name in names:
+        _check_name("model name", name, banned=("_over_",))
+    if len(set(names)) != len(names):
+        raise ConfigError(f"model names must be unique, got {names}")
+    if len(set(tickers)) != len(tickers):
+        raise ConfigError(f"series tickers must be unique, got {tickers}")
+    # names joined into file names can still meet: ('A_', 'm') and ('A', '_m')
+    files = [_trajectory_file(t, m) for t in tickers for m in names]
+    files += [_bf_file(t, hi, lo) for t in tickers for hi, lo in _model_pairs(names)]
+    seen = set()
+    for f in files:
+        if f in seen:
+            raise ConfigError(f"output file name {f!r} would be written twice; "
+                              f"rename a series ticker or model")
+        seen.add(f)
+
+
+def _existing(path: str) -> str:
+    """The absolute `path`, or its nearest existing ancestor."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    return head
+
+
 @dataclass(frozen=True)
 class SeriesSpec:
     ticker: str
@@ -60,7 +91,6 @@ class SeriesSpec:
     s1: float
 
     def __post_init__(self):
-        _check_name("series ticker", self.ticker)
         if not (math.isfinite(self.s1) and self.s1 > 0.0):
             raise ConfigError(f"series {self.ticker!r}: s1 must be finite and positive, "
                               f"got {self.s1!r}")
@@ -68,9 +98,9 @@ class SeriesSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One configured model. A prior field left as None takes its default
-    (`DEFAULT_A1`, `DEFAULT_R1_DIAG`, n*_1 = beta); given values are kept as
-    given, so the summary echoes them unchanged."""
+    """One configured model. A prior field left as None takes its default:
+    per coefficient name, `DEFAULT_PRIOR` holds its a1 and r1_diag entries;
+    n*_1 = beta. Given values are kept as given, so the summary echoes them."""
 
     name: str
     variant: ModelClass
@@ -80,10 +110,9 @@ class ModelSpec:
     n_star_1: float = None
 
     def __post_init__(self):
-        _check_name("model name", self.name, banned=("_over_",))
         d = self.variant.dim
-        for key, default in (("a1", DEFAULT_A1[d]), ("r1_diag", DEFAULT_R1_DIAG[d]),
-                             ("n_star_1", self.hp.beta)):
+        a1, r1_diag = zip(*map(DEFAULT_PRIOR.get, self.variant.coefficient_names))
+        for key, default in (("a1", a1), ("r1_diag", r1_diag), ("n_star_1", self.hp.beta)):
             if getattr(self, key) is None:
                 object.__setattr__(self, key, default)
         for key, vec, rule, ok in (
@@ -124,28 +153,12 @@ class RunConfig:
             raise ConfigError("config lists no series")
         if not self.models:
             raise ConfigError("config lists no models")
-        names = [m.name for m in self.models]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"model names must be unique, got {names}")
-        tickers = [s.ticker for s in self.series]
-        if len(set(tickers)) != len(tickers):
-            raise ConfigError(f"series tickers must be unique, got {tickers}")
-        # names joined into file names can still meet: ('A_', 'm') and ('A', '_m')
-        files = [_trajectory_file(t, m) for t in tickers for m in names]
-        files += [_bf_file(t, hi, lo) for t in tickers for hi, lo in _model_pairs(names)]
-        seen = set()
-        for f in files:
-            if f in seen:
-                raise ConfigError(f"output file name {f!r} would be written twice; "
-                                  f"rename a series ticker or model")
-            seen.add(f)
+        _check_output_names([s.ticker for s in self.series], [m.name for m in self.models])
         if not (math.isfinite(self.floor_eps) and self.floor_eps > 0.0):
             raise ConfigError(f"floor_eps must be finite and positive, got {self.floor_eps!r}")
         if not self.out_dir:
             raise ConfigError("out_dir must be non-empty")
-        head = os.path.abspath(self.out_dir)  # out_dir, or its nearest existing ancestor
-        while not os.path.exists(head):
-            head = os.path.dirname(head)
+        head = _existing(self.out_dir)
         if not os.path.isdir(head):
             raise ConfigError(f"out_dir {self.out_dir!r}: {head} is not a directory")
         for s in self.series:
@@ -323,14 +336,15 @@ def _trajectory_columns(iso_dates, scored, mspec: ModelSpec, traj: FilterTraject
             traj.log_density, scored, traj.n, s,
             1.0 / np.sqrt(g_med / s), 1.0 / np.sqrt(g_hi / s), 1.0 / np.sqrt(g_lo / s)]
     half = tmult[:, None] * np.sqrt(np.maximum(np.diagonal(traj.C, axis1=1, axis2=2), 0.0))
-    for i, c in enumerate(mspec.variant.coefficient_names):
+    names = mspec.variant.coefficient_names
+    for i, c in enumerate(names):
         header += [f"coef_{c}_med", f"coef_{c}_lo05", f"coef_{c}_hi95"]
         med = traj.m[:, i]
         cols += [med, med - half[:, i], med + half[:, i]]
-    if mspec.variant is ModelClass.RVLDLM:
-        now = traj.m[:, 2] * traj.x
+    if "rv_now" in names:
+        now = traj.m[:, names.index("rv_now")] * traj.x
         header += ["price_effect_med", "net_rv_med"]
-        cols += [_each(math.exp, now), now + traj.m[:, 3] * traj.x_prev]
+        cols += [_each(math.exp, now), now + traj.m[:, names.index("rv_lag")] * traj.x_prev]
     z_scores = None
     if mspec.variant.uses_rv:
         z_scores = log_score_z_path(traj)
@@ -372,11 +386,11 @@ def _write_bayes_factors(out_dir: str, ticker: str, scores: dict) -> dict:
 
 @contextlib.contextmanager
 def _staged(out_dir: str):
-    """Yield a temporary directory beside `out_dir`. On success every file
-    in it is moved into `out_dir` (summary.json last); the temporary
+    """Yield a temporary directory beside `out_dir`, or in its nearest
+    existing ancestor. On success `out_dir` and its missing parents are made
+    and every file is moved into it (summary.json last); the temporary
     directory is removed either way, so a failed run leaves nothing."""
-    parent = os.path.dirname(os.path.abspath(out_dir))
-    os.makedirs(parent, exist_ok=True)
+    parent = _existing(os.path.dirname(os.path.abspath(out_dir)))
     stage = tempfile.mkdtemp(prefix=".rvdlm-", dir=parent)
     try:
         yield stage
@@ -485,10 +499,17 @@ def recompute_bayes_factors(run_dir: str) -> list[str]:
     summary = load_json(summary_path, "run summary")
     try:
         model_names = [json_string(m["name"]) for m in _json_objects(summary["config"]["models"])]
-        tickers = [json_string(t) for t in summary["series"]]
+        if not isinstance(summary["series"], dict):
+            raise TypeError(f"series is a {type(summary['series']).__name__}, not an object")
+        tickers = list(summary["series"])  # the keys of a JSON object are strings
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"run summary {summary_path} must hold config.models, a list of "
-                          f"named models, and series ({type(exc).__name__}: {exc})") from exc
+                          f"named models, and series, an object ({type(exc).__name__}: "
+                          f"{exc})") from exc
+    try:
+        _check_output_names(tickers, model_names)
+    except ConfigError as exc:
+        raise ConfigError(f"run summary {summary_path}: {exc}") from exc
     scores = {ticker: {name: _scored_increments(os.path.join(run_dir,
                                                              _trajectory_file(ticker, name)))
                        for name in model_names} for ticker in tickers}

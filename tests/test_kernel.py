@@ -218,9 +218,22 @@ def test_lost_positive_semidefiniteness_is_a_dated_numerical_error(variant):
 
 def test_generated_loops_show_their_source():
     # tracebacks and profilers read the generated loop through linecache
-    assert set(_LOOPS) == set(ModelClass)
-    for variant, loop in _LOOPS.items():
-        assert inspect.getsource(loop) == _loop_source(variant)
+    assert set(_LOOPS) == {v.dim for v in ModelClass}
+    for d, loop in _LOOPS.items():
+        assert inspect.getsource(loop) == _loop_source(d)
+
+
+def test_price_only_class_ignores_alpha():
+    # one loop per dimension reads alpha z for every class; the price-only class
+    # must feed it alpha = 0 whatever hp.alpha holds
+    variant = ModelClass.SVDLM
+    hp = hp_for(variant)
+    init = default_init(variant, hp)
+    series = make_series(300)
+    want = run_filter(variant, hp, init, *series)
+    got = run_filter(variant, HyperParams(hp.delta, hp.beta, 2.75), init, *series)
+    for key in ("m", "C", "n", "s", "n_star", "forecast", "scale", "error", "log_density"):
+        assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
 
 
 @pytest.mark.parametrize("variant", list(ModelClass))

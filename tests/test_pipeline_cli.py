@@ -467,6 +467,18 @@ class TestCli:
         assert "BAD" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
 
+    def test_failed_run_makes_no_missing_parent(self, tmp_path, capsys):
+        # the output directory's missing parents are made only once the run succeeded
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("date,open,high,low,close\n2020-01-02,100,90,99,100\n")
+        raw = base_config(str(bad_csv), str(tmp_path / "new" / "deeper" / "run"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        before = sorted(os.listdir(tmp_path))
+        assert main(["filter", "--config", str(cfg)]) == 3
+        assert "TIC" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_synth_roundtrip_and_replay(self, tmp_path, capsys):
         out1, out2 = str(tmp_path / "s1.csv"), str(tmp_path / "s2.csv")
         truth = str(tmp_path / "truth.csv")
@@ -507,6 +519,18 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--truth-out"])
+    @pytest.mark.parametrize("parent", ["missing", "a_file"])
+    def test_synth_bad_output_path_is_config_error(self, tmp_path, capsys, flag, parent):
+        (tmp_path / "a_file").write_text("")
+        paths = {"--out": str(tmp_path / "s.csv"), "--truth-out": str(tmp_path / "t.csv")}
+        paths[flag] = str(tmp_path / parent / "x.csv")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["synth", "--model", "rvdlm", "--days", "5",
+                     *(a for kv in paths.items() for a in kv)]) == 2
+        assert f"error [synth]: {flag} " in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_synth_unknown_param_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"vol_inf": 50.0}))
@@ -532,6 +556,10 @@ class TestCli:
         "[]",
         '{"seed": 7, "series": {}}',
         '{"config": {"models": "svdlm"}, "seed": 7, "series": {}}',
+        '{"config": {"models": [{"name": "svdlm"}]}, "seed": 7, "series": ["TIC"]}',
+        # names a summary holds are checked as a config's are
+        '{"config": {"models": [{"name": "svdlm"}, {"name": "svdlm"}]}, "seed": 7,'
+        ' "series": {"TIC": {}}}',
     ])
     def test_score_rejects_a_malformed_summary(self, data_csv, tmp_path, capsys, text):
         out = tmp_path / "score_summary"
@@ -542,6 +570,24 @@ class TestCli:
         assert main(["score", "--run-dir", str(out)]) == 2
         assert f"error [score]: run summary {summary}" in capsys.readouterr().err
         assert _digests(str(out)) == before
+
+    def test_score_rejects_a_ticker_that_leaves_the_run(self, data_csv, tmp_path, capsys):
+        # a summary's ticker '../X' would read and write X__* beside the run directory
+        out = tmp_path / "run"
+        run_filter_pipeline(load_config(base_config(data_csv[0], str(out))))
+        summary = json.loads((out / "summary.json").read_text())
+        summary["series"] = {"../X": summary["series"]["TIC"]}
+        (out / "summary.json").write_text(json.dumps(summary))
+        for name in os.listdir(out):
+            if name.startswith("TIC__") and "__BF__" not in name:
+                (tmp_path / name.replace("TIC__", "X__")).write_bytes((out / name).read_bytes())
+        before = _digests(str(out))
+        outside = sorted(os.listdir(tmp_path))
+        assert main(["score", "--run-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "series ticker '../X' must not contain '/'" in err
+        assert _digests(str(out)) == before
+        assert sorted(os.listdir(tmp_path)) == outside
 
     @pytest.mark.parametrize("damage", ["short", "score", "flag", "nan", "inf"])
     def test_score_rejects_a_malformed_row_by_line(self, data_csv, tmp_path, capsys, damage):
