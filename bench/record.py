@@ -12,11 +12,13 @@ The file holds the environment (nproc, Python, numpy; per side the git
 revision, a digest of its `src/` and the line count of its Python files),
 every run's end-to-end metrics and `#` report figures, and per workload and
 metric the median and quartiles of each side and how many pairs the last
-side won against the first. After the pairs it records one `--trace 1` run
-per workload and side (seed 1), kept apart from that end-to-end summary under
-`traced`: the per-layer metrics show in which layer a change of the
-end-to-end figures sits. Runs go one at a time;
-nothing else should run on the host meanwhile.
+side won against the first. After the pairs it records 3 `--trace 1` runs
+per workload and side (seeds 1-3, the order of the sides alternating as in
+the pairs), kept apart from that end-to-end summary under `traced`: each
+side's median per-layer metrics show in which layer a change of the
+end-to-end figures sits, where one run per side cannot tell it from the
+host's noise. Runs go one at a time; nothing else should run on the host
+meanwhile.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("pipeline", "grid", "retrospective")
 PAIRS = 10  # a gain is claimed on at least 9 of 10 pairs
-TRACED_SEED = 1
+TRACED_RUNS = 3  # seeds 1..TRACED_RUNS
 
 
 def identify(tree: str) -> dict:
@@ -112,13 +114,15 @@ def summarize(runs: list[dict], sides: list[str], better: dict[str, str]) -> dic
 
 
 def traced_table(traced: list[dict]) -> dict:
-    """Per workload and per-layer metric, each side's value from its traced run."""
-    out = {}
+    """Per workload and per-layer metric, each side's median over its traced runs."""
+    values = {}
     for run in traced:
-        layers = out.setdefault(run["workload"], {})
+        layers = values.setdefault(run["workload"], {})
         for metric, entry in run["metrics"].items():
-            layers.setdefault(metric, {})[run["side"]] = entry["value"]
-    return out
+            layers.setdefault(metric, {}).setdefault(run["side"], []).append(entry["value"])
+    return {workload: {metric: {side: statistics.median(v) for side, v in by_side.items()}
+                       for metric, by_side in layers.items()}
+            for workload, layers in values.items()}
 
 
 def main(argv=None) -> int:
@@ -148,18 +152,20 @@ def main(argv=None) -> int:
                       f"pass_norm_s {pass_s:.4f} failed {run['failed']}/{run['attempted']}",
                       flush=True)
     traced = []
-    for workload in WORKLOADS:
-        for side in sides:
-            run = run_once(trees[side], workload, TRACED_SEED, seconds, trace=1)
-            traced.append({"side": side, "workload": workload, "seed": TRACED_SEED,
-                           "seconds": seconds, "trace": 1, **run})
-            print(f"traced {workload:13s} {side:8s} failed {run['failed']}/{run['attempted']}",
-                  flush=True)
+    for seed in range(1, TRACED_RUNS + 1):
+        order = sides if seed % 2 else sides[::-1]
+        for workload in WORKLOADS:
+            for side in order:
+                run = run_once(trees[side], workload, seed, seconds, trace=1)
+                traced.append({"side": side, "workload": workload, "seed": seed,
+                               "seconds": seconds, "trace": 1, **run})
+                print(f"traced {workload:13s} {side:8s} seed {seed} "
+                      f"failed {run['failed']}/{run['attempted']}", flush=True)
     doc = {
         "label": args.label,
         "settings": {"workloads": list(WORKLOADS), "pairs": PAIRS,
                      "seeds": list(range(1, PAIRS + 1)), "seconds": seconds, "trace": 0,
-                     "traced_seed": TRACED_SEED},
+                     "traced_seeds": list(range(1, TRACED_RUNS + 1))},
         "environment": {"nproc": os.cpu_count(), "python": platform.python_version(),
                         "numpy": runs[0]["environment"].get("numpy"),
                         "machine": platform.machine()},

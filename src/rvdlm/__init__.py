@@ -6,8 +6,7 @@ from .dlm_core import (HyperParams, ModelClass, NormalGammaPosterior, OneStepSta
                        limiting_dof, price_update, rv_update,
                        sv_volatility_update_path)
 from .distributions import (GammaParams, ScaledFParams, StudentTParams, gamma_quantile,
-                            sample_scaled_f, scaled_f_logpdf, student_t_logpdf,
-                            student_t_quantile)
+                            sample_scaled_f, scaled_f_logpdf, student_t_logpdf)
 from .errors import ConfigError, DataError, DomainError, NumericalError, RvdlmError
 from .forecast import RegressorInputs, predictive_y_given_z, predictive_z, sample_joint
 from .ingestion import (CsvSchema, SeriesFrame, apply_split, build_series,

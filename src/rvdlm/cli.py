@@ -104,7 +104,9 @@ def _synth_params(args) -> SyntheticParams:
 
 
 def _cmd_synth(args) -> int:
-    # checked before anything is generated or written
+    # checked before anything is read, generated or written
+    if args.days < 2:
+        raise ConfigError(f"--days must be at least 2, got {args.days}")
     for flag, path in (("--out", args.out), ("--truth-out", args.truth_out or None)):
         if path is None:
             continue

@@ -105,11 +105,6 @@ def gamma_quantile(u: float, p: GammaParams) -> float:
     return special.inv_reg_lower_gamma(p.shape, u) / p.rate
 
 
-def student_t_quantile(u: float, p: StudentTParams) -> float:
-    """Quantile of the location-scale t."""
-    return p.location + math.sqrt(p.scale) * special.student_t_quantile(u, p.dof)
-
-
 def sample_scaled_f(p: ScaledFParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """`size` compositional scaled-F draws, as an array: precisions from the
     gamma margin, then a conditional-gamma observation with each precision."""

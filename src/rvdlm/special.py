@@ -2,10 +2,10 @@
 safeguarded quantile solvers built on them.
 
 The scalar functions are plain-float so the sequential kernel can call them
-without array overhead; `log_gamma_array` is the vectorized variant used to
-precompute per-day scoring constants. `inv_reg_lower_gamma_lanes` and
-`student_t_quantile_lanes` solve many lanes (shapes, dofs, levels) at once,
-bit-identical to the scalar solvers lane by lane.
+without array overhead. `log_gamma_array` is the vectorized log-gamma of the
+scoring constants and the lane solvers: `inv_reg_lower_gamma_lanes` and
+`student_t_quantile_lanes` solve many lanes (shapes, dofs, levels) at once in
+one shared loop, `_converge`, bit-identical to the scalar solvers lane by lane.
 
 Every log, log1p, exp and sin whose value reaches an output comes from libm
 (`math`), one element at a time, through `_each`: numpy picks its ufunc loops
@@ -16,6 +16,7 @@ operations and stay on whole arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -292,17 +293,17 @@ def student_t_quantile(u: float, dof: float) -> float:
 
 # Lane-parallel solvers. Every lane performs exactly the operation sequence
 # of the scalar solvers above: exact IEEE operations on whole arrays, libm
-# through `_each`, every branch taken per lane, and a lane leaves the active
-# set the iteration it converges. Results are therefore bit-identical to the
-# scalar solvers, which `tests/test_special.py` checks.
+# through `_each` and `log_gamma_array`, every branch taken per lane, and a
+# lane leaves the active set the iteration it converges. Results are thus
+# bit-identical to the scalar solvers, which `tests/test_special.py` checks.
+# The four lane loops share one driver, `_converge`, and supply only their
+# iteration, cap and failure message.
 
 
 def _lanes(u, v, what: str) -> list[np.ndarray]:
     """Levels u in (0, 1) and finite positive `what` v, scalars or 1-D
     arrays, checked and broadcast to float lanes of one length."""
-    u, v = (np.array(w, dtype=float).ravel()
-            for w in np.broadcast_arrays(*(np.atleast_1d(np.asarray(w, dtype=float))
-                                          for w in (u, v))))
+    u, v = (np.array(w, dtype=float).ravel() for w in np.broadcast_arrays(u, v))
     bad = ~((u > 0.0) & (u < 1.0))
     if bad.any():
         raise DomainError(f"quantile level must be in (0, 1), got {float(u[bad][0])!r}")
@@ -312,56 +313,49 @@ def _lanes(u, v, what: str) -> list[np.ndarray]:
     return [u, v]
 
 
-def _keep(mask: np.ndarray, *arrays) -> list[np.ndarray]:
-    return [v[mask] for v in arrays]
-
-
 # Python float arithmetic overflows to inf (and makes nan of inf - inf)
 # silently; the public entry points keep numpy lanes just as quiet
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
+def _converge(state: np.ndarray, cap, fail, *stages) -> np.ndarray:
+    """Iterate the lanes of `state` (one row per variable, one column per lane)
+    until each converges. Iteration k = 1, 2, ... calls each stage(k, s) in
+    turn on the active lanes' columns s; a stage updates s in place and returns
+    a mask of the lanes that converge, which leave with row 0 as result. A lane
+    still active after iteration `cap` (a number, or one per lane) has failed:
+    the first such lane j, a column of `state`, raises NumericalError(fail(j))."""
+    out = np.empty(state.shape[1])
+    lane = np.arange(state.shape[1])
+    cap = np.broadcast_to(cap, lane.shape)
+    for k in itertools.count(1):
+        for stage in stages:
+            if not lane.size:
+                return out
+            done = stage(k, state)
+            if done.any():
+                out[lane[done]] = state[0][done]
+                keep = ~done
+                state, lane, cap = np.compress(keep, state, axis=1), lane[keep], cap[keep]
+        over = cap <= k
+        if over.any():
+            raise NumericalError(fail(int(lane[np.argmax(over)])))
+
+
 def _gamma_series_lanes(a, x, itmax):
-    # Series sum of P(a, x) without its prefactor, for 0 < x < a + 1. A
-    # converged lane stays in the arrays, out of `live`, until a quarter of the
-    # lanes there have converged: compacting seven arrays at nearly every term
-    # cost more than the spare arithmetic. The term cap is tested exactly only
-    # once k reaches the smallest cap in the arrays. Every term and partial
-    # sum is positive, so the scalar test's abs() changes no bit and is left out.
-    out = np.empty_like(a)
-    lane = np.arange(a.size)
-    live = np.ones(a.size, dtype=bool)
-    n_live = a.size
-    cap = int(itmax.min(initial=0))
-    ap = a.copy()
-    term = 1.0 / a
-    total = term.copy()
-    ratio, bound, done = np.empty_like(a), np.empty_like(a), np.empty(a.size, dtype=bool)
-    k = 0
-    while n_live:
-        k += 1
+    # Series sum of P(a, x) without its prefactor, for 0 < x < a + 1. Every
+    # term and partial sum is positive, so the scalar test's abs() changes no
+    # bit and is left out.
+    def add_term(_, s):
+        total, x, ap, term = s
         ap += 1.0
-        np.divide(x, ap, out=ratio)
-        term *= ratio
+        term *= x / ap
         total += term
-        np.multiply(total, _EPS, out=bound)
-        np.less(term, bound, out=done)
-        done &= live
-        if done.any():
-            out[lane[done]] = total[done]
-            live &= ~done
-            n_live = int(np.count_nonzero(live))
-            if 4 * n_live <= 3 * lane.size:
-                lane, a, x, itmax, ap, term, total = _keep(live, lane, a, x, itmax, ap, term,
-                                                           total)
-                ratio, bound, done = ratio[:n_live], bound[:n_live], done[:n_live]
-                live = np.ones(n_live, dtype=bool)
-                cap = int(itmax.min(initial=0))
-        if k >= cap and (live & (itmax <= k)).any():
-            i = int(np.argmax(live & (itmax <= k)))
-            raise NumericalError(f"incomplete gamma series failed to converge "
-                                 f"(a={float(a[i])}, x={float(x[i])})")
-    return out
+        return term < total * _EPS
+
+    return _converge(np.array([1.0 / a, x, a, 1.0 / a]), itmax,
+                     lambda j: f"incomplete gamma series failed to converge "
+                               f"(a={float(a[j])}, x={float(x[j])})", add_term)
 
 
 def _lentz_lanes(an, bn, c, d):
@@ -376,28 +370,17 @@ def _lentz_lanes(an, bn, c, d):
 
 def _gamma_contfrac_lanes(a, x, itmax):
     # Lentz continued fraction of Q(a, x) without its prefactor, for x >= a + 1.
-    out = np.empty_like(a)
-    lane = np.arange(a.size)
+    def step(i, s):
+        h, a, b, c, d = s
+        b += 2.0
+        s[3], s[4], delta = _lentz_lanes(-i * (i - a), b, c, d)
+        h *= delta
+        return np.abs(delta - 1.0) < _EPS
+
     b = x + 1.0 - a
-    c = np.full_like(a, 1.0 / _TINY)
-    d = 1.0 / b
-    h = d
-    i = 0
-    while lane.size:
-        i += 1
-        an = -i * (i - a)
-        b = b + 2.0
-        c, d, delta = _lentz_lanes(an, b, c, d)
-        h = h * delta
-        done = np.abs(delta - 1.0) < _EPS
-        if done.any():
-            out[lane[done]] = h[done]
-            lane, a, x, itmax, b, c, d, h = _keep(~done, lane, a, x, itmax, b, c, d, h)
-        if (itmax <= i).any():
-            k = int(np.argmax(itmax <= i))
-            raise NumericalError(f"incomplete gamma continued fraction failed "
-                                 f"(a={float(a[k])}, x={float(x[k])})")
-    return out
+    return _converge(np.array([1.0 / b, a, b, np.full_like(a, 1.0 / _TINY), 1.0 / b]), itmax,
+                     lambda j: f"incomplete gamma continued fraction failed "
+                               f"(a={float(a[j])}, x={float(x[j])})", step)
 
 
 def _lower_gamma_lanes(x, a, lga, itmax):
@@ -407,33 +390,29 @@ def _lower_gamma_lanes(x, a, lga, itmax):
     pos = np.flatnonzero(x > 0.0)
     x, a, lga, itmax = x[pos], a[pos], lga[pos], itmax[pos]
     front = _each(math.exp, -x + a * _each(math.log, x) - lga)
-    p = np.empty_like(x)
     ser = x < a + 1.0
     cf = ~ser
-    p[ser] = _gamma_series_lanes(a[ser], x[ser], itmax[ser]) * front[ser]
-    p[cf] = 1.0 - front[cf] * _gamma_contfrac_lanes(a[cf], x[cf], itmax[cf])
-    out[pos] = p
+    out[pos[ser]] = _gamma_series_lanes(a[ser], x[ser], itmax[ser]) * front[ser]
+    out[pos[cf]] = 1.0 - front[cf] * _gamma_contfrac_lanes(a[cf], x[cf], itmax[cf])
     return out
 
 
 def _newton_lanes(cdf, log_pdf, x, u, params, tol: float, floor: float, what: str):
     """`_newton` in every lane: cdf(x, *params) and log_pdf(x, *params) take the
-    active lanes' iterates and parameters. `what` formats the error message
-    from params[0] and u of a lane that does not converge."""
-    out = np.empty_like(x)
-    lane = np.arange(x.size)
-    lo, hi = np.zeros_like(x), np.full_like(x, math.inf)
-    for _ in range(_MAX_STEPS):
-        f = cdf(x, *params) - u
-        done = np.abs(f) <= tol
-        out[lane[done]] = x[done]
-        lane, u, x, f, lo, hi, *params = _keep(~done, lane, u, x, f, lo, hi, *params)
-        if not lane.size:
-            return out
+    active lanes' iterates and parameters, and a lane whose residual meets
+    `tol` leaves before its log density and step. `what` formats the error
+    message from params[0] and u of a lane that does not converge."""
+    def residual(_, s):
+        x, u, lo, hi, f, *p = s
+        f[:] = cdf(x, *p) - u
+        return np.abs(f) <= tol
+
+    def step(_, s):
+        x, u, lo, hi, f, *p = s
         up = f > 0.0
-        hi = np.where(up, np.minimum(hi, x), hi)
-        lo = np.where(up, lo, np.maximum(lo, x))
-        lpdf = log_pdf(x, *params)
+        np.copyto(hi, np.minimum(hi, x), where=up)
+        np.copyto(lo, np.maximum(lo, x), where=~up)
+        lpdf = log_pdf(x, *p)
         newton = lpdf > floor
         xn = np.full_like(x, math.nan)
         xn[newton] = x[newton] - f[newton] * _each(math.exp, -lpdf[newton])
@@ -441,11 +420,13 @@ def _newton_lanes(cdf, log_pdf, x, u, params, tol: float, floor: float, what: st
         xn[bis] = np.where(np.isfinite(hi[bis]), 0.5 * (lo[bis] + hi[bis]),
                            2.0 * np.maximum(x[bis], 1.0))
         stay = xn == x
-        out[lane[stay]] = x[stay]
-        lane, u, x, lo, hi, *params = _keep(~stay, lane, u, xn, lo, hi, *params)
-        if not lane.size:
-            return out
-    raise NumericalError(what.format(float(params[0][0]), float(u[0])))
+        np.copyto(x, xn, where=~stay)
+        return stay
+
+    zero = np.zeros_like(x)
+    return _converge(np.array([x, u, zero, np.full_like(x, math.inf), zero, *params]),
+                     _MAX_STEPS, lambda j: what.format(float(params[0][j]), float(u[j])),
+                     residual, step)
 
 
 @_quiet
@@ -458,45 +439,34 @@ def inv_reg_lower_gamma_lanes(a, u) -> np.ndarray:
     g = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
     x = a * g * g * g
     cold = ~(g > 0.0)
-    if cold.any():
-        ac = a[cold]
-        x[cold] = ac * _each(math.exp, (_each(math.log, u[cold])
-                                        + _each(log_gamma, ac + 1.0)) / ac)
+    ac = a[cold]
+    x[cold] = ac * _each(math.exp, (_each(math.log, u[cold]) + log_gamma_array(ac + 1.0)) / ac)
     return _newton_lanes(_lower_gamma_lanes,
                          lambda x, a, lga, _: (a - 1.0) * _each(math.log, x) - x - lga,
                          np.maximum(x, _TINY), u,
-                         (a, _each(log_gamma, a), _each(_max_terms, a)),
+                         (a, log_gamma_array(a), _each(_max_terms, a)),
                          _GAMMA_TOL, _GAMMA_FLOOR, "gamma quantile solver failed (a={}, u={})")
 
 
 def _betacf_lanes(a, b, x):
     # Lentz continued fraction for the incomplete beta.
-    out = np.empty_like(a)
-    lane = np.arange(a.size)
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = np.ones_like(a)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < _TINY, _TINY, d)
-    d = 1.0 / d
-    h = d
-    m = 0
-    while lane.size:
-        if m == 399:
-            raise NumericalError(f"incomplete beta continued fraction failed "
-                                 f"(a={float(a[0])}, b={float(b[0])}, x={float(x[0])})")
-        m += 1
+    def step(m, s):
+        h, a, b, x, qab, qap, qam, c, d = s
         m2 = 2 * m
-        c, d, delta = _lentz_lanes(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
-        h = h * delta
-        c, d, delta = _lentz_lanes(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0,
-                                   c, d)
-        h = h * delta
-        done = np.abs(delta - 1.0) < _EPS
-        if done.any():
-            out[lane[done]] = h[done]
-            lane, a, b, x, qab, qap, qam, c, d, h = _keep(~done, lane, a, b, x, qab, qap, qam,
-                                                          c, d, h)
-    return out
+        s[7], s[8], delta = _lentz_lanes(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
+        h *= delta
+        s[7], s[8], delta = _lentz_lanes(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+                                         1.0, c, d)
+        h *= delta
+        return np.abs(delta - 1.0) < _EPS
+
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / np.where(np.abs(d) < _TINY, _TINY, d)
+    # 399 terms, as `_betacf`'s range(1, 400)
+    return _converge(np.array([d, a, b, x, qab, qap, qam, np.ones_like(a), d]), 399,
+                     lambda j: f"incomplete beta continued fraction failed "
+                               f"(a={float(a[j])}, b={float(b[j])}, x={float(x[j])})", step)
 
 
 def _inc_beta_lanes(a, b, x, log_beta):
@@ -541,10 +511,10 @@ def student_t_quantile_lanes(u, dof) -> np.ndarray:
     w, n = w[solve], dof[solve]
     z = _each(normal_quantile, w)
     x = z + (_each(lambda v: v ** 3, z) + z) / (4.0 * n)  # first-order tail correction
-    lg_half = _each(log_gamma, 0.5 * n)
-    log_beta = _each(log_gamma, 0.5 * n + 0.5) - lg_half - _LOG_GAMMA_HALF
+    lg_half = log_gamma_array(0.5 * n)
+    log_beta = log_gamma_array(0.5 * n + 0.5) - lg_half - _LOG_GAMMA_HALF
     # the t log density is c - (n + 1)/2 log1p(x^2/n)
-    c = _each(log_gamma, 0.5 * (n + 1.0)) - lg_half - 0.5 * _each(math.log, n * math.pi)
+    c = log_gamma_array(0.5 * (n + 1.0)) - lg_half - 0.5 * _each(math.log, n * math.pi)
     out[solve] = _newton_lanes(
         lambda t, n, log_beta, _: _t_cdf_lanes(t, n, log_beta),
         lambda t, n, _, c: c - 0.5 * (n + 1.0) * _each(math.log1p, t * t / n),

@@ -37,8 +37,9 @@ def test_traced_runs_follow_the_pairs_and_stay_out_of_the_summary(tmp_path, monk
     def fake_run(tree, workload, seed, seconds, trace=0):
         calls.append((tree, workload, seed, seconds, trace))
         if trace:
-            metrics = {"kernel.run_filter_s": {"value": 0.5 if tree == "old" else 0.25,
-                                               "unit": "s"}}
+            # the medians over seeds 1-3 are 0.5 and 0.25; neither is a mean
+            value = {"old": (0.5, 0.9, 0.4), "new": (0.3, 0.2, 0.25)}[tree][seed - 1]
+            metrics = {"kernel.run_filter_s": {"value": value, "unit": "s"}}
         else:
             metrics = {"pass_norm_s": {"value": 1.0 if tree == "old" else 0.9, "unit": "s"}}
         return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics,
@@ -52,16 +53,22 @@ def test_traced_runs_follow_the_pairs_and_stay_out_of_the_summary(tmp_path, monk
 
     paired = 2 * len(record.WORKLOADS) * record.PAIRS
     assert all(c[4] == 0 for c in calls[:paired])
-    assert calls[paired:] == [(tree, w, record.TRACED_SEED, 2, 1)
-                              for w in record.WORKLOADS for tree in ("old", "new")]
+    # the order of the sides alternates from traced run to traced run, as in the pairs
+    orders = [("old", "new"), ("new", "old"), ("old", "new")]
+    assert record.TRACED_RUNS == 3
+    assert calls[paired:] == [(tree, w, seed, 2, 1) for seed, order in zip((1, 2, 3), orders)
+                              for w in record.WORKLOADS for tree in order]
     assert all(r["trace"] == 0 for r in doc["runs"]) and len(doc["runs"]) == paired
     for workload in record.WORKLOADS:
         assert set(doc["summary"][workload]) == {"pass_norm_s"}
         assert doc["summary"][workload]["pass_norm_s"]["change_wins"] == record.PAIRS
         assert doc["traced"]["layers"][workload] == {
             "kernel.run_filter_s": {"parent": 0.5, "change": 0.25}}
-    assert [(r["workload"], r["side"], r["trace"]) for r in doc["traced"]["runs"]] == [
-        (w, side, 1) for w in record.WORKLOADS for side in ("parent", "change")]
+    names = {"old": "parent", "new": "change"}
+    assert [(r["workload"], r["side"], r["seed"], r["trace"]) for r in doc["traced"]["runs"]] == [
+        (w, names[tree], seed, 1) for seed, order in zip((1, 2, 3), orders)
+        for w in record.WORKLOADS for tree in order]
+    assert doc["settings"]["traced_seeds"] == [1, 2, 3]
 
 
 def test_identify_counts_src_lines(tmp_path):

@@ -7,7 +7,7 @@ from scipy import integrate, stats
 
 from rvdlm import (DomainError, GammaParams, ScaledFParams, StudentTParams,
                    gamma_quantile, sample_scaled_f, scaled_f_logpdf, special,
-                   student_t_logpdf, student_t_quantile)
+                   student_t_logpdf)
 
 # frozen expected values, each computed with the independent oracle noted inline
 CAUCHY_AT_ZERO = -1.1447298858494002          # ln(1/pi), exact
@@ -174,13 +174,6 @@ class TestCompositionalScaledF:
             ref = p.scale * float(stats.f.ppf(q, p.dof_num, p.dof_den))
             got = float(np.quantile(draws, q))
             assert abs(got - ref) / ref < 0.01
-
-
-def test_student_t_quantile_location_scale():
-    p = StudentTParams(6.0, 1.5, 4.0)
-    got = student_t_quantile(0.95, p)
-    ref = 1.5 + 2.0 * float(stats.t.ppf(0.95, 6.0))
-    assert got == pytest.approx(ref, rel=1e-9)
 
 
 def test_every_logpdf_normalizes():

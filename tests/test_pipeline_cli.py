@@ -531,6 +531,15 @@ class TestCli:
         assert f"error [synth]: {flag} " in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("days", ["-3", "0", "1"])
+    def test_synth_too_few_days_is_config_error(self, tmp_path, capsys, days):
+        # checked before the params are read or a theta path is built
+        before = sorted(os.listdir(tmp_path))
+        assert main(["synth", "--model", "rvdlm", "--days", days, "--params",
+                     str(tmp_path / "missing.json"), "--out", str(tmp_path / "s.csv")]) == 2
+        assert f"--days must be at least 2, got {days}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_synth_unknown_param_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"vol_inf": 50.0}))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import special as sp
 from scipy import stats
 
-from rvdlm import DomainError, dof_sequences
+from rvdlm import DomainError, NumericalError, dof_sequences
 from rvdlm import special
 from rvdlm.pipeline import DEFAULT_HYPERPARAMS, _fill_quantiles
 
@@ -299,3 +299,42 @@ def test_one_lane_equals_scalar(shape, u):
                  lambda: special.inv_reg_lower_gamma(shape, u))
     same_outcome(lambda: special.student_t_quantile_lanes(u, shape),
                  lambda: special.student_t_quantile(u, shape))
+
+
+def scalar_failures(solve, lanes):
+    """Each lane's NumericalError message from the scalar solver, or None."""
+    out = []
+    for args in lanes:
+        try:
+            solve(*args)
+            out.append(None)
+        except NumericalError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_lane_solvers_fail_as_the_scalar_does(monkeypatch):
+    # four Newton steps solve the first two lanes of each call and neither the
+    # third nor the fifth; the t call reflects its third lane (u = 0.001)
+    monkeypatch.setattr(special, "_MAX_STEPS", 4)
+    a, u = [2.0, 50.0, 0.5, 300.0, 0.1], [0.5, 0.95, 0.01, 0.3, 0.9]
+    want = scalar_failures(special.inv_reg_lower_gamma, zip(a, u))
+    assert want[:2] == [None, None] and want[2] and want[4]
+    with pytest.raises(NumericalError) as exc:
+        special.inv_reg_lower_gamma_lanes(a, u)
+    assert str(exc.value) == want[2] == "gamma quantile solver failed (a=0.5, u=0.01)"
+    u, dof = [0.6, 0.95, 0.001, 0.3, 0.99], [3.0, 30.0, 0.5, 1e4, 1.0]
+    want = scalar_failures(special.student_t_quantile, zip(u, dof))
+    assert want[:2] == [None, None] and want[2] and want[4]
+    with pytest.raises(NumericalError) as exc:
+        special.student_t_quantile_lanes(u, dof)
+    assert str(exc.value) == want[2] == "t quantile solver failed (dof=0.5, u=0.999)"
+
+
+def test_series_lane_at_its_cap_names_its_arguments():
+    # only the middle lane's cap is one term, too few for it
+    a, x = np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, 1.5])
+    with pytest.raises(NumericalError) as exc:
+        special._gamma_series_lanes(a, x, np.array([1000.0, 1.0, 1000.0]))
+    assert str(exc.value) == scalar_failures(special._gamma_series, [(2.0, 1.0, 1)])[0] == \
+        "incomplete gamma series failed to converge (a=2.0, x=1.0)"
