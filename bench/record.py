@@ -11,14 +11,14 @@ alternates from pair to pair, so a drift of the host's speed falls on both.
 The file holds the environment (nproc, Python, numpy; per side the git
 revision, a digest of its `src/` and the line count of its Python files),
 every run's end-to-end metrics and `#` report figures, and per workload and
-metric the median and quartiles of each side and how many pairs the last
-side won against the first. After the pairs it records 3 `--trace 1` runs
-per workload and side (seeds 1-3, the order of the sides alternating as in
-the pairs), kept apart from that end-to-end summary under `traced`: each
-side's median per-layer metrics show in which layer a change of the
-end-to-end figures sits, where one run per side cannot tell it from the
-host's noise. Runs go one at a time; nothing else should run on the host
-meanwhile.
+metric the median and quartiles of each side, how many pairs the last side
+won against the first and whether that shows a gain (`gain_shown`). After
+the pairs it records 3 `--trace 1` runs per workload and side (seeds 1-3,
+the order of the sides alternating as in the pairs), kept apart from that
+end-to-end summary under `traced`: each side's median per-layer metrics
+show in which layer a change of the end-to-end figures sits, where one run
+per side cannot tell it from the host's noise. Runs go one at a time;
+nothing else should run on the host meanwhile.
 """
 
 from __future__ import annotations
@@ -95,7 +95,10 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(runs: list[dict], sides: list[str], better: dict[str, str]) -> dict:
     """Per workload and end-to-end metric: each side's median and quartiles,
-    and the pairs the last side won against the first (ties count for neither)."""
+    the pairs the last side won against the first (ties count for neither),
+    and `gain_shown`, whether those figures back a claimed gain: the last
+    side won at least 9 in 10 of the pairs, and its median is better than
+    the first side's by more than the first side's interquartile range."""
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
         mine = [r for r in runs if r["workload"] == workload]
@@ -107,8 +110,13 @@ def summarize(runs: list[dict], sides: list[str], better: dict[str, str]) -> dic
             if len(sides) > 1:
                 base, new = by_side[sides[0]], by_side[sides[-1]]
                 sign = 1.0 if better[metric] == "lower" else -1.0
-                entry["pairs"] = min(len(base), len(new))
-                entry[f"{sides[-1]}_wins"] = sum(sign * (b - n) > 0.0 for b, n in zip(base, new))
+                pairs = entry["pairs"] = min(len(base), len(new))
+                wins = entry[f"{sides[-1]}_wins"] = sum(sign * (b - n) > 0.0
+                                                        for b, n in zip(base, new))
+                first, last = entry[sides[0]], entry[sides[-1]]
+                entry["gain_shown"] = (wins >= pairs - pairs // 10 and  # 9 of 10
+                                       sign * (first["median"] - last["median"])
+                                       > first["q3"] - first["q1"])
             out[workload][metric] = entry
     return out
 

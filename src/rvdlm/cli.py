@@ -107,6 +107,8 @@ def _cmd_synth(args) -> int:
     # checked before anything is read, generated or written
     if args.days < 2:
         raise ConfigError(f"--days must be at least 2, got {args.days}")
+    if args.seed < 0:  # np.random.default_rng takes no negative seed
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     for flag, path in (("--out", args.out), ("--truth-out", args.truth_out or None)):
         if path is None:
             continue

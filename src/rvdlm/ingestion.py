@@ -48,6 +48,8 @@ def _read_rows(path) -> tuple[list[list[str]], list[int]]:
                     lines.append(reader.line_num)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     if not rows:
         raise DataError(f"{path} is empty")
     return rows, lines
@@ -230,7 +232,10 @@ def write_columns_csv(path, header, columns) -> None:
     bytes of field slots (see `_csv_blocks`). The text of a block's numpy
     values is computed on whole arrays, exactly (see `_write_floats`); a
     value with no exact array form, such as inf, NaN or one below 1e-6, is
-    formatted by FLOAT_FORMAT on its own."""
+    formatted by FLOAT_FORMAT on its own. Each maximal run of adjacent
+    numpy columns is one such computation per block, and each text column
+    one more packing pass, so a flag or count is best passed as a float
+    array: 0.0 and 1.0 are written `0` and `1`."""
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise DomainError(f"{path}: columns of unequal lengths {lengths}")

@@ -207,12 +207,15 @@ def _json_variant(value) -> ModelClass:
 
 
 def load_json(path, what: str):
-    """The JSON document in `path`; a ConfigError naming `what` if unreadable or not JSON."""
+    """The JSON document in `path`; a ConfigError naming `what` if unreadable,
+    not UTF-8 or not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
@@ -317,6 +320,9 @@ def _trajectory_columns(iso_dates, scored, mspec: ModelSpec, traj: FilterTraject
                         quantiles: dict):
     """Header and whole-series columns of one `{ticker}__{model}.csv`, plus
     the realized-variance log scores (None for the price-only model).
+    `iso_dates` is the one text column; every other column, the 0.0/1.0
+    `scored` flag included, is a float64 array, so `write_columns_csv`
+    formats each block of rows in one float run.
 
     The dof path is data-independent and converges, so the quantile
     multipliers are solved once per distinct dof and memoised in `quantiles`
@@ -369,9 +375,9 @@ def _model_pairs(names: list) -> list[tuple[str, str]]:
 
 def _write_bayes_factors(out_dir: str, ticker: str, scores: dict) -> dict:
     """Write `{ticker}__BF__{hi}_over_{lo}.csv` for every model pair, in
-    config order, from per-model (dates, score increments) over the scored
-    window; dates are written as `str(date)`, the ISO form. Returns
-    {pair name: (path, final cumulative log BF)}."""
+    config order, from per-model (ISO date texts, score increments) over the
+    scored window, as the filter pass and `_scored_increments` both give
+    them. Returns {pair name: (path, final cumulative log BF)}."""
     out = {}
     for hi, lo in _model_pairs(list(scores)):
         (dates, hi_inc), (lo_dates, lo_inc) = scores[hi], scores[lo]
@@ -438,7 +444,7 @@ def _run_into(config: RunConfig, out_dir: str) -> dict:
         # the scored window is the suffix from first_eval: its dates and score increments
         first = frame.first_eval
         iso_dates = [d.isoformat() for d in frame.dates]
-        scored = ["0"] * first + ["1"] * (len(frame) - first)
+        scored = (np.arange(len(frame)) >= first).astype(np.float64)
         scores = {}
         for mspec in config.models:
             try:
@@ -454,7 +460,7 @@ def _run_into(config: RunConfig, out_dir: str) -> dict:
                                     f" floored at floor_eps={config.floor_eps!r})", exc.date)
                 raise err.within(f"series {sspec.ticker!r} model {mspec.name!r} [filter]") from exc
             increments = traj.log_density[first:]
-            scores[mspec.name] = (frame.dates[first:], increments)
+            scores[mspec.name] = (iso_dates[first:], increments)
             write_columns_csv(os.path.join(out_dir, _trajectory_file(sspec.ticker, mspec.name)),
                               header, cols)
             running = np.cumsum(increments)  # adds in order, like a running total
@@ -529,32 +535,35 @@ def _scored_increments(path: str) -> tuple[list, list]:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        idx = {h: k for k, h in enumerate(fh.readline().rstrip("\r\n").split(","))}
-        for col in ("date_iso", "log_score_nats", "scored"):
-            if col not in idx:
-                raise DataError(f"{path}: missing column {col!r}")
-        i_date, i_score, i_flag = idx["date_iso"], idx["log_score_nats"], idx["scored"]
-        last = max(i_date, i_score, i_flag)
-        dates, increments = [], []
-        for line_no, line in enumerate(fh, start=2):
-            fields = line.rstrip("\r\n").split(",", last + 1)
-            if len(fields) <= last:
-                if not line.strip():
-                    continue
-                raise DataError(f"{path}:{line_no}: row has {len(fields)} fields, "
-                                f"expected at least {last + 1}")
-            flag = fields[i_flag]
-            if flag == "1":
-                try:
-                    score = float(fields[i_score])
-                except ValueError:
-                    score = math.nan
-                if not math.isfinite(score):
-                    raise DataError(f"{path}:{line_no}: log score must be a finite number, "
-                                    f"got {fields[i_score]!r}")
-                increments.append(score)
-                dates.append(fields[i_date])
-            elif flag != "0":
-                raise DataError(f"{path}:{line_no}: scored flag must be 0 or 1, got {flag!r}")
+    try:
+        with fh:
+            idx = {h: k for k, h in enumerate(fh.readline().rstrip("\r\n").split(","))}
+            for col in ("date_iso", "log_score_nats", "scored"):
+                if col not in idx:
+                    raise DataError(f"{path}: missing column {col!r}")
+            i_date, i_score, i_flag = idx["date_iso"], idx["log_score_nats"], idx["scored"]
+            last = max(i_date, i_score, i_flag)
+            dates, increments = [], []
+            for line_no, line in enumerate(fh, start=2):
+                fields = line.rstrip("\r\n").split(",", last + 1)
+                if len(fields) <= last:
+                    if not line.strip():
+                        continue
+                    raise DataError(f"{path}:{line_no}: row has {len(fields)} fields, "
+                                    f"expected at least {last + 1}")
+                flag = fields[i_flag]
+                if flag == "1":
+                    try:
+                        score = float(fields[i_score])
+                    except ValueError:
+                        score = math.nan
+                    if not math.isfinite(score):
+                        raise DataError(f"{path}:{line_no}: log score must be a finite number, "
+                                        f"got {fields[i_score]!r}")
+                    increments.append(score)
+                    dates.append(fields[i_date])
+                elif flag != "0":
+                    raise DataError(f"{path}:{line_no}: scored flag must be 0 or 1, got {flag!r}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     return dates, increments

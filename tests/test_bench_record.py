@@ -27,6 +27,30 @@ def test_summary_counts_wins_of_the_last_side_and_quartiles():
     higher = record.summarize(runs, ["parent", "change"], {"pass_norm_s": "higher"})
     assert higher["pipeline"]["pass_norm_s"]["change_wins"] == 1
 
+    assert entry["gain_shown"] is False
+
+
+PARENT = [1.0, 1.05, 0.98, 1.02, 1.01, 0.99, 1.03, 0.97, 1.0, 1.04]  # quartiles 0.9925, 1.0275
+
+
+@pytest.mark.parametrize("change, shown", [
+    ([0.9] * 9 + [1.3], True),  # 9 of 10 pairs won, the medians 0.105 apart
+    ([0.9] * 8 + [1.3] * 2, False),  # 8 of 10 pairs won
+    ([v - 0.01 for v in PARENT], False),  # every pair won, but the gap is within the quartiles
+])
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_gain_shown_takes_nine_of_ten_pairs_and_a_gap_beyond_the_quartiles(better, change,
+                                                                          shown):
+    # for "higher" every value is negated, which mirrors the case
+    sign = 1.0 if better == "lower" else -1.0
+    runs = [run(side, pair, sign * value) for pair, values in enumerate(zip(PARENT, change))
+            for side, value in zip(("parent", "change"), values)]
+    entry = record.summarize(runs, ["parent", "change"], {"pass_norm_s": better})
+    assert entry["pipeline"]["pass_norm_s"]["gain_shown"] is shown
+    other = {"lower": "higher", "higher": "lower"}[better]
+    reverse = record.summarize(runs, ["parent", "change"], {"pass_norm_s": other})
+    assert reverse["pipeline"]["pass_norm_s"]["gain_shown"] is False
+
 
 def test_traced_runs_follow_the_pairs_and_stay_out_of_the_summary(tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({

@@ -86,3 +86,20 @@ def test_no_columns_or_rows_write_the_header(tmp_path):
     write_columns_csv(tmp_path / "b.csv", ["a", "b"], [np.zeros(0), []])
     assert (tmp_path / "a.csv").read_bytes() == b"\n"
     assert (tmp_path / "b.csv").read_bytes() == b"a,b\n"
+
+
+def test_float_flag_writes_the_bytes_of_a_text_flag(tmp_path):
+    # a 0.0/1.0 column between float columns keeps them one float run; its
+    # bytes are those of the "0"/"1" text column it replaces
+    rng = np.random.default_rng(5)
+    rows = 2500  # more than one block
+    flag = (rng.random(rows) < 0.5).astype(np.float64)
+    left, right = rng.standard_normal((2, rows)) * 10.0 ** rng.integers(-7, 18, (2, rows))
+    header = ["date", "left", "flag", "right"]
+    dates = [dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(rows)]
+    write_columns_csv(tmp_path / "float.csv", header, [dates, left, flag, right])
+    write_columns_csv(tmp_path / "text.csv", header,
+                      [dates, left, ["1" if f else "0" for f in flag], right])
+    got = (tmp_path / "float.csv").read_bytes()
+    assert got == (tmp_path / "text.csv").read_bytes()
+    assert {line.split(b",")[2] for line in got.splitlines()[1:]} == {b"0", b"1"}

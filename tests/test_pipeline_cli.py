@@ -362,6 +362,35 @@ class TestPipeline:
         sa["config"].pop("out_dir"); sb["config"].pop("out_dir")
         assert sa == sb
 
+    def test_trajectory_floats_are_one_run_and_bf_dates_are_iso(self, data_csv, tmp_path,
+                                                                monkeypatch):
+        # every trajectory column but the date is a float64 array, so each
+        # block of rows is formatted in one float run; the Bayes-factor
+        # writer gets the ISO texts the trajectories hold
+        calls, bf_dates = [], []
+        columns, write_bf = pipeline._trajectory_columns, pipeline._write_bayes_factors
+
+        def spy_columns(*args):
+            calls.append(columns(*args))
+            return calls[-1]
+
+        def spy_bf(out_dir, ticker, scores):
+            bf_dates.extend(dates for dates, _ in scores.values())
+            return write_bf(out_dir, ticker, scores)
+
+        monkeypatch.setattr(pipeline, "_trajectory_columns", spy_columns)
+        monkeypatch.setattr(pipeline, "_write_bayes_factors", spy_bf)
+        run_filter_pipeline(load_config(base_config(data_csv[0], str(tmp_path / "o"))))
+        iso = [b.date.isoformat() for b in data_csv[1][1:]]
+        assert len(calls) == 3 and len(bf_dates) == 3
+        for header, cols, _ in calls:
+            assert header[0] == "date_iso" and cols[0] == iso
+            for name, col in zip(header[1:], cols[1:]):
+                assert isinstance(col, np.ndarray) and col.dtype == np.float64, name
+                assert col.shape == (len(iso),), name
+        assert all(dates == iso[-len(dates):] and dates and isinstance(dates[0], str)
+                   for dates in bf_dates)
+
 
 class TestCli:
     def test_filter_subcommand(self, data_csv, tmp_path, capsys):
@@ -540,6 +569,15 @@ class TestCli:
         assert f"--days must be at least 2, got {days}" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("seed", ["-1", str(-2 ** 63)])
+    def test_synth_negative_seed_is_config_error(self, tmp_path, capsys, seed):
+        # checked with --days, before the params are read or anything is written
+        before = sorted(os.listdir(tmp_path))
+        assert main(["synth", "--model", "rvdlm", "--days", "5", "--seed", seed, "--params",
+                     str(tmp_path / "missing.json"), "--out", str(tmp_path / "s.csv")]) == 2
+        assert f"--seed must be non-negative, got {seed}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_synth_unknown_param_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"vol_inf": 50.0}))
@@ -617,6 +655,29 @@ class TestCli:
         open(path, "w").write("".join(lines))
         assert main(["score", "--run-dir", out]) == 3
         assert f"{path}:{len(lines)}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damaged, code", [("ohlc", 3), ("config", 2), ("trajectory", 3)])
+    def test_invalid_utf8_names_the_file(self, data_csv, tmp_path, capsys, damaged, code):
+        # a byte 0xff in an input is a DataError (a CSV) or a ConfigError (the
+        # JSON config) naming the file, not a traceback
+        ohlc = tmp_path / "tic.csv"
+        ohlc.write_bytes(Path(data_csv[0]).read_bytes())
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config(str(ohlc), str(out))))
+        argv = ["filter", "--config", str(cfg)]
+        if damaged == "trajectory":
+            assert main(argv) == 0
+            argv = ["score", "--run-dir", str(out)]
+        path = {"ohlc": ohlc, "config": cfg, "trajectory": out / "TIC__rvdlm.csv"}[damaged]
+        text = path.read_bytes()
+        cut = text.index(b",", len(text) // 2) + 1  # a field in the middle of the file
+        path.write_bytes(text[:cut] + b"\xff" + text[cut:])
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main(argv) == code
+        assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_score_is_all_or_nothing(self, data_csv, tmp_path, capsys):
         # A's Bayes factors are gone and B's trajectory is bad: a score that
