@@ -17,7 +17,8 @@ the pairs it records 3 `--trace 1` runs per workload and side (seeds 1-3,
 the order of the sides alternating as in the pairs), kept apart from that
 end-to-end summary under `traced`: each side's median per-layer metrics
 show in which layer a change of the end-to-end figures sits, where one run
-per side cannot tell it from the host's noise. Runs go one at a time;
+per side cannot tell it from the host's noise, and each side's min and max
+beside the median show how far that noise reaches. Runs go one at a time;
 nothing else should run on the host meanwhile.
 """
 
@@ -122,13 +123,16 @@ def summarize(runs: list[dict], sides: list[str], better: dict[str, str]) -> dic
 
 
 def traced_table(traced: list[dict]) -> dict:
-    """Per workload and per-layer metric, each side's median over its traced runs."""
+    """Per workload and per-layer metric, each side's median, min and max over
+    its traced runs: a side's spread shows whether the medians differ by more
+    than the host's noise."""
     values = {}
     for run in traced:
         layers = values.setdefault(run["workload"], {})
         for metric, entry in run["metrics"].items():
             layers.setdefault(metric, {}).setdefault(run["side"], []).append(entry["value"])
-    return {workload: {metric: {side: statistics.median(v) for side, v in by_side.items()}
+    return {workload: {metric: {side: {"median": statistics.median(v), "min": min(v),
+                                       "max": max(v)} for side, v in by_side.items()}
                        for metric, by_side in layers.items()}
             for workload, layers in values.items()}
 

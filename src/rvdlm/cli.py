@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import sys
 
@@ -57,6 +58,7 @@ def _cmd_filter(args) -> int:
     # --out and --seed win over the config; replace() validates the result again
     given = {"out_dir": args.out, "seed": args.seed}
     config = dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
+    config.refuse_output(args.config, "config")
     summary = run_filter_pipeline(config)
     for ticker, entry in summary["series"].items():
         scores = ", ".join(f"{m}={v['cumulative_log_score']:.3f}"
@@ -109,9 +111,13 @@ def _cmd_synth(args) -> int:
         raise ConfigError(f"--days must be at least 2, got {args.days}")
     if args.seed < 0:  # np.random.default_rng takes no negative seed
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    for flag, path in (("--out", args.out), ("--truth-out", args.truth_out or None)):
-        if path is None:
-            continue
+    outputs = [(flag, path) for flag, path in (("--out", args.out),
+                                               ("--truth-out", args.truth_out)) if path]
+    given = [("--params", args.params)] if args.params else []
+    for (one, first), (two, path) in itertools.combinations(given + outputs, 2):
+        if os.path.realpath(first) == os.path.realpath(path):
+            raise ConfigError(f"{one} and {two} name one file, {path!r}")
+    for flag, path in outputs:
         target = os.path.abspath(path)
         if os.path.isdir(target):
             raise ConfigError(f"{flag} {path!r} is a directory, not a file path")

@@ -268,13 +268,16 @@ def read_ohlc(path, schema: CsvSchema = CsvSchema()) -> tuple:
     """
     rows, lines = _read_rows(path)
     header, body = rows[0], rows[1:]
-    lookup = {name.strip().lower(): i for i, name in enumerate(header)}
+    names = [name.strip().lower() for name in header]
     cols = []
     for field in ("date", *PRICE_FIELDS):
         want = getattr(schema, field).lower()
-        if want not in lookup:
+        if want not in names:
             raise DataError(f"{path}: header {header!r} lacks required column {want!r}")
-        cols.append(lookup[want])
+        if names.count(want) > 1:
+            raise DataError(f"{path}: header {header!r} names required column {want!r} "
+                            f"more than once")
+        cols.append(names.index(want))
 
     # Each check looks only at the rows before the earliest failure found so
     # far, so the row reported is the first bad one and, on it, the first check.

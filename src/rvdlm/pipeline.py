@@ -66,14 +66,21 @@ def _check_output_names(tickers: list, names: list) -> None:
     if len(set(tickers)) != len(tickers):
         raise ConfigError(f"series tickers must be unique, got {tickers}")
     # names joined into file names can still meet: ('A_', 'm') and ('A', '_m')
-    files = [_trajectory_file(t, m) for t in tickers for m in names]
-    files += [_bf_file(t, hi, lo) for t in tickers for hi, lo in _model_pairs(names)]
     seen = set()
-    for f in files:
+    for f in _output_files(tickers, names):
         if f in seen:
             raise ConfigError(f"output file name {f!r} would be written twice; "
                               f"rename a series ticker or model")
         seen.add(f)
+
+
+def _output_files(tickers: list, names: list) -> list[str]:
+    """The names of the files a run writes into its out_dir: a trajectory
+    per series and model, a Bayes-factor file per series and model pair, and
+    summary.json."""
+    return ([_trajectory_file(t, m) for t in tickers for m in names]
+            + [_bf_file(t, hi, lo) for t in tickers for hi, lo in _model_pairs(names)]
+            + ["summary.json"])
 
 
 def _existing(path: str) -> str:
@@ -164,6 +171,16 @@ class RunConfig:
         for s in self.series:
             if not os.path.exists(s.path):
                 raise ConfigError(f"series {s.ticker!r}: file not found: {s.path}")
+            self.refuse_output(s.path, f"series {s.ticker!r}: path")
+
+    def refuse_output(self, path: str, what: str) -> None:
+        """A ConfigError naming `what` if `path` is a file this run writes,
+        which the run would replace."""
+        files = _output_files([s.ticker for s in self.series], [m.name for m in self.models])
+        if os.path.realpath(path) in {os.path.realpath(os.path.join(self.out_dir, f))
+                                      for f in files}:
+            raise ConfigError(f"{what} {path} is an output file of this run "
+                              f"(out_dir {self.out_dir!r}), which would replace it")
 
 
 def json_number(value) -> float:
@@ -304,14 +321,16 @@ def load_config(path_or_dict) -> RunConfig:
 def _fill_quantiles(quantiles: dict, dofs: list) -> None:
     """Add to `quantiles` every dof not yet in it: dof -> (gamma 0.50, 0.95,
     0.05 quantiles of G(n/2, n/2), t 0.95 quantile).
-    One lane-parallel solve per level covers all the new dofs."""
+    One lane-parallel solve per law covers all the new dofs: the gamma's
+    three levels are a column broadcast against the dofs."""
     new = [n for n in dofs if n not in quantiles]
     if not new:
         return
     n = np.array(new)
     half = 0.5 * n
     # the gamma_quantile of G(n/2, n/2): the unit-rate quantile over the rate
-    g_med, g_hi, g_lo = (inv_reg_lower_gamma_lanes(half, u) / half for u in (0.50, 0.95, 0.05))
+    levels = [[0.50], [0.95], [0.05]]
+    g_med, g_hi, g_lo = inv_reg_lower_gamma_lanes(half, levels).reshape(3, -1) / half
     tmult = student_t_quantile_lanes(0.95, n)
     quantiles.update(zip(new, zip(g_med.tolist(), g_hi.tolist(), g_lo.tolist(), tmult.tolist())))
 

@@ -294,15 +294,15 @@ def student_t_quantile(u: float, dof: float) -> float:
 # Lane-parallel solvers. Every lane performs exactly the operation sequence
 # of the scalar solvers above: exact IEEE operations on whole arrays, libm
 # through `_each` and `log_gamma_array`, every branch taken per lane, and a
-# lane leaves the active set the iteration it converges. Results are thus
+# lane's result is taken the iteration it converges. Results are thus
 # bit-identical to the scalar solvers, which `tests/test_special.py` checks.
-# The four lane loops share one driver, `_converge`, and supply only their
-# iteration, cap and failure message.
+# The four lane loops share one driver, `_converge`, and supply only one
+# step function, a cap and a failure message.
 
 
 def _lanes(u, v, what: str) -> list[np.ndarray]:
-    """Levels u in (0, 1) and finite positive `what` v, scalars or 1-D
-    arrays, checked and broadcast to float lanes of one length."""
+    """Levels u in (0, 1) and finite positive `what` v, scalars or arrays,
+    checked, broadcast together and flattened (in C order) to float lanes."""
     u, v = (np.array(w, dtype=float).ravel() for w in np.broadcast_arrays(u, v))
     bad = ~((u > 0.0) & (u < 1.0))
     if bad.any():
@@ -318,26 +318,28 @@ def _lanes(u, v, what: str) -> list[np.ndarray]:
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
-def _converge(state: np.ndarray, cap, fail, *stages) -> np.ndarray:
+def _converge(state: np.ndarray, cap, fail, step) -> np.ndarray:
     """Iterate the lanes of `state` (one row per variable, one column per lane)
-    until each converges. Iteration k = 1, 2, ... calls each stage(k, s) in
-    turn on the active lanes' columns s; a stage updates s in place and returns
-    a mask of the lanes that converge, which leave with row 0 as result. A lane
-    still active after iteration `cap` (a number, or one per lane) has failed:
-    the first such lane j, a column of `state`, raises NumericalError(fail(j))."""
-    out = np.empty(state.shape[1])
-    lane = np.arange(state.shape[1])
+    until each converges. Iteration k = 1, 2, ... calls step(k, s) on the
+    columns s held; it updates s in place and returns a mask of the lanes that
+    have converged. Such a lane leaves `live`, with row 0 as its result, but
+    stays in s until a quarter of the columns have left: then s is compacted.
+    A live lane after iteration `cap` (a number, or one per lane) has failed:
+    the first, column j of `state`, raises NumericalError(fail(j))."""
+    n = state.shape[1]
+    out, lane, live = np.empty(n), np.arange(n), np.ones(n, dtype=bool)
     cap = np.broadcast_to(cap, lane.shape)
     for k in itertools.count(1):
-        for stage in stages:
-            if not lane.size:
-                return out
-            done = stage(k, state)
-            if done.any():
-                out[lane[done]] = state[0][done]
-                keep = ~done
-                state, lane, cap = np.compress(keep, state, axis=1), lane[keep], cap[keep]
-        over = cap <= k
+        if not lane.size:
+            return out
+        done = step(k, state) & live
+        if done.any():
+            out[lane[done]] = state[0][done]
+            live &= ~done
+            if 4 * np.count_nonzero(live) <= 3 * live.size:
+                state, lane, cap = np.compress(live, state, axis=1), lane[live], cap[live]
+                live = live[live]
+        over = live & (cap <= k)
         if over.any():
             raise NumericalError(fail(int(lane[np.argmax(over)])))
 
@@ -399,40 +401,36 @@ def _lower_gamma_lanes(x, a, lga, itmax):
 
 def _newton_lanes(cdf, log_pdf, x, u, params, tol: float, floor: float, what: str):
     """`_newton` in every lane: cdf(x, *params) and log_pdf(x, *params) take the
-    active lanes' iterates and parameters, and a lane whose residual meets
-    `tol` leaves before its log density and step. `what` formats the error
-    message from params[0] and u of a lane that does not converge."""
-    def residual(_, s):
-        x, u, lo, hi, f, *p = s
-        f[:] = cdf(x, *p) - u
-        return np.abs(f) <= tol
-
+    held lanes' iterates and parameters. A lane whose residual meets `tol`, or
+    whose step would not move it, converges where it stands; no Newton step
+    is taken from a lane that meets `tol`. `what` formats the error message
+    from params[0] and u of a lane that does not converge."""
     def step(_, s):
-        x, u, lo, hi, f, *p = s
+        x, u, lo, hi, *p = s
+        f = cdf(x, *p) - u
+        met = np.abs(f) <= tol
         up = f > 0.0
         np.copyto(hi, np.minimum(hi, x), where=up)
         np.copyto(lo, np.maximum(lo, x), where=~up)
         lpdf = log_pdf(x, *p)
-        newton = lpdf > floor
+        newton = (lpdf > floor) & ~met
         xn = np.full_like(x, math.nan)
         xn[newton] = x[newton] - f[newton] * _each(math.exp, -lpdf[newton])
         bis = ~(np.isfinite(xn) & (lo < xn) & (xn < hi))
         xn[bis] = np.where(np.isfinite(hi[bis]), 0.5 * (lo[bis] + hi[bis]),
                            2.0 * np.maximum(x[bis], 1.0))
-        stay = xn == x
-        np.copyto(x, xn, where=~stay)
-        return stay
+        done = met | (xn == x)
+        np.copyto(x, xn, where=~done)
+        return done
 
-    zero = np.zeros_like(x)
-    return _converge(np.array([x, u, zero, np.full_like(x, math.inf), zero, *params]),
-                     _MAX_STEPS, lambda j: what.format(float(params[0][j]), float(u[j])),
-                     residual, step)
+    return _converge(np.array([x, u, np.zeros_like(x), np.full_like(x, math.inf), *params]),
+                     _MAX_STEPS, lambda j: what.format(float(params[0][j]), float(u[j])), step)
 
 
 @_quiet
 def inv_reg_lower_gamma_lanes(a, u) -> np.ndarray:
-    """Solve P(a, x) = u for x in every lane of the 1-D (broadcast) arrays
-    `a` and `u`, by bracketed Newton with bisection fallback."""
+    """Solve P(a, x) = u for x in every lane of `a` and `u`, broadcast
+    together and flattened, by bracketed Newton with bisection fallback."""
     u, a = _lanes(u, a, "shape")
     # Wilson-Hilferty starting point
     z = _each(normal_quantile, u)
@@ -501,8 +499,8 @@ def _t_cdf_lanes(t, dof, log_beta):
 
 @_quiet
 def student_t_quantile_lanes(u, dof) -> np.ndarray:
-    """Standard-t quantiles for every lane of the 1-D (broadcast) arrays `u`
-    and `dof`: 0 at u = 0.5, reflection below it, bracketed Newton above."""
+    """Standard-t quantiles in every lane of `u` and `dof`, broadcast together
+    and flattened: 0 at u = 0.5, reflection below it, bracketed Newton above."""
     u, dof = _lanes(u, dof, "degrees of freedom")
     low = u < 0.5
     w = np.where(low, 1.0 - u, u)

@@ -389,6 +389,9 @@ def reference_parse_csv(path, schema) -> list:
         want = getattr(schema, field).lower()
         if want not in lookup:
             raise DataError(f"{path}: header {header!r} lacks required column {want!r}")
+        if sum(name.strip().lower() == want for name in header) > 1:
+            raise DataError(f"{path}: header {header!r} names required column {want!r} "
+                            f"more than once")
         cols[field] = lookup[want]
 
     bars = []

@@ -61,7 +61,8 @@ def test_traced_runs_follow_the_pairs_and_stay_out_of_the_summary(tmp_path, monk
     def fake_run(tree, workload, seed, seconds, trace=0):
         calls.append((tree, workload, seed, seconds, trace))
         if trace:
-            # the medians over seeds 1-3 are 0.5 and 0.25; neither is a mean
+            # the medians over seeds 1-3 are 0.5 and 0.25, neither a mean; the
+            # spreads 0.4-0.9 and 0.2-0.3 overlap
             value = {"old": (0.5, 0.9, 0.4), "new": (0.3, 0.2, 0.25)}[tree][seed - 1]
             metrics = {"kernel.run_filter_s": {"value": value, "unit": "s"}}
         else:
@@ -86,8 +87,9 @@ def test_traced_runs_follow_the_pairs_and_stay_out_of_the_summary(tmp_path, monk
     for workload in record.WORKLOADS:
         assert set(doc["summary"][workload]) == {"pass_norm_s"}
         assert doc["summary"][workload]["pass_norm_s"]["change_wins"] == record.PAIRS
-        assert doc["traced"]["layers"][workload] == {
-            "kernel.run_filter_s": {"parent": 0.5, "change": 0.25}}
+        assert doc["traced"]["layers"][workload] == {"kernel.run_filter_s": {
+            "parent": {"median": 0.5, "min": 0.4, "max": 0.9},
+            "change": {"median": 0.25, "min": 0.2, "max": 0.3}}}
     names = {"old": "parent", "new": "change"}
     assert [(r["workload"], r["side"], r["seed"], r["trace"]) for r in doc["traced"]["runs"]] == [
         (w, names[tree], seed, 1) for seed, order in zip((1, 2, 3), orders)

@@ -107,6 +107,20 @@ class TestParseCsv:
         with pytest.raises(DataError):
             parse_csv(path)
 
+    def test_required_column_named_twice(self, tmp_path):
+        # the close would be read from the second copy, as a dict of names keeps
+        # the last index; a repeated column that nothing reads stays allowed
+        path = write_text(tmp_path / "a.csv", "date,open,high,low,close,Close\n"
+                                              "2020-01-02,100,101,99,100.5,7\n")
+        outcomes = [_outcome(fn, path, CsvSchema())
+                    for fn in (parse_csv, read_ohlc, reference_parse_csv)]
+        assert outcomes[0][0] is DataError and DataError(path).exit_code == 3
+        assert outcomes[0][1].startswith(f"{path}: ") and "'close' more than once" in outcomes[0][1]
+        assert outcomes == [outcomes[0]] * 3
+        path = write_text(tmp_path / "b.csv", "date,open,high,low,close,vol,vol\n"
+                                              "2020-01-02,100,101,99,100.5,1,2\n")
+        assert parse_csv(path) == [OhlcBar(D0, 100.0, 101.0, 99.0, 100.5)]
+
     def test_custom_schema(self, tmp_path):
         path = write_text(tmp_path / "a.csv",
                           "Day,O,H,L,Last\n2020-01-02,100,101,99,100.5\n"

@@ -421,6 +421,31 @@ class TestCli:
         assert "out_dir must be non-empty" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("read", ["series", "config"])
+    def test_filter_refuses_to_replace_a_file_it_reads(self, data_csv, tmp_path, capsys, read):
+        # the series at out/TIC__svdlm.csv, or the config at out/summary.json,
+        # each named through out/../out so that only its real path matches
+        out = tmp_path / "out"
+        out.mkdir()
+        series, cfg = out / "TIC__svdlm.csv", out / "summary.json"
+        if read == "config":
+            series = tmp_path / "tic.csv"
+        series.write_bytes(Path(data_csv[0]).read_bytes())
+        named = {"series": str(out / ".." / "out" / series.name),
+                 "config": str(out / ".." / "out" / cfg.name)}
+        cfg.write_text(json.dumps(base_config(named["series"] if read == "series"
+                                              else str(series), str(out))))
+
+        def files():
+            return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+        before = files()
+        assert main(["filter", "--config", named["config"] if read == "config"
+                     else str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"error [filter]: {read}" in err and f"{named[read]} is an output file" in err
+        assert files() == before
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")
@@ -559,6 +584,20 @@ class TestCli:
                      *(a for kv in paths.items() for a in kv)]) == 2
         assert f"error [synth]: {flag} " in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("one,two", [("--params", "--out"), ("--params", "--truth-out"),
+                                         ("--out", "--truth-out")])
+    def test_synth_refuses_one_file_for_two_flags(self, tmp_path, capsys, one, two):
+        # checked before the params are read or anything is written
+        (tmp_path / "p.json").write_text("{}")
+        paths = {"--params": str(tmp_path / "p.json"), "--out": str(tmp_path / "s.csv"),
+                 "--truth-out": str(tmp_path / "t.csv")}
+        paths[two] = str(tmp_path / "." / os.path.basename(paths[one]))
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(["synth", "--model", "rvdlm", "--days", "5",
+                     *(a for kv in paths.items() for a in kv)]) == 2
+        assert f"error [synth]: {one} and {two} name one file" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("days", ["-3", "0", "1"])
     def test_synth_too_few_days_is_config_error(self, tmp_path, capsys, days):

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import special as sp
 from scipy import stats
 
-from rvdlm import DomainError, NumericalError, dof_sequences
+from rvdlm import DomainError, HyperParams, NumericalError, dof_sequences
 from rvdlm import special
+from rvdlm.distributions import GammaParams, gamma_quantile
 from rvdlm.pipeline import DEFAULT_HYPERPARAMS, _fill_quantiles
 
 
@@ -208,6 +209,45 @@ def test_pipeline_quantile_table_digest():
     _fill_quantiles(table, dofs)
     digest = hashlib.sha256(np.array([table[n][:4] for n in dofs]).tobytes()).hexdigest()
     assert digest == "ff46d7fd3d241a966fed4f1b876cff84ff13e1fe72ccd4580da1f7a062457808"
+
+
+def test_unit_discount_table_matches_scalar_solvers():
+    # at beta = 1 the dof path never settles: 16 of its 6,538 distinct dofs,
+    # shapes n/2 up to about 85,000, in one (3, 1) x (16,) gamma lane call
+    path = dof_sequences(HyperParams(0.999, 1.0, 25.0), 1.0, 6538, True)[2]
+    dofs = np.unique(path)
+    assert dofs.size == 6538 and dofs[-1] > 1.6e5
+    dofs = dofs[np.linspace(0, dofs.size - 1, 16).astype(int)].tolist()
+    table = {}
+    _fill_quantiles(table, dofs)
+    for n in dofs:
+        law = GammaParams(0.5 * n, 0.5 * n)
+        want = (gamma_quantile(0.50, law), gamma_quantile(0.95, law),
+                gamma_quantile(0.05, law), special.student_t_quantile(0.95, n))
+        assert bits(table[n]) == bits(want), n
+
+
+def test_converge_compacts_a_quarter_at_a_time():
+    # lane j converges at iteration j + 1 with row 0 as its result; the step
+    # keeps writing row 0 of a converged lane it still holds
+    n = 1000
+    widths = []
+
+    def step(k, s):
+        widths.append(s.shape[1])
+        s[0] = s[1] + 0.5 * k
+        return s[1] <= k - 1
+
+    lanes = np.arange(n, dtype=float)
+    out = special._converge(np.array([np.zeros(n), lanes]), n, str, step)
+    assert out.tolist() == (lanes + 0.5 * (lanes + 1.0)).tolist()
+    assert widths[0] == n and widths == sorted(widths, reverse=True)
+    assert len(set(widths)) <= 30  # one width per converging lane: 1,000
+    # a lane past its cap names its column of the state, compacted or not
+    cap = np.full(n, n)
+    cap[[700, 500]] = 400
+    with pytest.raises(NumericalError, match="^500$"):
+        special._converge(np.array([np.zeros(n), lanes]), cap, str, step)
 
 
 def test_large_shapes_solve_in_both_forms():
