@@ -21,7 +21,7 @@ import numpy as np
 from .dlm_core import ModelClass
 from .errors import ConfigError, RvdlmError
 from .ingestion import write_columns_csv, write_csv
-from .pipeline import (json_number, load_config, load_json, read_object,
+from .pipeline import (CONFIG_KEYS, RunConfig, json_number, load_json, read_object,
                        recompute_bayes_factors, run_filter_pipeline)
 from .synthetic import SyntheticParams, generate_synthetic, slowly_varying_theta
 
@@ -54,10 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_filter(args) -> int:
-    config = load_config(args.config)
-    # --out and --seed win over the config; replace() validates the result again
-    given = {"out_dir": args.out, "seed": args.seed}
-    config = dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
+    fields = read_object(load_json(args.config, "config"), CONFIG_KEYS, "config")
+    # --out and --seed win over the config's keys, and are checked with the rest
+    fields.update({k: v for k, v in (("out_dir", args.out), ("seed", args.seed)) if v is not None})
+    config = RunConfig(**fields)
     config.refuse_output(args.config, "config")
     summary = run_filter_pipeline(config)
     for ticker, entry in summary["series"].items():

@@ -440,11 +440,14 @@ class TestCli:
             return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
 
         before = files()
-        assert main(["filter", "--config", named["config"] if read == "config"
-                     else str(cfg)]) == 2
+        args = ["filter", "--config", named["config"] if read == "config" else str(cfg)]
+        assert main(args) == 2
         err = capsys.readouterr().err
         assert f"error [filter]: {read}" in err and f"{named[read]} is an output file" in err
         assert files() == before
+        # --out moves the run's files away from what it reads
+        assert main(args + ["--out", str(tmp_path / "elsewhere")]) == 0
+        assert {p: b for p, b in files().items() if "elsewhere" not in p.parts} == before
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
