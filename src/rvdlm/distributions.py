@@ -32,6 +32,12 @@ def _require_positive(name: str, value: float) -> float:
     return v
 
 
+def _require_count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StudentTParams:
     """Location-scale Student-t: (y - location) / sqrt(scale) is standard t."""
@@ -107,6 +113,8 @@ def gamma_quantile(u: float, p: GammaParams) -> float:
 
 def sample_scaled_f(p: ScaledFParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """`size` compositional scaled-F draws, as an array: precisions from the
-    gamma margin, then a conditional-gamma observation with each precision."""
-    phi = rng.standard_gamma(0.5 * p.dof_den, size) / (0.5 * p.dof_den * p.scale)
-    return rng.standard_gamma(0.5 * p.dof_num, size) / (0.5 * p.dof_num * phi)
+    gamma margin, then conditional-gamma draws divided by them in place."""
+    phi = rng.standard_gamma(0.5 * p.dof_den, _require_count("size", size))
+    phi /= 0.5 * p.dof_den * p.scale
+    phi *= 0.5 * p.dof_num
+    return np.divide(rng.standard_gamma(0.5 * p.dof_num, phi.size), phi, out=phi)

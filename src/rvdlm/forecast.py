@@ -2,10 +2,10 @@
 
 The joint one-step forecast factorizes as a scaled-F margin for the realized
 variance times a z-conditional Student-t for the price; a joint draw samples
-the margin compositionally and then the conditional. For the layout with a
-contemporaneous realized-SD predictor the conditional's location and scale
-both move with the drawn z; for the other layouts z enters only through the
-volatility scale.
+the margin compositionally, then applies the conditional to t draws block by
+block: it holds its two outputs and one block, and no bit depends on the block
+size. With a contemporaneous realized-SD predictor the conditional's location
+and scale both move with z; in the other layouts z moves only the scale.
 """
 
 from __future__ import annotations
@@ -75,13 +75,21 @@ def predictive_y_given_z(prior: PriorMoments, alpha: float, z: float,
     return StudentTParams(*map(float, _conditional_law(prior, alpha, reg, z)))
 
 
+_BLOCK_DRAWS = 1 << 16  # draws per application of the conditional law in sample_joint
+
+
 def sample_joint(prior: PriorMoments, alpha: float, reg: RegressorInputs,
                  rng: np.random.Generator, size: int):
     """`size` compositional draws of (z, y), as two arrays.
 
     z from its scaled-F margin (`predictive_z`), floored at `floor_eps`, then
-    y from the z-conditional t of `predictive_y_given_z`.
+    y from the z-conditional t of `predictive_y_given_z`, one block at a time.
     """
-    z = np.maximum(sample_scaled_f(predictive_z(prior, alpha), rng, size), reg.floor_eps)
-    dof, f, q = _conditional_law(prior, alpha, reg, z)
-    return z, f + np.sqrt(q) * rng.standard_t(dof, size)
+    z = sample_scaled_f(predictive_z(prior, alpha), rng, size)
+    np.maximum(z, reg.floor_eps, out=z)
+    y = rng.standard_t(_conditional_law(prior, alpha, reg, reg.floor_eps)[0], z.size)  # z-free dof
+    for lo in range(0, z.size, _BLOCK_DRAWS):
+        block = slice(lo, lo + _BLOCK_DRAWS)
+        _, f, q = _conditional_law(prior, alpha, reg, z[block])
+        y[block] = y[block] * np.sqrt(q) + f
+    return z, y

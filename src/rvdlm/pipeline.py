@@ -28,7 +28,7 @@ import numpy as np
 from .dlm_core import HyperParams, ModelClass, PriorMoments
 from .errors import ConfigError, DataError, DomainError, NumericalError, RvdlmError
 from .ingestion import CsvSchema, apply_split, read_ohlc, series_from_ohlc, write_columns_csv
-from .kernel import FilterTrajectory, run_filter
+from .kernel import FilterTrajectory, dof_sequences, run_filter
 from .rv_measures import DEFAULT_RV_FLOOR
 from .scoring import log_score_z_path, running_log_bayes_factor
 from .special import _each, inv_reg_lower_gamma_lanes, student_t_quantile_lanes
@@ -318,12 +318,12 @@ def load_config(path_or_dict) -> RunConfig:
     return RunConfig(**read_object(raw, CONFIG_KEYS, "config"))
 
 
-def _fill_quantiles(quantiles: dict, dofs: list) -> None:
-    """Add to `quantiles` every dof not yet in it: dof -> (gamma 0.50, 0.95,
-    0.05 quantiles of G(n/2, n/2), t 0.95 quantile).
+def _fill_quantiles(quantiles: dict, dofs) -> None:
+    """Add to `quantiles` every distinct dof of `dofs` not yet in it: dof ->
+    (gamma 0.50, 0.95, 0.05 quantiles of G(n/2, n/2), t 0.95 quantile).
     One lane-parallel solve per law covers all the new dofs: the gamma's
     three levels are a column broadcast against the dofs."""
-    new = [n for n in dofs if n not in quantiles]
+    new = [n for n in np.unique(dofs).tolist() if n not in quantiles]
     if not new:
         return
     n = np.array(new)
@@ -343,9 +343,8 @@ def _trajectory_columns(iso_dates, scored, mspec: ModelSpec, traj: FilterTraject
     `scored` flag included, is a float64 array, so `write_columns_csv`
     formats each block of rows in one float run.
 
-    The dof path is data-independent and converges, so the quantile
-    multipliers are solved once per distinct dof and memoised in `quantiles`
-    (see `_fill_quantiles`).
+    `quantiles` maps dof -> multipliers; `_run_into` fills it for all models
+    of the series at once, so the fill here solves only if that one failed.
     """
     dofs, day = np.unique(traj.n, return_inverse=True)
     dofs = dofs.tolist()
@@ -465,6 +464,10 @@ def _run_into(config: RunConfig, out_dir: str) -> dict:
         iso_dates = [d.isoformat() for d in frame.dates]
         scored = (np.arange(len(frame)) >= first).astype(np.float64)
         scores = {}
+        with contextlib.suppress(RvdlmError):  # raised again below, naming its model
+            _fill_quantiles(quantiles, np.concatenate([  # dof paths are data-free
+                dof_sequences(m.hp, m.n_star_1, len(frame), m.variant.uses_rv)[2]
+                for m in config.models]))
         for mspec in config.models:
             try:
                 traj = run_filter(mspec.variant, mspec.hp, mspec.initial_prior(sspec.s1),

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 from scipy import special as sp
 
-from rvdlm import ConfigError, DataError, OhlcBar, SeriesFrame
+from rvdlm import ConfigError, DataError, OhlcBar, SeriesFrame, forecast
 
 
 def gl_panels(edges, nodes_per_panel):
@@ -208,6 +208,19 @@ def stepwise_backward_sample(m, C, s, n, delta, beta, rng, n_samples):
         scale = math.sqrt(1.0 - delta) * L[t]
         theta[:, t, :] = mean + (xi @ scale.T) / np.sqrt(s_t * phi[:, t])[:, None]
     return theta, phi
+
+
+def whole_array_sample_joint(prior, alpha, reg, rng, size):
+    """`sample_joint` as whole-array expressions: the bit reference for its
+    blocked form. Scaled-F draws (gamma precisions, then a conditional gamma
+    over each), floored, then y = f + sqrt(q) t with the conditional law of
+    every z at once and one standard t array.
+    """
+    d1, d2, scale = alpha, prior.n_star, prior.s_prev
+    phi = rng.standard_gamma(0.5 * d2, size) / (0.5 * d2 * scale)
+    z = np.maximum(rng.standard_gamma(0.5 * d1, size) / (0.5 * d1 * phi), reg.floor_eps)
+    dof, f, q = forecast._conditional_law(prior, alpha, reg, z)
+    return z, f + np.sqrt(q) * rng.standard_t(dof, size)
 
 
 def static_joint_smoother(y, z, F, delta, alpha, a1, R1, n_star_1, s0, W_seq,

@@ -175,6 +175,18 @@ class TestCompositionalScaledF:
             got = float(np.quantile(draws, q))
             assert abs(got - ref) / ref < 0.01
 
+    @pytest.mark.parametrize("size", [-1, 2.5, True, np.bool_(True), np.float64(3.0), None])
+    def test_bad_size_is_domain_error(self, size):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match="size must be a nonnegative integer"):
+            sample_scaled_f(ScaledFParams(2.75, 17.5, 2.0), rng, size)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    @pytest.mark.parametrize("size", [0, 4, np.int32(4)])
+    def test_integer_size_gives_that_many_draws(self, size):
+        draws = sample_scaled_f(ScaledFParams(2.75, 17.5, 2.0), np.random.default_rng(0), size)
+        assert draws.shape == (int(size),) and np.all(draws > 0.0)
+
 
 def test_every_logpdf_normalizes():
     # quadrature of exp(logpdf) over a wide truncated range equals 1

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from rvdlm import (DomainError, HyperParams, ModelClass, PriorMoments, Regressor
                    StudentTParams, predictive_y_given_z, predictive_z, rv_update,
                    sample_joint, sample_scaled_f, scaled_f_logpdf, student_t_logpdf)
 
-from oracles import joint_predictive_quadrature
+from oracles import joint_predictive_quadrature, whole_array_sample_joint
+from rvdlm import forecast
 
 
 def scalar_prior(a=0.0, R=1.0, n_star=8.0, s_prev=2.0):
@@ -184,6 +186,68 @@ class TestSampleJoint:
         for zi, yi, ti in zip(z.tolist(), y.tolist(), rng.standard_t(dof, 50).tolist()):
             p = predictive_y_given_z(pr, 2.75, zi, reg)
             assert yi == pytest.approx(p.location + math.sqrt(p.scale) * ti, rel=1e-12)
+
+
+def pinned_prior(variant):
+    keep = [0, 1, 2, 3] if variant is ModelClass.RVLDLM else [0, 1, 3]
+    return PriorMoments(np.array([0.01, 0.9, -0.5, 0.4])[keep],
+                        PINNED_R[np.ix_(keep, keep)], 17.5, 1.2e-4)
+
+
+BLOCK = forecast._BLOCK_DRAWS
+
+
+class TestSampleJointBlocks:
+    @pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("variant", list(ModelClass))
+    def test_equals_whole_array_formula_bit_for_bit(self, variant, size):
+        # a floor that catches some draws, so the floored law is exercised too
+        reg = RegressorInputs(variant, y_prev=4.6, x_prev=0.012, floor_eps=3e-5)
+        got = sample_joint(pinned_prior(variant), 2.75, reg, np.random.default_rng(size), size)
+        want = whole_array_sample_joint(pinned_prior(variant), 2.75, reg,
+                                        np.random.default_rng(size), size)
+        assert got[0].shape == got[1].shape == (size,)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert size < 10 or 0 < np.count_nonzero(got[0] == 3e-5) < size
+
+    def test_holds_its_outputs_and_one_block(self):
+        # the traced peak exceeds the two returned arrays by at most 8 MiB
+        # (one scaled-F array while t draws are made, plus one block's law)
+        reg = RegressorInputs(ModelClass.RVLDLM, y_prev=4.6, x_prev=0.012)
+        pr, rng = pinned_prior(ModelClass.RVLDLM), np.random.default_rng(1)
+        sample_joint(pr, 2.75, reg, rng, 10)  # warm any one-time allocations
+        tracemalloc.start()
+        try:
+            z, y = sample_joint(pr, 2.75, reg, rng, 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - (z.nbytes + y.nbytes) <= 8 * 2**20
+
+    def test_scaled_f_holds_two_arrays(self):
+        p, rng = predictive_z(pinned_prior(ModelClass.RVDLM), 2.75), np.random.default_rng(2)
+        sample_scaled_f(p, rng, 10)
+        tracemalloc.start()
+        try:
+            z = sample_scaled_f(p, rng, 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * z.nbytes + 2**20
+
+
+@pytest.mark.parametrize("size", [-1, 2.5, True, np.float64(3.0), "3", None])
+def test_sample_joint_rejects_a_bad_size(size):
+    reg = RegressorInputs(ModelClass.RVDLM, 4.6, 0.012)
+    with pytest.raises(DomainError, match="size must be a nonnegative integer"):
+        sample_joint(pinned_prior(ModelClass.RVDLM), 2.75, reg, np.random.default_rng(0), size)
+
+
+@pytest.mark.parametrize("size", [0, 3, np.int64(3), np.uint8(3)])
+def test_sample_joint_takes_python_and_numpy_integers(size):
+    reg = RegressorInputs(ModelClass.RVDLM, 4.6, 0.012)
+    z, y = sample_joint(pinned_prior(ModelClass.RVDLM), 2.75, reg, np.random.default_rng(0), size)
+    assert z.shape == y.shape == (int(size),)
 
 
 class TestJointFactorization:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rvdlm import (FilterTrajectory, HyperParams, ModelClass, NumericalError,
+from rvdlm import (DomainError, FilterTrajectory, HyperParams, ModelClass, NumericalError,
                    PriorMoments, SyntheticParams, backward_sample, build_series,
                    evolve, generate_synthetic, price_update, run_filter, rv_update,
                    smooth, sv_volatility_update_path)
@@ -270,6 +270,18 @@ class TestBackwardSample:
         _, phi = backward_sample(traj, rng=np.random.default_rng(8), n_samples=20)
         assert np.all(phi[:, -1] > 0.0)
         assert np.array_equal(phi, np.broadcast_to(phi[:, -1:], phi.shape))
+
+    @pytest.mark.parametrize("n_samples", [-1, 2.7, True, np.float64(2.0), "2"])
+    def test_bad_draw_count_is_domain_error(self, n_samples):
+        traj = synthetic_run(ModelClass.RVDLM, 0.999, T=20)
+        with pytest.raises(DomainError, match="n_samples must be a nonnegative integer"):
+            backward_sample(traj, rng=np.random.default_rng(0), n_samples=n_samples)
+
+    @pytest.mark.parametrize("n_samples", [0, 3, np.int64(3)])
+    def test_integer_draw_count_gives_that_many_paths(self, n_samples):
+        traj = synthetic_run(ModelClass.RVLDLM, 0.999, T=20)
+        theta, phi = backward_sample(traj, rng=np.random.default_rng(0), n_samples=n_samples)
+        assert theta.shape == (int(n_samples), 20, 4) and phi.shape == (int(n_samples), 20)
 
     def test_non_positive_definite_scale_names_its_day(self):
         traj = synthetic_run(ModelClass.RVDLM, 0.999, T=60)
