@@ -72,7 +72,7 @@ FLOAT_FORMAT = "%.17g"
 # double, so Dekker's error-free product (Numer. Math. 18, 1971) gives that
 # product exactly as hi + lo.
 _K_MIN, _K_MAX = -6, 16
-_BLOCK_ROWS, _BLOCK_BYTES = 1024, 1 << 17  # at most per block: bounds the temporaries
+_BLOCK_BYTES = 1 << 19  # of field slots per block: bounds the temporaries
 
 
 def _split(a):
@@ -109,6 +109,8 @@ _QUAD_TEXT = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), n
 _QUAD_ZEROS = sum(np.arange(10000) % 10 ** j == 0 for j in range(1, 5))  # trailing; 4 for 0000
 _SLOTS = np.frombuffer(b"".join([b"-0.0", b"   .", b"e-05", b"e-06"] +
                                 [b"00-%d" % d for d in range(10)]), np.uint32)
+_CONSTANT = [0, 6, 11, 12]  # the words of _SLOTS[:4], set once per file
+_FREE = np.r_[4:24, 28:44]  # words 1-5 and 7-10, which every block rewrites
 
 
 def _layout(negative: bool, k: int, digits: int) -> np.ndarray:
@@ -134,10 +136,10 @@ _LAYOUTS = np.array([_layout(s, k, d) for s in (False, True)
 
 def _write_floats(v, text, keep) -> None:
     """Write FLOAT_FORMAT text of the float64 array `v` into `text` and
-    `keep`, byte views of shape v.shape + (_WIDE,) whose separator byte is
-    set: the superset layout and the mask of the bytes its text keeps. A
-    value with no exact array form (non-finite, or k outside
-    [_K_MIN, _K_MAX]) is formatted on its own."""
+    `keep`, byte views of shape v.shape + (_WIDE,) whose separator byte and
+    _CONSTANT words are set: the superset layout and the mask of the bytes
+    its text keeps. A value with no exact array form (non-finite, or k
+    outside [_K_MIN, _K_MAX]) is formatted on its own, into the _FREE bytes."""
     shape, v = v.shape, v.ravel()
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -171,79 +173,83 @@ def _write_floats(v, text, keep) -> None:
     key[slow] = 0
     words = text.view(np.uint32)
     digits = _QUAD_TEXT[quads.T].reshape(shape + (4,))
-    words[..., 0] = _SLOTS[0]
     words[..., 1] = _SLOTS[4 + lead].reshape(shape)
     words[..., 2:6] = digits
-    words[..., 6] = _SLOTS[1]
     words[..., 7:11] = digits
-    words[..., 11:13] = _SLOTS[2:4]
     keep.view(np.uint64)[...] = _LAYOUTS.take(key, axis=0).reshape(shape + (-1,))
     for i in slow.tolist():
-        b = (FLOAT_FORMAT % v[i]).encode()
+        b = np.frombuffer((FLOAT_FORMAT % v[i]).encode(), np.uint8)
         at = np.unravel_index(i, shape)
-        text[at][:len(b)] = np.frombuffer(b, np.uint8)
-        keep[at] = np.arange(_WIDE) < len(b)
-        keep[at][-1] = True
+        text[at][_FREE[:b.size]] = b
+        keep[at] = False
+        keep[at][[*_FREE[:b.size], -1]] = True
 
 
 def _csv_blocks(columns, rows: int):
     """The CSV bytes of the rows, one block at a time. Every field has a
     slot of one width, its separator in the last byte of it (of the
     superset layout for a float field), and one mask compaction per block
-    keeps the bytes of the texts. `columns` holds float64 arrays and lists
-    of encoded texts."""
+    keeps the bytes of the texts; a block holds at most _BLOCK_BYTES of
+    slots. `columns` holds float64 arrays, numpy bytes arrays and lists of
+    encoded texts. Done once per call: the separators, the constant words,
+    one array per maximal run of float columns, and each text column
+    packed into slots with the mask of its bytes."""
     ncol = len(columns)
-    texts = {c: col for c, col in enumerate(columns) if isinstance(col, list)}
-    lens = {c: np.fromiter(map(len, col), np.intp, rows) for c, col in texts.items()}
+    texts = {c: col for c, col in enumerate(columns) if getattr(col, "dtype", None) != np.float64}
+    lens = {c: np.char.str_len(col) if isinstance(col, np.ndarray)
+            else np.fromiter(map(len, col), np.intp, rows) for c, col in texts.items()}
     is_float = [c not in texts for c in range(ncol)]
     # one slot width for all: a whole number of 8-byte words, for the views in _write_floats
     longest = max([_WIDE - 1] * any(is_float) + [int(n.max()) for n in lens.values()])
     width = -(-(longest + 1) // 8) * 8
-    block = max(1, min(rows, _BLOCK_ROWS, _BLOCK_BYTES // (ncol * width)))
+    block = max(1, min(rows, _BLOCK_BYTES // (ncol * width)))
     edges = [c for c, (a, b) in enumerate(zip([False, *is_float], [*is_float, False])) if a != b]
-    runs = list(zip(edges[::2], edges[1::2]))  # maximal runs of float columns
+    runs = [(start, stop, np.stack(columns[start:stop], axis=1))  # maximal runs of float columns
+            for start, stop in zip(edges[::2], edges[1::2])]
+    packed = {c: (np.asarray(col, f"S{width - 1}").view(np.uint8).reshape(rows, -1),
+                  np.arange(width - 1) < lens[c][:, None]) for c, col in texts.items()}
     buf = np.zeros((block, ncol, width), np.uint8)
     keep = np.zeros((block, ncol, width), bool)
     sep = [width - 1 if c in texts else _WIDE - 1 for c in range(ncol)]
     for c in range(ncol):
         buf[:, c, sep[c]] = ord("\n") if c == ncol - 1 else ord(",")
         keep[:, c, sep[c]] = True
-    pos = np.arange(width - 1)
+        if is_float[c]:
+            buf[:, c, :_WIDE].view(np.uint32)[:, _CONSTANT] = _SLOTS[:4]
     for r0 in range(0, rows, block):
         n = min(block, rows - r0)
-        for c, col in texts.items():
-            packed = np.array(col[r0:r0 + n], dtype=f"S{width - 1}")
-            buf[:n, c, :-1] = packed.view(np.uint8).reshape(n, -1)
-            keep[:n, c, :-1] = pos < lens[c][r0:r0 + n, None]
-        for start, stop in runs:
-            v = np.stack([columns[c][r0:r0 + n] for c in range(start, stop)], axis=1)
-            _write_floats(v, buf[:n, start:stop, :_WIDE], keep[:n, start:stop, :_WIDE])
+        for c, (text, kept) in packed.items():
+            buf[:n, c, :-1] = text[r0:r0 + n]
+            keep[:n, c, :-1] = kept[r0:r0 + n]
+        for start, stop, v in runs:
+            _write_floats(v[r0:r0 + n], buf[:n, start:stop, :_WIDE], keep[:n, start:stop, :_WIDE])
         yield buf[:n][keep[:n]].tobytes()
 
 
 def write_columns_csv(path, header, columns) -> None:
     """The one CSV writer: a header, then one row per entry of the columns.
-    numpy columns are written as FLOAT_FORMAT, other columns as `str` of each
-    item (for floats, including numpy floats, the shortest round-trip form).
-    Fields are never quoted. Columns of unequal lengths raise DomainError
-    before the file is opened.
+    numpy columns are written as FLOAT_FORMAT, a numpy bytes (`S`) array as
+    its texts, other columns as `str` of each item (for floats, including
+    numpy floats, the shortest round-trip form). Fields are never quoted.
+    Columns of unequal lengths raise DomainError before the file is opened.
 
-    Rows go out in blocks of at most _BLOCK_ROWS rows and _BLOCK_BYTES
-    bytes of field slots (see `_csv_blocks`). The text of a block's numpy
-    values is computed on whole arrays, exactly (see `_write_floats`); a
-    value with no exact array form, such as inf, NaN or one below 1e-6, is
-    formatted by FLOAT_FORMAT on its own. Each maximal run of adjacent
-    numpy columns is one such computation per block, and each text column
-    one more packing pass, so a flag or count is best passed as a float
-    array: 0.0 and 1.0 are written `0` and `1`."""
+    Rows go out in blocks of at most _BLOCK_BYTES bytes of field slots (see
+    `_csv_blocks`). The text of a block's numpy values is computed on whole
+    arrays, exactly (see `_write_floats`); a value with no exact array form,
+    such as inf, NaN or one below 1e-6, is formatted by FLOAT_FORMAT on its
+    own. Each maximal run of adjacent numpy columns is one such computation
+    per block, so a flag or count is best passed as a float array: 0.0 and
+    1.0 are written `0` and `1`. Text columns are encoded and packed once
+    per file; a bytes array is not encoded at all."""
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise DomainError(f"{path}: columns of unequal lengths {lengths}")
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         if lengths and lengths[0]:
-            fh.writelines(_csv_blocks([np.asarray(c, dtype=np.float64) if isinstance(c, np.ndarray)
-                                       else list(map(str.encode, map(str, c)))
+            fh.writelines(_csv_blocks([list(map(str.encode, map(str, c)))
+                                       if not isinstance(c, np.ndarray) else c
+                                       if c.dtype.kind == "S" else np.asarray(c, dtype=np.float64)
                                        for c in columns], lengths[0]))
 
 

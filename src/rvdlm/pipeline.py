@@ -339,9 +339,9 @@ def _trajectory_columns(iso_dates, scored, mspec: ModelSpec, traj: FilterTraject
                         quantiles: dict):
     """Header and whole-series columns of one `{ticker}__{model}.csv`, plus
     the realized-variance log scores (None for the price-only model).
-    `iso_dates` is the one text column; every other column, the 0.0/1.0
-    `scored` flag included, is a float64 array, so `write_columns_csv`
-    formats each block of rows in one float run.
+    `iso_dates`, a numpy bytes array, is the one text column; every other
+    column, the 0.0/1.0 `scored` flag included, is a float64 array, so
+    `write_columns_csv` formats each block of rows in one float run.
 
     `quantiles` maps dof -> multipliers; `_run_into` fills it for all models
     of the series at once, so the fill here solves only if that one failed.
@@ -394,13 +394,17 @@ def _model_pairs(names: list) -> list[tuple[str, str]]:
 def _write_bayes_factors(out_dir: str, ticker: str, scores: dict) -> dict:
     """Write `{ticker}__BF__{hi}_over_{lo}.csv` for every model pair, in
     config order, from per-model (ISO date texts, score increments) over the
-    scored window, as the filter pass and `_scored_increments` both give
-    them. Returns {pair name: (path, final cumulative log BF)}."""
-    out = {}
+    scored window: numpy bytes from the filter pass, or a list of `str` from
+    `_scored_increments`, encoded once for all pairs. Returns {pair name:
+    (path, final cumulative log BF)}."""
+    out, dates = {}, None
     for hi, lo in _model_pairs(list(scores)):
-        (dates, hi_inc), (lo_dates, lo_inc) = scores[hi], scores[lo]
-        if dates != lo_dates:
+        (hi_dates, hi_inc), (lo_dates, lo_inc) = scores[hi], scores[lo]
+        if len(hi_dates) != len(lo_dates) or np.any(hi_dates != lo_dates):
             raise DataError(f"{ticker}: scored dates differ between {hi!r} and {lo!r}")
+        if dates is None:  # every pair's dates are these
+            dates = hi_dates if isinstance(hi_dates, np.ndarray) else \
+                np.array(list(map(str.encode, hi_dates)), "S")
         bf = running_log_bayes_factor(hi_inc, lo_inc)
         path = os.path.join(out_dir, _bf_file(ticker, hi, lo))
         write_columns_csv(path, ["date_iso", "cum_log_bf_nats"], [dates, bf])
@@ -461,7 +465,7 @@ def _run_into(config: RunConfig, out_dir: str) -> dict:
         }
         # the scored window is the suffix from first_eval: its dates and score increments
         first = frame.first_eval
-        iso_dates = [d.isoformat() for d in frame.dates]
+        iso_dates = np.array([d.isoformat() for d in frame.dates], dtype="S")
         scored = (np.arange(len(frame)) >= first).astype(np.float64)
         scores = {}
         with contextlib.suppress(RvdlmError):  # raised again below, naming its model

@@ -48,6 +48,12 @@ def _each(fn, v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, v.ravel().tolist()), dtype=float, count=v.size).reshape(v.shape)
 
 
+def _each_distinct(fn, v: np.ndarray) -> np.ndarray:
+    """`_each(fn, v)`, with fn called once per distinct value of v."""
+    values, at = np.unique(v, return_inverse=True)
+    return _each(fn, values)[at.reshape(v.shape)]
+
+
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for finite x > 0."""
     if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0.0:
@@ -272,23 +278,60 @@ def student_t_cdf(t: float, dof: float) -> float:
     return tail if t < 0.0 else 1.0 - tail
 
 
+# Below the levels u whose reflection 1 - u rounds to 1 (about 5.6e-17), the
+# t quantile -e^s solves -ln F(-e^s) = -ln u for s: Newton to a residual
+# relative to u, on the direct branch of `reg_inc_beta` in logs. There t^2 =
+# e^{2s} may overflow, so x = dof/(dof + t^2) is formed from r = dof e^{-2s},
+# and d/ds -ln F(-e^s) = dof / (the continued fraction). t > sqrt(3) there, so
+# the direct branch is the one `reg_inc_beta` takes.
+_LOG_HUGE = math.log(1.7976931348623157e308)
+_LOG_GAMMA_HALF = log_gamma(0.5)
+
+
+def _exp_or_inf(s: float) -> float:
+    # e^s, and inf beyond the float range, where math.exp raises
+    return math.exp(s) if s <= _LOG_HUGE else math.inf
+
+
+def _log_t_tail(s: float, dof: float, log_beta: float) -> float:
+    # ln F(-e^s), given log_beta = ln Gamma(dof/2 + 1/2) - ln Gamma(dof/2) - ln Gamma(1/2)
+    r = dof * math.exp(-2.0 * s)
+    big = math.log1p(r)
+    return (log_beta + 0.5 * dof * (math.log(dof) - 2.0 * s - big) - 0.5 * big
+            + math.log(_betacf(0.5 * dof, 0.5, r / (1.0 + r)) / dof))
+
+
+def _log_t_tail_slope(s: float, dof: float) -> float:
+    # ln of d/ds -ln F(-e^s)
+    r = dof * math.exp(-2.0 * s)
+    return math.log(dof / _betacf(0.5 * dof, 0.5, r / (1.0 + r)))
+
+
 def student_t_quantile(u: float, dof: float) -> float:
-    """Standard-t quantile by bracketed Newton on the CDF."""
+    """Standard-t quantile by bracketed Newton on the CDF, or on the log of
+    the lower tail below the levels whose reflection rounds to 1."""
     if not 0.0 < u < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {u!r}")
     if not (dof > 0.0 and math.isfinite(dof)):
         raise DomainError(f"degrees of freedom must be positive, got {dof!r}")
     if u == 0.5:
         return 0.0
-    if u < 0.5:
+    far = 1.0 - u == 1.0
+    if u < 0.5 and not far:
         return -student_t_quantile(1.0 - u, dof)
     z = normal_quantile(u)
     x = z + (z ** 3 + z) / (4.0 * dof)  # first-order tail correction
+    what = f"t quantile solver failed (dof={dof}, u={u})"
+    if far:
+        lb = log_gamma(0.5 * dof + 0.5) - log_gamma(0.5 * dof) - _LOG_GAMMA_HALF
+        return -_exp_or_inf(_newton(lambda s: -_log_t_tail(s, dof, lb),
+                                    lambda s: _log_t_tail_slope(s, dof),
+                                    math.log(-x), -math.log(u), _T_TOL, -math.inf, what))
     # the t log density is c - (dof + 1)/2 log1p(x^2/dof)
     c = log_gamma(0.5 * (dof + 1.0)) - log_gamma(0.5 * dof) - 0.5 * math.log(dof * math.pi)
     return _newton(lambda t: student_t_cdf(t, dof),
                    lambda t: c - 0.5 * (dof + 1.0) * math.log1p(t * t / dof),
-                   x, u, _T_TOL, -math.inf, f"t quantile solver failed (dof={dof}, u={u})")
+                   x, u, _T_TOL, -math.inf, what)
 
 
 # Lane-parallel solvers. Every lane performs exactly the operation sequence
@@ -399,12 +442,12 @@ def _lower_gamma_lanes(x, a, lga, itmax):
     return out
 
 
-def _newton_lanes(cdf, log_pdf, x, u, params, tol: float, floor: float, what: str):
+def _newton_lanes(cdf, log_pdf, x, u, params, tol: float, floor: float, fail):
     """`_newton` in every lane: cdf(x, *params) and log_pdf(x, *params) take the
     held lanes' iterates and parameters. A lane whose residual meets `tol`, or
     whose step would not move it, converges where it stands; no Newton step
-    is taken from a lane that meets `tol`. `what` formats the error message
-    from params[0] and u of a lane that does not converge."""
+    is taken from a lane that meets `tol`. fail(j) is the error message
+    should lane j not converge."""
     def step(_, s):
         x, u, lo, hi, *p = s
         f = cdf(x, *p) - u
@@ -424,7 +467,7 @@ def _newton_lanes(cdf, log_pdf, x, u, params, tol: float, floor: float, what: st
         return done
 
     return _converge(np.array([x, u, np.zeros_like(x), np.full_like(x, math.inf), *params]),
-                     _MAX_STEPS, lambda j: what.format(float(params[0][j]), float(u[j])), step)
+                     _MAX_STEPS, fail, step)
 
 
 @_quiet
@@ -433,7 +476,7 @@ def inv_reg_lower_gamma_lanes(a, u) -> np.ndarray:
     together and flattened, by bracketed Newton with bisection fallback."""
     u, a = _lanes(u, a, "shape")
     # Wilson-Hilferty starting point
-    z = _each(normal_quantile, u)
+    z = _each_distinct(normal_quantile, u)
     g = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
     x = a * g * g * g
     cold = ~(g > 0.0)
@@ -442,8 +485,10 @@ def inv_reg_lower_gamma_lanes(a, u) -> np.ndarray:
     return _newton_lanes(_lower_gamma_lanes,
                          lambda x, a, lga, _: (a - 1.0) * _each(math.log, x) - x - lga,
                          np.maximum(x, _TINY), u,
-                         (a, log_gamma_array(a), _each(_max_terms, a)),
-                         _GAMMA_TOL, _GAMMA_FLOOR, "gamma quantile solver failed (a={}, u={})")
+                         (a, log_gamma_array(a), _each_distinct(_max_terms, a)),
+                         _GAMMA_TOL, _GAMMA_FLOOR,
+                         lambda j: f"gamma quantile solver failed (a={float(a[j])}, "
+                                   f"u={float(u[j])})")
 
 
 def _betacf_lanes(a, b, x):
@@ -479,9 +524,6 @@ def _inc_beta_lanes(a, b, x, log_beta):
     return out
 
 
-_LOG_GAMMA_HALF = log_gamma(0.5)
-
-
 def _t_cdf_lanes(t, dof, log_beta):
     """Standard-t CDF per lane; log_beta is `_inc_beta_lanes`'s constant for
     (dof/2, 1/2)."""
@@ -497,24 +539,54 @@ def _t_cdf_lanes(t, dof, log_beta):
     return out
 
 
+def _log_t_tail_lanes(s, dof, log_beta):
+    """`_log_t_tail` per lane."""
+    r = dof * _each(math.exp, -2.0 * s)
+    big = _each(math.log1p, r)
+    cf = _betacf_lanes(0.5 * dof, np.full_like(dof, 0.5), r / (1.0 + r))
+    return (log_beta + 0.5 * dof * (_each(math.log, dof) - 2.0 * s - big) - 0.5 * big
+            + _each(math.log, cf / dof))
+
+
+def _log_t_tail_slope_lanes(s, dof):
+    """`_log_t_tail_slope` per lane."""
+    r = dof * _each(math.exp, -2.0 * s)
+    return _each(math.log, dof / _betacf_lanes(0.5 * dof, np.full_like(dof, 0.5), r / (1.0 + r)))
+
+
 @_quiet
 def student_t_quantile_lanes(u, dof) -> np.ndarray:
     """Standard-t quantiles in every lane of `u` and `dof`, broadcast together
-    and flattened: 0 at u = 0.5, reflection below it, bracketed Newton above."""
+    and flattened: 0 at u = 0.5, reflection below it, bracketed Newton above,
+    and on the log of the lower tail where the reflection rounds to 1."""
     u, dof = _lanes(u, dof, "degrees of freedom")
     low = u < 0.5
-    w = np.where(low, 1.0 - u, u)
+    w = np.where(low & (1.0 - u != 1.0), 1.0 - u, u)
     out = np.zeros_like(w)
     solve = w != 0.5
     w, n = w[solve], dof[solve]
-    z = _each(normal_quantile, w)
+    z = _each_distinct(normal_quantile, w)
     x = z + (_each(lambda v: v ** 3, z) + z) / (4.0 * n)  # first-order tail correction
     lg_half = log_gamma_array(0.5 * n)
     log_beta = log_gamma_array(0.5 * n + 0.5) - lg_half - _LOG_GAMMA_HALF
     # the t log density is c - (n + 1)/2 log1p(x^2/n)
     c = log_gamma_array(0.5 * (n + 1.0)) - lg_half - 0.5 * _each(math.log, n * math.pi)
-    out[solve] = _newton_lanes(
+    far = w < 0.5  # unreflected: 1 - w rounds to 1
+
+    def fail(lanes):
+        return lambda j: (f"t quantile solver failed (dof={float(n[lanes][j])}, "
+                          f"u={float(w[lanes][j])})")
+
+    near = ~far
+    t = np.empty_like(w)
+    t[near] = _newton_lanes(
         lambda t, n, log_beta, _: _t_cdf_lanes(t, n, log_beta),
         lambda t, n, _, c: c - 0.5 * (n + 1.0) * _each(math.log1p, t * t / n),
-        x, w, (n, log_beta, c), _T_TOL, -math.inf, "t quantile solver failed (dof={}, u={})")
+        x[near], w[near], (n[near], log_beta[near], c[near]), _T_TOL, -math.inf, fail(near))
+    t[far] = _each(_exp_or_inf, _newton_lanes(
+        lambda s, n, log_beta: -_log_t_tail_lanes(s, n, log_beta),
+        lambda s, n, _: _log_t_tail_slope_lanes(s, n),
+        _each(math.log, -x[far]), -_each(math.log, w[far]), (n[far], log_beta[far]),
+        _T_TOL, -math.inf, fail(far)))
+    out[solve] = t
     return np.where(low, -out, out)

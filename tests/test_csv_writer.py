@@ -3,13 +3,14 @@ one-row-at-a-time reference writer."""
 
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import reference_write_columns_csv
-from rvdlm import DomainError
+from rvdlm import DomainError, ingestion
 from rvdlm.ingestion import write_columns_csv
 
 
@@ -103,3 +104,65 @@ def test_float_flag_writes_the_bytes_of_a_text_flag(tmp_path):
     got = (tmp_path / "float.csv").read_bytes()
     assert got == (tmp_path / "text.csv").read_bytes()
     assert {line.split(b",")[2] for line in got.splitlines()[1:]} == {b"0", b"1"}
+
+
+def _budget_columns(rows):
+    """Float columns with slow-path values (inf, nan, 1e-300, -0.0, ...) in
+    consecutive rows, then values that use the layout's constant words
+    (-0.000ddd, d.ddd, d.de-05 and -d.de-06), beside a unicode text column of
+    up to 77 bytes and a numpy bytes text column."""
+    slow = [math.inf, math.nan, 1e-300, -0.0, -math.inf, 5e-324]
+    fast = [-0.00123, 0.0456, -7.25, 3.5e-05, -4.5e-06, 123456.789]
+    cols = [np.resize(np.array([*slow[k:], *fast, *slow[:k]]), rows) for k in range(3)]
+    day = dt.date(2020, 1, 1)
+    return [
+        np.array([(day + dt.timedelta(days=i)).isoformat() for i in range(rows)], dtype="S"),
+        cols[0],
+        ["ünïcode" * (i % 12) for i in range(rows)],  # up to 77 bytes: wider than a float slot
+        cols[1], cols[2],
+    ]
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 40])  # one row per block, one block per file
+def test_bytes_do_not_depend_on_the_block_budget(tmp_path, monkeypatch, budget):
+    columns = _budget_columns(50)
+    header = [f"c{i}" for i in range(len(columns))]
+    reference_write_columns_csv(tmp_path / "want.csv", header,
+                                [c.astype(str).tolist() if i == 0 else c
+                                 for i, c in enumerate(columns)])
+    monkeypatch.setattr(ingestion, "_BLOCK_BYTES", budget)
+    write_columns_csv(tmp_path / "got.csv", header, columns)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_bytes_column_writes_the_bytes_of_its_texts(tmp_path):
+    # empty texts, and a widest text that sets the slot width of every field
+    texts = ["", "a", "", "x" * 70, "bc", ""] * 40
+    values = np.linspace(-1.0, 1.0, len(texts))
+    write_columns_csv(tmp_path / "list.csv", ["t", "v"], [texts, values])
+    write_columns_csv(tmp_path / "bytes.csv", ["t", "v"],
+                      [np.array(texts, dtype="S"), values])
+    got = (tmp_path / "bytes.csv").read_bytes()
+    assert got == (tmp_path / "list.csv").read_bytes()
+    assert got.count(b"\n,") == 3 * 40 and b"x" * 70 + b"," in got
+
+
+def test_writer_memory_is_bounded(tmp_path):
+    # one 6,538-row trajectory file of the rvldlm layout: a date column and
+    # 28 float columns. The writer's own peak stays within the float
+    # columns' bytes plus 8 MiB, so that a change of the block budget
+    # cannot quietly grow it
+    rows, floats = 6538, 28
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((floats, rows)) * 10.0 ** rng.integers(-7, 18, (floats, rows))
+    day = dt.date(2000, 1, 1)
+    dates = np.array([(day + dt.timedelta(days=i)).isoformat() for i in range(rows)], dtype="S")
+    columns = [dates, *values]
+    header = [f"c{i}" for i in range(len(columns))]
+    tracemalloc.start()
+    try:
+        write_columns_csv(tmp_path / "traj.csv", header, columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= values.nbytes + (8 << 20)

@@ -366,7 +366,7 @@ class TestPipeline:
                                                                 monkeypatch):
         # every trajectory column but the date is a float64 array, so each
         # block of rows is formatted in one float run; the Bayes-factor
-        # writer gets the ISO texts the trajectories hold
+        # writer gets the ISO texts the trajectories hold, as numpy bytes
         calls, bf_dates = [], []
         columns, write_bf = pipeline._trajectory_columns, pipeline._write_bayes_factors
 
@@ -381,14 +381,14 @@ class TestPipeline:
         monkeypatch.setattr(pipeline, "_trajectory_columns", spy_columns)
         monkeypatch.setattr(pipeline, "_write_bayes_factors", spy_bf)
         run_filter_pipeline(load_config(base_config(data_csv[0], str(tmp_path / "o"))))
-        iso = [b.date.isoformat() for b in data_csv[1][1:]]
+        iso = [b.date.isoformat().encode() for b in data_csv[1][1:]]
         assert len(calls) == 3 and len(bf_dates) == 3
         for header, cols, _ in calls:
-            assert header[0] == "date_iso" and cols[0] == iso
+            assert header[0] == "date_iso" and cols[0].dtype.kind == "S" and cols[0].tolist() == iso
             for name, col in zip(header[1:], cols[1:]):
                 assert isinstance(col, np.ndarray) and col.dtype == np.float64, name
                 assert col.shape == (len(iso),), name
-        assert all(dates == iso[-len(dates):] and dates and isinstance(dates[0], str)
+        assert all(dates.tolist() == iso[-len(dates):] and dates.size and dates.dtype.kind == "S"
                    for dates in bf_dates)
 
 

@@ -111,6 +111,20 @@ class TestStudentT:
             with pytest.raises(DomainError, match="degrees of freedom"):
                 special.student_t_quantile(u, dof)
 
+    @pytest.mark.parametrize("dof", [1.0, 3.0, 5.0, 30.0])
+    def test_far_lower_tail_against_scipy(self, dof):
+        # 1 - u rounds to 1 at these levels: the lower tail is solved itself,
+        # in both forms, bit for bit
+        for u in (1e-17, 1e-20, 1e-300):
+            got = special.student_t_quantile(u, dof)
+            assert bits(special.student_t_quantile_lanes([u, 0.3], [dof, 3.0])[0]) == bits(got)
+            want = float(stats.t.ppf(u, dof))
+            if math.isfinite(want):
+                assert got == pytest.approx(want, rel=1e-12)
+            else:  # scipy's ppf gives inf at dof 3 and 5 for 1e-300; its cdf holds there
+                assert -math.inf < got < 0.0
+                assert float(stats.t.cdf(got, dof)) == pytest.approx(u, rel=1e-12)
+
     def test_symmetry(self):
         for dof in (1.0, 4.5, 30.0):
             assert special.student_t_quantile(0.5, dof) == 0.0
