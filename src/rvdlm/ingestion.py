@@ -226,31 +226,43 @@ def _csv_blocks(columns, rows: int):
         yield buf[:n][keep[:n]].tobytes()
 
 
+def _csv_column(path, j: int, c):
+    # column j as `_csv_blocks` takes it, by the rules of `write_columns_csv`
+    kind = c.dtype.kind if isinstance(c, np.ndarray) else "U"
+    if kind == "U":
+        return list(map(str.encode, map(str, c)))
+    if kind in "biuf":
+        return np.asarray(c, dtype=np.float64)
+    if kind != "S":
+        raise DomainError(f"{path}: column {j} has dtype {c.dtype}, neither numeric nor text")
+    return c
+
+
 def write_columns_csv(path, header, columns) -> None:
     """The one CSV writer: a header, then one row per entry of the columns.
-    numpy columns are written as FLOAT_FORMAT, a numpy bytes (`S`) array as
-    its texts, other columns as `str` of each item (for floats, including
-    numpy floats, the shortest round-trip form). Fields are never quoted.
-    Columns of unequal lengths raise DomainError before the file is opened.
+    Bool, integer and float numpy arrays are written as FLOAT_FORMAT, a numpy
+    bytes (`S`) array as its texts, and a numpy `U` array or another
+    sequence as `str` of each item (for floats, including numpy floats, the
+    shortest round-trip form). Fields are never quoted. Columns of unequal
+    lengths, or a numpy column of any other dtype (object, datetime64,
+    complex, ...), raise DomainError before the file is opened.
 
     Rows go out in blocks of at most _BLOCK_BYTES bytes of field slots (see
     `_csv_blocks`). The text of a block's numpy values is computed on whole
     arrays, exactly (see `_write_floats`); a value with no exact array form,
     such as inf, NaN or one below 1e-6, is formatted by FLOAT_FORMAT on its
-    own. Each maximal run of adjacent numpy columns is one such computation
+    own. Each maximal run of adjacent numeric columns is one such computation
     per block, so a flag or count is best passed as a float array: 0.0 and
     1.0 are written `0` and `1`. Text columns are encoded and packed once
     per file; a bytes array is not encoded at all."""
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise DomainError(f"{path}: columns of unequal lengths {lengths}")
+    columns = [_csv_column(path, j, c) for j, c in enumerate(columns)]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         if lengths and lengths[0]:
-            fh.writelines(_csv_blocks([list(map(str.encode, map(str, c)))
-                                       if not isinstance(c, np.ndarray) else c
-                                       if c.dtype.kind == "S" else np.asarray(c, dtype=np.float64)
-                                       for c in columns], lengths[0]))
+            fh.writelines(_csv_blocks(columns, lengths[0]))
 
 
 def _parsed(fn, texts) -> tuple[list, int]:

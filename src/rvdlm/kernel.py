@@ -11,7 +11,8 @@ alive per day. It computes only what the next day reads: the forecast error
 and the log density follow after it as whole arrays, with the loop's
 operations in its order and the logs through libm per day. The
 degrees-of-freedom sequence is data-independent, so the Student-t scoring
-constants are precomputed in one vectorized sweep (`on_dof_path`).
+constants are precomputed in one vectorized sweep over its distinct values
+(`special.on_distinct`).
 `run_filter` is asserted equivalent to the step-by-step `dlm_core`
 composition by the test suite.
 """
@@ -34,8 +35,9 @@ from .errors import DataError, DomainError, NumericalError
 class FilterTrajectory:
     """Per-day record of a filtered series under one model.
 
-    Priors are not stored: a_t = m_{t-1} and R_t = C_{t-1}/delta (with the
-    initial prior kept explicitly), so `prior_at` reconstructs them exactly.
+    Priors are not stored: a_t = m_{t-1}, R_t = C_{t-1} (1/delta) and
+    n*_t = beta n_{t-1}, with the initial prior kept explicitly, so
+    `prior_at` rebuilds each as the filter loop formed it, bit for bit.
     """
 
     variant: ModelClass
@@ -65,11 +67,16 @@ class FilterTrajectory:
         return self.m.shape[1]
 
     def prior_at(self, t: int) -> PriorMoments:
+        """The prior of day t (0-based) for 0 <= t <= T, t = T being the day
+        after the last: `run_filter` restarted from it on days t, t+1, ...
+        gives the rows of the full run bit for bit. C is gathered from its
+        packed triangle, so it and R are exactly symmetric."""
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t <= len(self):
+            raise DomainError(f"prior_at takes an integer day 0 <= t <= {len(self)}, got {t!r}")
         if t == 0:
             return self.init
-        R = self.C[t - 1] / self.hp.delta
-        return PriorMoments(self.m[t - 1].copy(), 0.5 * (R + R.T),
-                            float(self.n_star[t]), float(self.s[t - 1]))
+        return PriorMoments(self.m[t - 1].copy(), self.C[t - 1] * (1.0 / self.hp.delta),
+                            self.hp.beta * float(self.n[t - 1]), float(self.s[t - 1]))
 
 
 def dof_sequences(hp: HyperParams, n_star_1: float, T: int, uses_rv: bool):
@@ -89,23 +96,9 @@ def dof_sequences(hp: HyperParams, n_star_1: float, T: int, uses_rv: bool):
     return n_star, n_tilde, n_tilde + 1.0
 
 
-def on_dof_path(fn, path: np.ndarray) -> np.ndarray:
-    """fn(path) for an elementwise fn and a dof path of `dof_sequences`: evaluated
-    up to the path's last change, the constant tail repeating the final value."""
-    changes = np.flatnonzero(path != path[-1])
-    head = path[:changes[-1] + 2 if changes.size else 1]
-    out = np.empty_like(path)
-    out[:head.size] = fn(head)
-    out[head.size:] = out[head.size - 1]
-    return out
-
-
 def _score_constants(n_tilde: np.ndarray) -> np.ndarray:
-    # lnG((v+1)/2) - lnG(v/2) - 0.5 ln(v pi), the q-independent part of the
-    # one-step t log density
-    return on_dof_path(lambda v: special.log_gamma_array(0.5 * (v + 1.0))
-                       - special.log_gamma_array(0.5 * v)
-                       - 0.5 * special._each(math.log, v * math.pi), n_tilde)
+    # the q-independent part of the one-step t log density, once per distinct dof
+    return special.on_distinct(special.student_t_log_const, n_tilde)
 
 
 def _sym_gather(d: int) -> np.ndarray:

@@ -22,6 +22,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .ingestion import CsvSchema, apply_split, read_ohlc, series_from_ohlc, writ
 from .kernel import FilterTrajectory, dof_sequences, run_filter
 from .rv_measures import DEFAULT_RV_FLOOR
 from .scoring import log_score_z_path, running_log_bayes_factor
-from .special import _each, inv_reg_lower_gamma_lanes, student_t_quantile_lanes
+from .special import _each, inv_reg_lower_gamma_lanes, on_distinct, student_t_quantile_lanes
 
 DEFAULT_HYPERPARAMS = {
     ModelClass.SVDLM: HyperParams(0.999, 0.925, 0.0),
@@ -318,21 +319,24 @@ def load_config(path_or_dict) -> RunConfig:
     return RunConfig(**read_object(raw, CONFIG_KEYS, "config"))
 
 
-def _fill_quantiles(quantiles: dict, dofs) -> None:
+def _fill_quantiles(quantiles: dict, dofs) -> np.ndarray:
     """Add to `quantiles` every distinct dof of `dofs` not yet in it: dof ->
-    (gamma 0.50, 0.95, 0.05 quantiles of G(n/2, n/2), t 0.95 quantile).
-    One lane-parallel solve per law covers all the new dofs: the gamma's
-    three levels are a column broadcast against the dofs."""
-    new = [n for n in np.unique(dofs).tolist() if n not in quantiles]
-    if not new:
-        return
-    n = np.array(new)
-    half = 0.5 * n
-    # the gamma_quantile of G(n/2, n/2): the unit-rate quantile over the rate
-    levels = [[0.50], [0.95], [0.05]]
-    g_med, g_hi, g_lo = inv_reg_lower_gamma_lanes(half, levels).reshape(3, -1) / half
-    tmult = student_t_quantile_lanes(0.95, n)
-    quantiles.update(zip(new, zip(g_med.tolist(), g_hi.tolist(), g_lo.tolist(), tmult.tolist())))
+    (gamma 0.50, 0.95, 0.05 quantiles of G(n/2, n/2), t 0.95 quantile), and
+    return the rows of the distinct dofs in sorted order. One lane-parallel
+    solve per law covers all the new dofs: the gamma's three levels are a
+    column broadcast against the dofs."""
+    dofs = np.unique(dofs).tolist()
+    new = [n for n in dofs if n not in quantiles]
+    if new:
+        n = np.array(new)
+        half = 0.5 * n
+        # the gamma_quantile of G(n/2, n/2): the unit-rate quantile over the rate
+        levels = [[0.50], [0.95], [0.05]]
+        g_med, g_hi, g_lo = inv_reg_lower_gamma_lanes(half, levels).reshape(3, -1) / half
+        tmult = student_t_quantile_lanes(0.95, n)
+        quantiles.update(zip(new, zip(g_med.tolist(), g_hi.tolist(), g_lo.tolist(),
+                                      tmult.tolist())))
+    return np.array([quantiles[n] for n in dofs])
 
 
 def _trajectory_columns(iso_dates, scored, mspec: ModelSpec, traj: FilterTrajectory,
@@ -346,10 +350,7 @@ def _trajectory_columns(iso_dates, scored, mspec: ModelSpec, traj: FilterTraject
     `quantiles` maps dof -> multipliers; `_run_into` fills it for all models
     of the series at once, so the fill here solves only if that one failed.
     """
-    dofs, day = np.unique(traj.n, return_inverse=True)
-    dofs = dofs.tolist()
-    _fill_quantiles(quantiles, dofs)
-    g_med, g_hi, g_lo, tmult = np.array([quantiles[n] for n in dofs])[day].T
+    g_med, g_hi, g_lo, tmult = on_distinct(partial(_fill_quantiles, quantiles), traj.n).T
     s = traj.s
     header = ["date_iso", "y_log_price", "z_realized_var", "x_realized_sd",
               "forecast_log_price", "forecast_scale_var", "forecast_error",

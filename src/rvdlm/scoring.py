@@ -14,8 +14,8 @@ import numpy as np
 
 from . import special
 from .errors import DomainError, NumericalError
-from .kernel import _date, on_dof_path
-from .special import _each
+from .kernel import _date
+from .special import _each, on_distinct
 
 
 def log_score_z_path(traj) -> np.ndarray:
@@ -35,7 +35,7 @@ def log_score_z_path(traj) -> np.ndarray:
     if not (x > 0.0).all():  # math.log(0) raises; the true density is finite
         t = int(np.argmin(x > 0.0))
         raise NumericalError(f"z / s_prev underflows to 0 at step {t}", _date(traj.dates, t))
-    const = on_dof_path(lambda n: special.log_gamma_array(0.5 * (alpha + n))
+    const = on_distinct(lambda n: special.log_gamma_array(0.5 * (alpha + n))
                         - special.log_gamma(0.5 * alpha) - special.log_gamma_array(0.5 * n)
                         + 0.5 * alpha * _each(math.log, alpha / n), n_star)
     return (const + (0.5 * alpha - 1.0) * _each(math.log, x)

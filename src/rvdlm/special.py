@@ -6,6 +6,8 @@ without array overhead. `log_gamma_array` is the vectorized log-gamma of the
 scoring constants and the lane solvers: `inv_reg_lower_gamma_lanes` and
 `student_t_quantile_lanes` solve many lanes (shapes, dofs, levels) at once in
 one shared loop, `_converge`, bit-identical to the scalar solvers lane by lane.
+Numbers keyed by a dof path are evaluated once per distinct dof (`on_distinct`),
+and `student_t_log_const` is the one array Student-t log-density constant.
 
 Every log, log1p, exp and sin whose value reaches an output comes from libm
 (`math`), one element at a time, through `_each`: numpy picks its ufunc loops
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 
@@ -48,10 +51,11 @@ def _each(fn, v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, v.ravel().tolist()), dtype=float, count=v.size).reshape(v.shape)
 
 
-def _each_distinct(fn, v: np.ndarray) -> np.ndarray:
-    """`_each(fn, v)`, with fn called once per distinct value of v."""
+def on_distinct(fn, v: np.ndarray) -> np.ndarray:
+    """fn(v) for an fn of each value on its own: one call on v's sorted distinct
+    values, gathered back to v's shape (a row of fn per value, a row per entry)."""
     values, at = np.unique(v, return_inverse=True)
-    return _each(fn, values)[at.reshape(v.shape)]
+    return fn(values)[at.reshape(v.shape)]
 
 
 def log_gamma(x: float) -> float:
@@ -83,6 +87,13 @@ def log_gamma_array(x: np.ndarray) -> np.ndarray:
     out = _HALF_LOG_2PI + (z + 0.5) * _each(math.log, t) - t + _each(math.log, acc)
     out[small] = _LOG_PI - _each(math.log, _each(math.sin, math.pi * x[small])) - out[small]
     return out
+
+
+def student_t_log_const(v: np.ndarray) -> np.ndarray:
+    """lnG((v+1)/2) - lnG(v/2) - 0.5 ln(v pi), in that order, per entry of the
+    dof array v: the part of the Student-t log density that only v sets."""
+    return (log_gamma_array(0.5 * (v + 1.0)) - log_gamma_array(0.5 * v)
+            - 0.5 * _each(math.log, v * math.pi))
 
 
 def _max_terms(a: float) -> int:
@@ -288,11 +299,6 @@ _LOG_HUGE = math.log(1.7976931348623157e308)
 _LOG_GAMMA_HALF = log_gamma(0.5)
 
 
-def _exp_or_inf(s: float) -> float:
-    # e^s, and inf beyond the float range, where math.exp raises
-    return math.exp(s) if s <= _LOG_HUGE else math.inf
-
-
 def _log_t_tail(s: float, dof: float, log_beta: float) -> float:
     # ln F(-e^s), given log_beta = ln Gamma(dof/2 + 1/2) - ln Gamma(dof/2) - ln Gamma(1/2)
     r = dof * math.exp(-2.0 * s)
@@ -324,9 +330,9 @@ def student_t_quantile(u: float, dof: float) -> float:
     what = f"t quantile solver failed (dof={dof}, u={u})"
     if far:
         lb = log_gamma(0.5 * dof + 0.5) - log_gamma(0.5 * dof) - _LOG_GAMMA_HALF
-        return -_exp_or_inf(_newton(lambda s: -_log_t_tail(s, dof, lb),
-                                    lambda s: _log_t_tail_slope(s, dof),
-                                    math.log(-x), -math.log(u), _T_TOL, -math.inf, what))
+        s = _newton(lambda s: -_log_t_tail(s, dof, lb), lambda s: _log_t_tail_slope(s, dof),
+                    math.log(-x), -math.log(u), _T_TOL, -math.inf, what)
+        return -math.exp(s) if s <= _LOG_HUGE else -math.inf  # math.exp raises past it
     # the t log density is c - (dof + 1)/2 log1p(x^2/dof)
     c = log_gamma(0.5 * (dof + 1.0)) - log_gamma(0.5 * dof) - 0.5 * math.log(dof * math.pi)
     return _newton(lambda t: student_t_cdf(t, dof),
@@ -340,7 +346,8 @@ def student_t_quantile(u: float, dof: float) -> float:
 # lane's result is taken the iteration it converges. Results are thus
 # bit-identical to the scalar solvers, which `tests/test_special.py` checks.
 # The four lane loops share one driver, `_converge`, and supply only one
-# step function, a cap and a failure message.
+# step function, a cap and a failure message. The t's far lower tail has no
+# lane form: `student_t_quantile_lanes` hands it to the scalar solver.
 
 
 def _lanes(u, v, what: str) -> list[np.ndarray]:
@@ -476,7 +483,7 @@ def inv_reg_lower_gamma_lanes(a, u) -> np.ndarray:
     together and flattened, by bracketed Newton with bisection fallback."""
     u, a = _lanes(u, a, "shape")
     # Wilson-Hilferty starting point
-    z = _each_distinct(normal_quantile, u)
+    z = on_distinct(partial(_each, normal_quantile), u)
     g = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
     x = a * g * g * g
     cold = ~(g > 0.0)
@@ -485,7 +492,7 @@ def inv_reg_lower_gamma_lanes(a, u) -> np.ndarray:
     return _newton_lanes(_lower_gamma_lanes,
                          lambda x, a, lga, _: (a - 1.0) * _each(math.log, x) - x - lga,
                          np.maximum(x, _TINY), u,
-                         (a, log_gamma_array(a), _each_distinct(_max_terms, a)),
+                         (a, log_gamma_array(a), on_distinct(partial(_each, _max_terms), a)),
                          _GAMMA_TOL, _GAMMA_FLOOR,
                          lambda j: f"gamma quantile solver failed (a={float(a[j])}, "
                                    f"u={float(u[j])})")
@@ -539,54 +546,28 @@ def _t_cdf_lanes(t, dof, log_beta):
     return out
 
 
-def _log_t_tail_lanes(s, dof, log_beta):
-    """`_log_t_tail` per lane."""
-    r = dof * _each(math.exp, -2.0 * s)
-    big = _each(math.log1p, r)
-    cf = _betacf_lanes(0.5 * dof, np.full_like(dof, 0.5), r / (1.0 + r))
-    return (log_beta + 0.5 * dof * (_each(math.log, dof) - 2.0 * s - big) - 0.5 * big
-            + _each(math.log, cf / dof))
-
-
-def _log_t_tail_slope_lanes(s, dof):
-    """`_log_t_tail_slope` per lane."""
-    r = dof * _each(math.exp, -2.0 * s)
-    return _each(math.log, dof / _betacf_lanes(0.5 * dof, np.full_like(dof, 0.5), r / (1.0 + r)))
-
-
 @_quiet
 def student_t_quantile_lanes(u, dof) -> np.ndarray:
     """Standard-t quantiles in every lane of `u` and `dof`, broadcast together
-    and flattened: 0 at u = 0.5, reflection below it, bracketed Newton above,
-    and on the log of the lower tail where the reflection rounds to 1."""
+    and flattened: 0 at u = 0.5, reflection below it and bracketed Newton
+    above. The levels whose reflection 1 - u rounds to 1 go to the scalar
+    `student_t_quantile`, one at a time, after the Newton lanes."""
     u, dof = _lanes(u, dof, "degrees of freedom")
     low = u < 0.5
-    w = np.where(low & (1.0 - u != 1.0), 1.0 - u, u)
-    out = np.zeros_like(w)
-    solve = w != 0.5
-    w, n = w[solve], dof[solve]
-    z = _each_distinct(normal_quantile, w)
+    w = np.where(low, 1.0 - u, u)
+    far = w == 1.0
+    near = ~far & (w != 0.5)
+    w, n = w[near], dof[near]
+    z = on_distinct(partial(_each, normal_quantile), w)
     x = z + (_each(lambda v: v ** 3, z) + z) / (4.0 * n)  # first-order tail correction
-    lg_half = log_gamma_array(0.5 * n)
-    log_beta = log_gamma_array(0.5 * n + 0.5) - lg_half - _LOG_GAMMA_HALF
+    log_beta = log_gamma_array(0.5 * n + 0.5) - log_gamma_array(0.5 * n) - _LOG_GAMMA_HALF
+    out = np.zeros_like(u)
     # the t log density is c - (n + 1)/2 log1p(x^2/n)
-    c = log_gamma_array(0.5 * (n + 1.0)) - lg_half - 0.5 * _each(math.log, n * math.pi)
-    far = w < 0.5  # unreflected: 1 - w rounds to 1
-
-    def fail(lanes):
-        return lambda j: (f"t quantile solver failed (dof={float(n[lanes][j])}, "
-                          f"u={float(w[lanes][j])})")
-
-    near = ~far
-    t = np.empty_like(w)
-    t[near] = _newton_lanes(
+    out[near] = _newton_lanes(
         lambda t, n, log_beta, _: _t_cdf_lanes(t, n, log_beta),
         lambda t, n, _, c: c - 0.5 * (n + 1.0) * _each(math.log1p, t * t / n),
-        x[near], w[near], (n[near], log_beta[near], c[near]), _T_TOL, -math.inf, fail(near))
-    t[far] = _each(_exp_or_inf, _newton_lanes(
-        lambda s, n, log_beta: -_log_t_tail_lanes(s, n, log_beta),
-        lambda s, n, _: _log_t_tail_slope_lanes(s, n),
-        _each(math.log, -x[far]), -_each(math.log, w[far]), (n[far], log_beta[far]),
-        _T_TOL, -math.inf, fail(far)))
-    out[solve] = t
-    return np.where(low, -out, out)
+        x, w, (n, log_beta, student_t_log_const(n)), _T_TOL, -math.inf,
+        lambda j: f"t quantile solver failed (dof={float(n[j])}, u={float(w[j])})")
+    out = np.where(low, -out, out)
+    out[far] = list(map(student_t_quantile, u[far].tolist(), dof[far].tolist()))
+    return out

@@ -166,3 +166,37 @@ def test_writer_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= values.nbytes + (8 << 20)
+
+
+def test_unicode_column_writes_the_bytes_of_its_str_list(tmp_path):
+    # a numpy `U` column is text, whatever it holds: ISO dates, and numbers
+    # kept as the texts they are ("1.250" stays 1.250, not 1.25)
+    dates = [(dt.date(2020, 1, 1) + dt.timedelta(days=i)).isoformat() for i in range(30)]
+    texts = ["1.250", "7", "-0.0", "1e3", "ünï"] * 6
+    values = np.linspace(-1.0, 1.0, 30)
+    header = ["date", "text", "v"]
+    write_columns_csv(tmp_path / "list.csv", header, [dates, texts, values])
+    write_columns_csv(tmp_path / "unicode.csv", header, [np.array(dates), np.array(texts), values])
+    got = (tmp_path / "unicode.csv").read_bytes()
+    assert got == (tmp_path / "list.csv").read_bytes()
+    assert got.splitlines()[1].startswith(b"2020-01-01,1.250,")
+
+
+def test_bool_and_integer_columns_are_float_columns(tmp_path):
+    flags = np.array([True, False, True])
+    counts = np.array([3, -7, 0], dtype=np.int32)
+    sizes = np.array([1, 2, 2 ** 40], dtype=np.uint64)
+    write_columns_csv(tmp_path / "x.csv", ["f", "i", "u"], [flags, counts, sizes])
+    assert (tmp_path / "x.csv").read_bytes() == b"f,i,u\n1,3,1\n0,-7,2\n1,0,1099511627776\n"
+
+
+@pytest.mark.parametrize("column", [np.array([1.0, "a"], dtype=object),
+                                    np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"),
+                                    np.array([1.0 + 2.0j, 3.0])],
+                         ids=["object", "datetime64", "complex"])
+def test_other_numpy_dtypes_rejected_before_the_file_opens(tmp_path, column):
+    path = tmp_path / "x.csv"
+    with pytest.raises(DomainError) as exc:
+        write_columns_csv(path, ["v", "w"], [np.zeros(2), column])
+    assert str(exc.value).startswith(f"{path}: column 1 has dtype {column.dtype}")
+    assert not path.exists()

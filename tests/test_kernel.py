@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rvdlm import (DataError, HyperParams, ModelClass, NumericalError, OhlcBar,
+from rvdlm import (DataError, DomainError, HyperParams, ModelClass, NumericalError, OhlcBar,
                    PriorMoments, SyntheticParams, build_regressor, build_series,
                    dof_sequences, evolve, generate_synthetic, price_update, run_filter,
                    rv_update, slowly_varying_theta, special, sv_volatility_update_path)
@@ -135,6 +135,30 @@ def test_trajectory_accessors_reconstruct_priors():
     assert pr.s_prev == traj.s[9]
 
 
+@pytest.mark.parametrize("variant", list(ModelClass))
+def test_restart_from_prior_at_reproduces_the_full_run(variant):
+    # run_filter restarted at day k from prior_at(k), on days k..T-1, gives the
+    # full run's rows from day k bit for bit
+    hp = hp_for(variant)
+    y, z, x, y_prev, x_prev = make_series(400, seed=4)
+    full = run_filter(variant, hp, default_init(variant, hp), y, z, x, y_prev, x_prev)
+    T = len(full)
+    for k in (1, T // 2, T - 1):
+        part = run_filter(variant, hp, full.prior_at(k), y[k:], z[k:], x[k:], y_prev[k:],
+                          x_prev[k:])
+        for name in ("m", "C", "n", "s", "n_star", "forecast", "scale", "error",
+                     "log_density"):
+            assert np.array_equal(getattr(part, name), getattr(full, name)[k:]), (k, name)
+    # the day after the last: n* is the next value of the dof path
+    n_star, _, _ = dof_sequences(hp, full.init.n_star, T + 1, variant.uses_rv)
+    last = full.prior_at(T)
+    assert last.n_star == n_star[-1]
+    assert np.array_equal(last.R, full.C[-1] * (1.0 / hp.delta))
+    for t in (-1, T + 1, 1.0, True):
+        with pytest.raises(DomainError, match=f"0 <= t <= {T}"):
+            full.prior_at(t)
+
+
 def test_dof_sequences_recursion_and_limit():
     hp = HyperParams(0.999, 0.875, 2.75)
     n_star, n_tilde, n = dof_sequences(hp, hp.beta, 5000, uses_rv=True)
@@ -144,19 +168,23 @@ def test_dof_sequences_recursion_and_limit():
     assert n[-1] == pytest.approx(30.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("beta,alpha,uses_rv", [(0.875, 2.75, True), (0.925, 0.0, False),
-                                                (0.999, 2.75, True)])
-def test_dof_path_and_score_constants_match_full_evaluation(beta, alpha, uses_rv):
-    # the fixed-point shortcut in dof_sequences and the constant-tail reuse in
-    # _score_constants must reproduce the day-by-day evaluation bit for bit
+# paths that rise to their limit, one that falls to it (from n*_1 = 100) and
+# one at beta = 1, which never settles: every day has its own dof
+@pytest.mark.parametrize("beta,alpha,uses_rv,n_star_1", [
+    (0.875, 2.75, True, 0.875), (0.925, 0.0, False, 0.925), (0.999, 2.75, True, 0.999),
+    (0.875, 2.75, True, 100.0), (1.0, 2.75, True, 1.0)],
+    ids=["0.875-2.75-True", "0.925-0.0-False", "0.999-2.75-True", "falling", "unit_beta"])
+def test_dof_path_and_score_constants_match_full_evaluation(beta, alpha, uses_rv, n_star_1):
+    # the fixed-point shortcut in dof_sequences and the once-per-distinct-dof
+    # evaluation in _score_constants must reproduce the day-by-day evaluation bit for bit
     hp = HyperParams(0.999, beta, alpha)
     T = 3000
     a = alpha if uses_rv else 0.0
-    vals, ns = [], beta
+    vals, ns = [], n_star_1
     for _ in range(T):
         vals.append(ns)
         ns = beta * (ns + a + 1.0)
-    n_star, n_tilde, n = dof_sequences(hp, beta, T, uses_rv)
+    n_star, n_tilde, n = dof_sequences(hp, n_star_1, T, uses_rv)
     assert np.array_equal(n_star, np.asarray(vals))
     assert np.array_equal(n, n_star + a + 1.0)
     consts = _score_constants(n_tilde)

@@ -1,8 +1,11 @@
 import datetime as dt
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -884,3 +887,14 @@ def test_every_key_is_documented(section, table):
     text = README.read_text(encoding="utf-8").split(f"\n### {section}", 1)[1]
     text = text.split("\n#", 1)[0]
     assert [k for k in table if f'"{k}"' not in text] == []
+
+
+def test_every_named_module_attribute_exists():
+    # each backticked `module.name` of the README that names an rvdlm
+    # submodule names something that submodule has
+    modules = {m.name for m in pkgutil.iter_modules(rvdlm.__path__)}
+    named = [(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)`", README.read_text("utf-8"))
+             if mod in modules]
+    assert named
+    assert [f"{mod}.{name}" for mod, name in named
+            if not hasattr(importlib.import_module(f"rvdlm.{mod}"), name)] == []

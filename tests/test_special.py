@@ -392,3 +392,20 @@ def test_series_lane_at_its_cap_names_its_arguments():
         special._gamma_series_lanes(a, x, np.array([1000.0, 1.0, 1000.0]))
     assert str(exc.value) == scalar_failures(special._gamma_series, [(2.0, 1.0, 1)])[0] == \
         "incomplete gamma series failed to converge (a=2.0, x=1.0)"
+
+
+def test_on_distinct_calls_fn_once_on_the_sorted_distinct_values():
+    calls = []
+
+    def fn(values):
+        calls.append(values.copy())
+        return values * 2.0
+
+    v = np.array([[3.0, 1.0], [3.0, 2.0], [1.0, 1.0]])
+    assert np.array_equal(special.on_distinct(fn, v), v * 2.0)
+    assert len(calls) == 1 and np.array_equal(calls[0], [1.0, 2.0, 3.0])
+    # one row of fn per value gives one row per entry, as the quantile table's gather
+    path = np.array([0.5, 2.0, 2.0, 7.0, 2.0])
+    rows = special.on_distinct(lambda d: np.stack([d, -d, d * d, d + 1.0], axis=1), path)
+    assert rows.shape == (path.size, 4)
+    assert np.array_equal(rows, np.stack([path, -path, path * path, path + 1.0], axis=1))
