@@ -171,6 +171,20 @@ def test_normal_quantile_sane():
         special.normal_quantile(0.0)
 
 
+def test_normal_quantile_tail_digest():
+    # the float64 bytes of normal_quantile on 4,000 lower-tail levels from
+    # 1e-300 to just below 0.02425, their reflections 1 - u where that is not
+    # 1, and the two tail edges and two central levels: both Acklam tails to
+    # the bit, beyond what test_normal_quantile_sane's 1e-6 can see
+    lower = np.geomspace(1e-300, 0.02425, 4001)[:-1]
+    levels = np.concatenate([lower, 1.0 - lower[lower > 1e-16],
+                             [0.02425, 1.0 - 0.02425, 0.5, 0.3]])
+    assert levels.size == 4196
+    values = np.array([special.normal_quantile(float(u)) for u in levels])
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
+    assert digest == "29a3a91f844da941b06f67c082c6b787bd4e55811fcf1d191915477f8e2f11b8"
+
+
 # ---------------------------------------------------------------------------
 # The lane-parallel solvers against the scalar solvers, bit for bit. The lane
 # code serves every lane count, one lane included: the properties check a lane
