@@ -98,6 +98,13 @@ def _as_state_matrix(M, dim: int, name: str) -> np.ndarray:
     return M
 
 
+def _check_finite_positive(owner, *names) -> None:
+    for name in names:
+        v = getattr(owner, name)
+        if not (math.isfinite(v) and v > 0.0):
+            raise DomainError(f"{name} must be finite and positive, got {v!r}")
+
+
 def _as_state_vector(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
@@ -120,10 +127,7 @@ class NormalGammaPosterior:
         C = _as_state_matrix(self.C, m.size, "C")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "C", C)
-        if not self.n > 0.0:
-            raise DomainError(f"n must be positive, got {self.n!r}")
-        if not self.s > 0.0:
-            raise DomainError(f"s must be positive, got {self.s!r}")
+        _check_finite_positive(self, "n", "s")
 
     @property
     def dim(self) -> int:
@@ -145,10 +149,7 @@ class PriorMoments:
         R = _as_state_matrix(self.R, a.size, "R")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "R", R)
-        if not self.n_star > 0.0:
-            raise DomainError(f"n_star must be positive, got {self.n_star!r}")
-        if not self.s_prev > 0.0:
-            raise DomainError(f"s_prev must be positive, got {self.s_prev!r}")
+        _check_finite_positive(self, "n_star", "s_prev")
 
     @property
     def dim(self) -> int:

@@ -16,20 +16,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ScaledFParams, StudentTParams, sample_scaled_f
-from .dlm_core import ModelClass, PriorMoments, build_regressor, rv_update
+from .dlm_core import ModelClass, PriorMoments, _check_finite_positive, build_regressor, rv_update
 from .errors import DomainError
 from .rv_measures import DEFAULT_RV_FLOOR
 
 
 @dataclass(frozen=True)
 class RegressorInputs:
-    """Everything needed to rebuild F_t at a candidate z: the model layout
-    and the lagged predictors already in the information set."""
+    """Everything needed to rebuild F_t at a candidate z: the model layout,
+    the lagged predictors already in the information set, and the floor on z.
+    Checked once here for both `predictive_y_given_z` and `sample_joint`: the
+    lags must be finite and the floor finite and positive, each failure a
+    DomainError naming its field."""
 
     model: ModelClass
     y_prev: float
     x_prev: float
     floor_eps: float = DEFAULT_RV_FLOOR
+
+    def __post_init__(self):
+        for name, v in (("y_prev", self.y_prev), ("x_prev", self.x_prev)):
+            if not math.isfinite(v):
+                raise DomainError(f"{name} must be finite, got {v!r}")
+        _check_finite_positive(self, "floor_eps")
 
 
 def predictive_z(prior: PriorMoments, alpha: float) -> ScaledFParams:

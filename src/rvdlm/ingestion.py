@@ -243,9 +243,10 @@ def write_columns_csv(path, header, columns) -> None:
     Bool, integer and float numpy arrays are written as FLOAT_FORMAT, a numpy
     bytes (`S`) array as its texts, and a numpy `U` array or another
     sequence as `str` of each item (for floats, including numpy floats, the
-    shortest round-trip form). Fields are never quoted. Columns of unequal
-    lengths, or a numpy column of any other dtype (object, datetime64,
-    complex, ...), raise DomainError before the file is opened.
+    shortest round-trip form). Fields are never quoted. A column count other
+    than the header's, columns of unequal lengths, or a numpy column of any
+    other dtype (object, datetime64, complex, ...) raise DomainError before
+    the file is opened.
 
     Rows go out in blocks of at most _BLOCK_BYTES bytes of field slots (see
     `_csv_blocks`). The text of a block's numpy values is computed on whole
@@ -255,6 +256,8 @@ def write_columns_csv(path, header, columns) -> None:
     per block, so a flag or count is best passed as a float array: 0.0 and
     1.0 are written `0` and `1`. Text columns are encoded and packed once
     per file; a bytes array is not encoded at all."""
+    if len(columns) != len(header):
+        raise DomainError(f"{path}: {len(columns)} columns for {len(header)} header names")
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise DomainError(f"{path}: columns of unequal lengths {lengths}")

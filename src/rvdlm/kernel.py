@@ -123,7 +123,9 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
     Inputs are the modeled columns of a series frame: log price y, floored
     realized variance z, realized SD x, and their one-day lags. The initial
     prior applies to the first modeled day; later priors come from the
-    discount evolution of each posterior.
+    discount evolution of each posterior. `dates`, one per day or None,
+    only name the day in an error and are kept in the trajectory; a list of
+    another length is a DomainError.
     """
     y = np.ascontiguousarray(y, dtype=float)
     z = np.ascontiguousarray(z, dtype=float)
@@ -133,6 +135,8 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
     T = y.size
     if not (z.size == x.size == y_prev.size == x_prev.size == T):
         raise DomainError("series arrays must share one length")
+    if dates is not None and len(dates) != T:
+        raise DomainError(f"dates has {len(dates)} entries for {T} days")
     if T == 0:
         raise DataError("cannot filter an empty series")
     finite = np.isfinite(np.stack((y, z, x, y_prev, x_prev)))

@@ -394,18 +394,14 @@ def _model_pairs(names: list) -> list[tuple[str, str]]:
 
 def _write_bayes_factors(out_dir: str, ticker: str, scores: dict) -> dict:
     """Write `{ticker}__BF__{hi}_over_{lo}.csv` for every model pair, in
-    config order, from per-model (ISO date texts, score increments) over the
-    scored window: numpy bytes from the filter pass, or a list of `str` from
-    `_scored_increments`, encoded once for all pairs. Returns {pair name:
-    (path, final cumulative log BF)}."""
-    out, dates = {}, None
+    config order, from {model name: (ISO dates as numpy bytes, float64 score
+    increments)} over the scored window, as the filter pass and
+    `_scored_increments` form them. Returns {pair name: (path, final log BF)}."""
+    out = {}
     for hi, lo in _model_pairs(list(scores)):
-        (hi_dates, hi_inc), (lo_dates, lo_inc) = scores[hi], scores[lo]
-        if len(hi_dates) != len(lo_dates) or np.any(hi_dates != lo_dates):
+        (dates, hi_inc), (lo_dates, lo_inc) = scores[hi], scores[lo]
+        if not np.array_equal(dates, lo_dates):
             raise DataError(f"{ticker}: scored dates differ between {hi!r} and {lo!r}")
-        if dates is None:  # every pair's dates are these
-            dates = hi_dates if isinstance(hi_dates, np.ndarray) else \
-                np.array(list(map(str.encode, hi_dates)), "S")
         bf = running_log_bayes_factor(hi_inc, lo_inc)
         path = os.path.join(out_dir, _bf_file(ticker, hi, lo))
         write_columns_csv(path, ["date_iso", "cum_log_bf_nats"], [dates, bf])
@@ -525,9 +521,8 @@ def recompute_bayes_factors(run_dir: str) -> list[str]:
     """Rebuild the pairwise log-BF trajectory files from the per-day score
     increments already emitted in `run_dir` (the `score` subcommand).
 
-    All or nothing: every trajectory is read before any file is written,
-    and the files reach `run_dir` through `_staged`. Returns their paths
-    in `run_dir`."""
+    One ticker at a time, into the stage of `_staged`: all or nothing, the
+    files reach `run_dir` once every ticker's are written. Returns their paths."""
     summary_path = os.path.join(run_dir, "summary.json")
     summary = load_json(summary_path, "run summary")
     try:
@@ -543,21 +538,20 @@ def recompute_bayes_factors(run_dir: str) -> list[str]:
         _check_output_names(tickers, model_names)
     except ConfigError as exc:
         raise ConfigError(f"run summary {summary_path}: {exc}") from exc
-    scores = {ticker: {name: _scored_increments(os.path.join(run_dir,
-                                                             _trajectory_file(ticker, name)))
-                       for name in model_names} for ticker in tickers}
     written = []
     with _staged(run_dir) as stage:
-        for ticker, by_model in scores.items():
+        for ticker in tickers:
+            scores = {m: _scored_increments(os.path.join(run_dir, _trajectory_file(ticker, m)))
+                      for m in model_names}
             written += [os.path.join(run_dir, os.path.basename(path)) for path, _ in
-                        _write_bayes_factors(stage, ticker, by_model).values()]
+                        _write_bayes_factors(stage, ticker, scores).values()]
     return written
 
 
-def _scored_increments(path: str) -> tuple[list, list]:
-    """(dates, log score increments) of the scored rows of one trajectory
-    CSV. Only the leading fields up to the last of the three columns used
-    are split off each line: `write_columns_csv` never quotes."""
+def _scored_increments(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(ISO dates as numpy bytes, float64 log score increments) of the scored
+    rows of one trajectory CSV, the filter pass's form. Each line is split only
+    up to the last of the three columns used: `write_columns_csv` never quotes."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -588,9 +582,9 @@ def _scored_increments(path: str) -> tuple[list, list]:
                         raise DataError(f"{path}:{line_no}: log score must be a finite number, "
                                         f"got {fields[i_score]!r}")
                     increments.append(score)
-                    dates.append(fields[i_date])
+                    dates.append(fields[i_date].encode())
                 elif flag != "0":
                     raise DataError(f"{path}:{line_no}: scored flag must be 0 or 1, got {flag!r}")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from exc
-    return dates, increments
+    return np.array(dates, "S"), np.array(increments, np.float64)

@@ -1,9 +1,11 @@
-"""Per-model predictive score ledgers and cumulative log Bayes factors.
+"""Cumulative log Bayes factors and the realized-variance score tally.
 
-Each ledger accumulates one-step log predictive densities of the price series
-over a declared evaluation window; two aligned ledgers difference into a log
-Bayes factor trajectory. Models are always compared on the same price
-realizations: realized variance enters conditioning, never the scored margin.
+The pipeline compares models by `running_log_bayes_factor` of their one-step
+price log densities over the scored window, which `pipeline._write_bayes_factors`
+writes for both `rvdlm filter` and `rvdlm score`. Models are always compared on
+the same price realizations: realized variance enters conditioning, never the
+scored margin. `ScoreLedger` and `log_bayes_factor_path` are no part of that
+path; they stay only for perfbench's replay of it, until ROADMAP item 1.
 """
 
 from __future__ import annotations

@@ -82,6 +82,16 @@ def test_unequal_column_lengths_rejected_before_the_file_opens(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("n_columns", [1, 3])
+def test_column_count_other_than_the_header_rejected_before_the_file_opens(tmp_path, n_columns):
+    # one column under two names was once written as rows of one field
+    path = tmp_path / "x.csv"
+    with pytest.raises(DomainError) as exc:
+        write_columns_csv(path, ["a", "b"], [np.array([1.0, 2.0])] * n_columns)
+    assert str(exc.value) == f"{path}: {n_columns} columns for 2 header names"
+    assert not path.exists()
+
+
 def test_no_columns_or_rows_write_the_header(tmp_path):
     write_columns_csv(tmp_path / "a.csv", [], [])
     write_columns_csv(tmp_path / "b.csv", ["a", "b"], [np.zeros(0), []])

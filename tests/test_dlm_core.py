@@ -233,3 +233,52 @@ class TestConjugacyClosure:
         assert math.isfinite(stats.log_density)
         evals = np.linalg.eigvalsh(new_post.C)
         assert evals.min() >= -1e-12 * max(1.0, evals.max())
+
+
+class TestInputChecks:
+    # every check of the state containers and of the price update, with its message
+
+    @pytest.mark.parametrize("cls, dof, scale", [(NormalGammaPosterior, "n", "s"),
+                                                 (PriorMoments, "n_star", "s_prev")])
+    @pytest.mark.parametrize("which", ["dof", "scale"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_dof_and_scale_must_be_finite_and_positive(self, cls, dof, scale, which, value):
+        # an infinite dof or scale once failed in run_filter, naming no field
+        field = dof if which == "dof" else scale
+        kwargs = {dof: 8.0, scale: 2.0, field: value}
+        with pytest.raises(DomainError, match=f"^{field} must be finite and positive, "
+                                              f"got {value!r}$"):
+            cls(np.zeros(3), np.eye(3), **kwargs)
+
+    @pytest.mark.parametrize("a", [np.zeros((3, 1)), np.zeros(0), np.array([0.0, math.nan, 0.0])],
+                             ids=["2-d", "empty", "nan"])
+    def test_state_vector_must_be_finite_and_1d(self, a):
+        with pytest.raises(DomainError, match="^a must be a finite 1-d vector$"):
+            PriorMoments(a, np.eye(3), 8.0, 2.0)
+
+    def test_state_matrix_shape(self):
+        with pytest.raises(DomainError, match=r"^C must be 3x3, got shape \(3, 2\)$"):
+            NormalGammaPosterior(np.zeros(3), np.ones((3, 2)), 8.0, 2.0)
+
+    def test_state_matrix_must_be_finite(self):
+        R = np.eye(3)
+        R[1, 1] = math.inf
+        with pytest.raises(DomainError, match="^R must be finite$"):
+            PriorMoments(np.zeros(3), R, 8.0, 2.0)
+
+    def test_state_matrix_must_be_symmetric(self):
+        R = np.eye(3)
+        R[0, 2] = 0.5
+        with pytest.raises(DomainError, match="^R must be symmetric$"):
+            PriorMoments(np.zeros(3), R, 8.0, 2.0)
+
+    @pytest.mark.parametrize("update", ["price_update", "sv_volatility_update_path"])
+    def test_regressor_must_match_the_state(self, update):
+        pr = PriorMoments(np.zeros(3), np.eye(3), 8.0, 2.0)
+        prior = rv_update(pr, 1.0, 2.0) if update == "price_update" else pr
+        call = price_update if update == "price_update" else sv_volatility_update_path
+        with pytest.raises(DomainError, match=r"^regressor dimension \(4,\) does not match "
+                                              r"state \(3,\)$"):
+            call(prior, 0.1, np.ones(4))
+        with pytest.raises(DomainError, match="^price observation must be finite, got nan$"):
+            call(prior, math.nan, np.ones(3))

@@ -250,6 +250,35 @@ def test_sample_joint_takes_python_and_numpy_integers(size):
     assert z.shape == y.shape == (int(size),)
 
 
+
+def _law_at(reg):
+    law = predictive_y_given_z(pinned_prior(ModelClass.RVLDLM), 2.75, 1e-4, reg)
+    return law.dof, law.location, law.scale
+
+
+# both entry points that take a RegressorInputs, on the 4-coefficient layout
+ENTRY_POINTS = {
+    "predictive_y_given_z": _law_at,
+    "sample_joint": lambda reg: sample_joint(pinned_prior(ModelClass.RVLDLM), 2.75, reg,
+                                             np.random.default_rng(0), 5),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("field, value", [
+    ("y_prev", math.nan), ("y_prev", math.inf), ("x_prev", math.nan), ("x_prev", -math.inf),
+    ("floor_eps", math.nan), ("floor_eps", math.inf), ("floor_eps", 0.0), ("floor_eps", -1.0),
+])
+def test_bad_regressor_inputs_are_a_domain_error_naming_the_field(entry, field, value):
+    # sample_joint once drew NaN from a NaN lag or floor, and both accepted a negative floor
+    good = {"y_prev": 4.6, "x_prev": 0.01, "floor_eps": 1e-12}
+    out = ENTRY_POINTS[entry](RegressorInputs(ModelClass.RVLDLM, **good))
+    assert np.isfinite(np.hstack(out)).all()
+    rule = "finite and positive" if field == "floor_eps" else "finite"
+    with pytest.raises(DomainError, match=f"^{field} must be {rule}, got {value!r}$"):
+        ENTRY_POINTS[entry](RegressorInputs(ModelClass.RVLDLM, **{**good, field: value}))
+
+
 class TestJointFactorization:
     @staticmethod
     def _factorized(y_vals, z_vals, a, R, n_star, s_prev, alpha):

@@ -128,6 +128,14 @@ class TestParseCsv:
         schema = CsvSchema(date="Day", open="O", high="H", low="L", close="Last")
         assert len(parse_csv(path, schema)) == 2
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "\ufeff", " , ,\n"],
+                             ids=["empty", "blank lines", "bom", "blank fields"])
+    def test_empty_file_is_named(self, tmp_path, text):
+        path = write_text(tmp_path / "e.csv", text)
+        with pytest.raises(DataError) as excinfo:
+            read_ohlc(path)
+        assert str(excinfo.value) == f"{path} is empty"
+
     def test_missing_file(self):
         with pytest.raises(DataError):
             parse_csv("/nonexistent/file.csv")
@@ -181,6 +189,12 @@ class TestBuildSeries:
     def test_needs_two_bars(self):
         with pytest.raises(DataError):
             build_series(mk_bars(1))
+
+    @pytest.mark.parametrize("floor_eps", [0.0, -1e-12, math.nan])
+    def test_floor_must_be_positive(self, floor_eps):
+        with pytest.raises(ConfigError, match=f"^realized-variance floor must be positive, "
+                                              f"got {floor_eps!r}$"):
+            build_series(mk_bars(3), floor_eps)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(3, 60), st.integers(0, 1000))

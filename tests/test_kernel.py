@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,43 @@ def test_rejects_nonpositive_rv():
     with pytest.raises(DataError) as info:
         run_filter(variant, hp, init, y, z, x, y_prev, x_prev, dates=dates)
     assert info.value.date == dates[7]
+
+
+
+@pytest.mark.parametrize("n_dates", [0, 3, 7], ids=["empty", "short", "long"])
+def test_dates_of_another_length_are_a_domain_error(n_dates):
+    # a short list once met the non-finite y below as a bare IndexError, and a
+    # long one was kept in traj.dates
+    variant = ModelClass.RVDLM
+    hp = hp_for(variant)
+    y, z, x, y_prev, x_prev = (c.copy() for c in make_series(5))
+    y[2] = math.nan
+    dates = [dt.date(2001, 1, 1) + dt.timedelta(days=t) for t in range(n_dates)]
+    with pytest.raises(DomainError, match=f"^dates has {n_dates} entries for 5 days$"):
+        run_filter(variant, hp, default_init(variant, hp), y, z, x, y_prev, x_prev, dates=dates)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("unequal_lengths", DomainError, "series arrays must share one length"),
+    ("empty", DataError, "cannot filter an empty series"),
+    ("prior_dimension", DomainError, "initial prior dimension 4 does not match rvdlm layout (3)"),
+    ("zero_alpha", DomainError, "rvdlm requires alpha > 0"),
+])
+def test_run_filter_input_check(case, error, message):
+    variant = ModelClass.RVDLM
+    hp = hp_for(variant)
+    init = default_init(variant, hp)
+    cols = list(make_series(6))
+    if case == "unequal_lengths":
+        cols[4] = cols[4][:5]
+    elif case == "empty":
+        cols = [c[:0] for c in cols]
+    elif case == "prior_dimension":
+        init = default_init(ModelClass.RVLDLM, hp)
+    else:  # HyperParams allows alpha = 0, which only the price-only class may run at
+        hp = HyperParams(0.999, 0.875, 0.0)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        run_filter(variant, hp, init, *cols)
 
 
 @pytest.mark.parametrize("variant", list(ModelClass))

@@ -257,6 +257,29 @@ class TestConfig:
                           models=[{"name": "svdlm", "variant": "svdlm", "alpha": 0}])
         assert load_config(raw).models[0].hp.alpha == 0.0
 
+    @pytest.mark.parametrize("variant", ["rvdlm", "rvldlm"])
+    def test_zero_alpha_on_an_rv_model_is_config_error(self, data_csv, tmp_path, capsys,
+                                                       variant):
+        raw = base_config(data_csv[0], str(tmp_path / "o"),
+                          models=[{"name": "m", "variant": variant, "alpha": 0}])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["filter", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"error [filter]: model 'm': {variant} requires alpha > 0\n"
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_a_model_without_a_name_is_named_by_its_variant(self, data_csv, tmp_path):
+        raw = base_config(data_csv[0], str(tmp_path / "o"),
+                          models=[{"variant": "svdlm"}, {"variant": "rvldlm"}])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["filter", "--config", str(cfg)]) == 0
+        assert sorted(os.listdir(tmp_path / "o")) == [
+            "TIC__BF__rvldlm_over_svdlm.csv", "TIC__rvldlm.csv", "TIC__svdlm.csv", "summary.json"]
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert [m["name"] for m in summary["config"]["models"]] == ["svdlm", "rvldlm"]
+
     def test_partial_schema_keeps_default_column_names(self, data_csv, tmp_path):
         raw = base_config(data_csv[0], str(tmp_path / "o"))
         raw["schema"] = {"date": "Day"}
@@ -513,6 +536,17 @@ class TestCli:
         assert "(700 of 700 realized variances floored at floor_eps=1e+300)" in err
         assert not os.path.exists(tmp_path / "o")
 
+    def test_empty_input_csv_is_a_data_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config(str(empty), str(tmp_path / "o"))))
+        before = sorted(os.listdir(tmp_path))
+        assert main(["filter", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == \
+            f"error [filter]: series 'TIC' [ingestion]: {empty} is empty\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_failed_run_leaves_no_outputs(self, data_csv, tmp_path, capsys):
         # the first series filters fine; the second has a bar with high < low
         bad_csv = tmp_path / "bad.csv"
@@ -723,6 +757,67 @@ class TestCli:
         assert main(argv) == code
         assert f"{path} is not UTF-8 text" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_score_hands_the_writer_the_filter_pass_arrays(self, data_csv, tmp_path,
+                                                           monkeypatch):
+        # both callers give _write_bayes_factors one form of the scored window:
+        # ISO dates as numpy bytes and float64 increments, equal to the bit
+        seen, write_bf = [], pipeline._write_bayes_factors
+
+        def spy_bf(out_dir, ticker, scores):
+            seen.append(scores)
+            return write_bf(out_dir, ticker, scores)
+
+        monkeypatch.setattr(pipeline, "_write_bayes_factors", spy_bf)
+        out = str(tmp_path / "run")
+        run_filter_pipeline(load_config(base_config(data_csv[0], out)))
+        assert main(["score", "--run-dir", out]) == 0
+        filtered, scored = seen
+        assert list(scored) == list(filtered) == ["svdlm", "rvdlm", "rvldlm"]
+        for name, (dates, increments) in scored.items():
+            want_dates, want_increments = filtered[name]
+            assert isinstance(dates, np.ndarray) and dates.dtype.kind == "S" and dates.size
+            assert np.array_equal(dates, want_dates)
+            assert isinstance(increments, np.ndarray) and increments.dtype == np.float64
+            assert increments.tobytes() == want_increments.tobytes()
+
+    def test_score_reads_and_writes_one_ticker_at_a_time(self, data_csv, tmp_path,
+                                                         monkeypatch):
+        # no ticker's scores are held while another's files are read
+        out = tmp_path / "run"
+        raw = base_config(data_csv[0], str(out))
+        raw["series"] = [{"ticker": t, "path": data_csv[0], "s1": 1e-4} for t in ("A", "B")]
+        run_filter_pipeline(load_config(raw))
+        events, read, write_bf = [], pipeline._scored_increments, pipeline._write_bayes_factors
+
+        def spy_read(path):
+            events.append(os.path.basename(path))
+            return read(path)
+
+        def spy_bf(out_dir, ticker, scores):
+            events.append(f"write {ticker}")
+            return write_bf(out_dir, ticker, scores)
+
+        monkeypatch.setattr(pipeline, "_scored_increments", spy_read)
+        monkeypatch.setattr(pipeline, "_write_bayes_factors", spy_bf)
+        assert main(["score", "--run-dir", str(out)]) == 0
+        assert events == [f"{t}__{m}.csv" if m else f"write {t}" for t in "AB"
+                          for m in ("svdlm", "rvdlm", "rvldlm", None)]
+
+    def test_score_rejects_scored_dates_that_differ(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_filter_pipeline(load_config(base_config(data_csv[0], str(out))))
+        path = out / "TIC__rvdlm.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[-1].split(",")  # the last day is scored
+        fields[0] = "2099-12-31"
+        path.write_text("".join(lines[:-1] + [",".join(fields)]))
+        before = _digests(str(out))
+        assert main(["score", "--run-dir", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "error [score]: TIC: scored dates differ between 'rvdlm' and 'svdlm'\n"
+        assert _digests(str(out)) == before
+        assert sorted(os.listdir(tmp_path)) == ["run"]
 
     def test_score_is_all_or_nothing(self, data_csv, tmp_path, capsys):
         # A's Bayes factors are gone and B's trajectory is bad: a score that

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rvdlm import DataError, OhlcBar, rogers_satchell, validate_bar
+from rvdlm.rv_measures import bar_columns
 
 D = dt.date(2020, 3, 16)
 
@@ -87,6 +88,16 @@ class TestBarValidation:
             with pytest.raises(DataError, match="below 2.2250738585072014e-308") as excinfo:
                 check(bar(o, h, l, c))
             assert excinfo.value.date == D
+
+    @pytest.mark.parametrize("price", ["101.5", None])
+    def test_non_numeric_price_names_its_field_and_date(self, price):
+        later = D + dt.timedelta(days=1)
+        bars = [bar(100.0, 101.0, 99.0, 100.5), bar(100.5, 102.0, 99.5, price, date=later)]
+        with pytest.raises(DataError) as excinfo:
+            bar_columns(bars)
+        assert excinfo.value.date == later
+        assert str(excinfo.value) == (f"close price must be finite and positive, got {price!r} "
+                                      f"[date={later}]")
 
     def test_widest_normal_price_ratio_accepted(self):
         h = 1e300
