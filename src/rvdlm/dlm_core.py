@@ -85,6 +85,7 @@ class HyperParams:
             raise DomainError(f"beta must be in (0, 1], got {self.beta!r}")
         if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
             raise DomainError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
+        _store_floats(self, "delta", "beta", "alpha")
 
 
 def _as_state_matrix(M, dim: int, name: str) -> np.ndarray:
@@ -98,11 +99,20 @@ def _as_state_matrix(M, dim: int, name: str) -> np.ndarray:
     return M
 
 
+def _store_floats(owner, *names) -> None:
+    # checked fields as Python floats: a float32 or float16 scalar would carry
+    # its precision into all the arithmetic it enters
+    for name in names:
+        object.__setattr__(owner, name, float(getattr(owner, name)))
+
+
 def _check_finite_positive(owner, *names) -> None:
+    """Each named field must be finite and positive; it is stored as a float."""
     for name in names:
         v = getattr(owner, name)
         if not (math.isfinite(v) and v > 0.0):
             raise DomainError(f"{name} must be finite and positive, got {v!r}")
+    _store_floats(owner, *names)
 
 
 def _as_state_vector(v, name: str) -> np.ndarray:
@@ -189,14 +199,19 @@ def evolve(post: NormalGammaPosterior, hp: HyperParams) -> PriorMoments:
     return PriorMoments(post.m.copy(), R, hp.beta * post.n, post.s)
 
 
+def _check_realized_variance(z) -> None:
+    """A realized variance is a finite float > 0, or a DomainError."""
+    if not (isinstance(z, (int, float)) and math.isfinite(z) and z > 0.0):
+        raise DomainError(f"realized variance must be positive (floor it upstream), got {z!r}")
+
+
 def rv_update(prior: PriorMoments, z: float, alpha: float) -> RvUpdatedPrior:
     """Condition the precision gamma on realized variance z > 0.
 
     n~ = n* + alpha and s~ = r~ s_prev with
     r~ = (n* + alpha z / s_prev) / n~. State moments pass through unchanged.
     """
-    if not (isinstance(z, (int, float)) and math.isfinite(z) and z > 0.0):
-        raise DomainError(f"realized variance must be positive (floor it upstream), got {z!r}")
+    _check_realized_variance(z)
     if not alpha > 0.0:
         raise DomainError(f"alpha must be positive for an RV update, got {alpha!r}")
     n_tilde = prior.n_star + alpha

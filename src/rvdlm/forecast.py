@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ScaledFParams, StudentTParams, sample_scaled_f
-from .dlm_core import ModelClass, PriorMoments, _check_finite_positive, build_regressor, rv_update
+from .dlm_core import (ModelClass, PriorMoments, _check_finite_positive, _check_realized_variance,
+                       rv_update)
 from .errors import DomainError
 from .rv_measures import DEFAULT_RV_FLOOR
 
@@ -75,12 +76,14 @@ def predictive_y_given_z(prior: PriorMoments, alpha: float, z: float,
     floored at `floor_eps` as `sample_joint` floors its draws.
 
     For the SV layout (alpha ignored in volatility learning) the z value
-    influences nothing and the section reduces to the plain one-step t.
+    influences nothing and the section reduces to the plain one-step t. In
+    every layout z must be finite and > 0, as `rv_update` requires.
     """
     if reg.model.uses_rv:
         rv_update(prior, z, alpha)  # the DomainError for a bad z or alpha
+    else:
+        _check_realized_variance(z)  # unobserved, yet held to the same rule
     z = max(z, reg.floor_eps)
-    build_regressor(reg.model, reg.y_prev, math.sqrt(z), reg.x_prev)  # ... for a bad regressor
     return StudentTParams(*map(float, _conditional_law(prior, alpha, reg, z)))
 
 

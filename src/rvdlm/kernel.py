@@ -12,15 +12,19 @@ and the log density follow after it as whole arrays, with the loop's
 operations in its order and the logs through libm per day. The
 degrees-of-freedom sequence is data-independent, so the Student-t scoring
 constants are precomputed in one vectorized sweep over its distinct values
-(`special.on_distinct`).
+(`special.on_distinct`), and both are built once per process for each
+(beta, alpha, n*_1, T) (`_dof_plan`): every trajectory on one path shares its
+`n` and `n_star` arrays, read-only.
 `run_filter` is asserted equivalent to the step-by-step `dlm_core`
 composition by the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import linecache
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -38,6 +42,8 @@ class FilterTrajectory:
     Priors are not stored: a_t = m_{t-1}, R_t = C_{t-1} (1/delta) and
     n*_t = beta n_{t-1}, with the initial prior kept explicitly, so
     `prior_at` rebuilds each as the filter loop formed it, bit for bit.
+    `n` and `n_star` are read-only views of the dof plan of the path
+    (`_dof_plan`), shared by every trajectory on it.
     """
 
     variant: ModelClass
@@ -52,7 +58,7 @@ class FilterTrajectory:
     C: np.ndarray        # (T, d, d)
     n: np.ndarray        # (T,)
     s: np.ndarray        # (T,)
-    n_star: np.ndarray   # (T,) prior dof used on day t
+    n_star: np.ndarray   # (T,) prior dof used on day t, read-only like n
     forecast: np.ndarray
     scale: np.ndarray    # one-step squared scale q~
     error: np.ndarray
@@ -80,10 +86,15 @@ class FilterTrajectory:
 
 
 def dof_sequences(hp: HyperParams, n_star_1: float, T: int, uses_rv: bool):
-    """Data-independent (n*_t, n~_t, n_t) paths for T days."""
+    """Data-independent (n*_t, n~_t, n_t) paths for T >= 0 days from a finite
+    positive n*_1; other arguments are a DomainError."""
+    if isinstance(T, bool) or not isinstance(T, numbers.Integral) or T < 0:
+        raise DomainError(f"T must be a nonnegative integer, got {T!r}")
+    if not (math.isfinite(n_star_1) and n_star_1 > 0.0):
+        raise DomainError(f"n_star_1 must be finite and positive, got {n_star_1!r}")
     alpha = hp.alpha if uses_rv else 0.0
     vals = []
-    ns = n_star_1
+    ns = float(n_star_1)  # a reduced-precision scalar would carry its precision into the path
     for _ in range(T):
         vals.append(ns)
         nxt = hp.beta * (ns + alpha + 1.0)
@@ -99,6 +110,19 @@ def dof_sequences(hp: HyperParams, n_star_1: float, T: int, uses_rv: bool):
 def _score_constants(n_tilde: np.ndarray) -> np.ndarray:
     # the q-independent part of the one-step t log density, once per distinct dof
     return special.on_distinct(special.student_t_log_const, n_tilde)
+
+
+@functools.lru_cache(maxsize=32)
+def _dof_plan(beta: float, alpha: float, n_star_1: float, T: int) -> tuple:
+    """(n*, n~, n, score constants) of one dof path, read-only and built once
+    per process: they depend on (beta, the effective alpha, n*_1, T) alone.
+    Keyed on Python floats and an int; alpha is 0.0 for the price-only class."""
+    # delta plays no part in the path; uses_rv=True takes alpha as given
+    n_star, n_tilde, n = dof_sequences(HyperParams(1.0, beta, alpha), n_star_1, T, True)
+    plan = (n_star, n_tilde, n, _score_constants(n_tilde))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 def _sym_gather(d: int) -> np.ndarray:
@@ -158,8 +182,7 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
             raise DataError(f"nonpositive realized variance at step {t} (apply the floor)",
                             _date(dates, t))
 
-    n_star_seq, n_tilde_seq, n_arr = dof_sequences(hp, init.n_star, T, uses_rv)
-    consts = _score_constants(n_tilde_seq)
+    n_star_seq, n_tilde_seq, n_arr, consts = _dof_plan(hp.beta, alpha, init.n_star, T)
 
     d = variant.dim
     npack = d * (d + 1) // 2

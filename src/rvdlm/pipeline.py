@@ -29,7 +29,7 @@ import numpy as np
 from .dlm_core import HyperParams, ModelClass, PriorMoments
 from .errors import ConfigError, DataError, DomainError, NumericalError, RvdlmError
 from .ingestion import CsvSchema, apply_split, read_ohlc, series_from_ohlc, write_columns_csv
-from .kernel import FilterTrajectory, dof_sequences, run_filter
+from .kernel import FilterTrajectory, _dof_plan, run_filter
 from .rv_measures import DEFAULT_RV_FLOOR
 from .scoring import log_score_z_path, running_log_bayes_factor
 from .special import _each, inv_reg_lower_gamma_lanes, on_distinct, student_t_quantile_lanes
@@ -466,8 +466,9 @@ def _run_into(config: RunConfig, out_dir: str) -> dict:
         scored = (np.arange(len(frame)) >= first).astype(np.float64)
         scores = {}
         with contextlib.suppress(RvdlmError):  # raised again below, naming its model
-            _fill_quantiles(quantiles, np.concatenate([  # dof paths are data-free
-                dof_sequences(m.hp, m.n_star_1, len(frame), m.variant.uses_rv)[2]
+            _fill_quantiles(quantiles, np.concatenate([  # the plans run_filter takes below
+                _dof_plan(m.hp.beta, m.hp.alpha if m.variant.uses_rv else 0.0,
+                          float(m.n_star_1), len(frame))[2]
                 for m in config.models]))
         for mspec in config.models:
             try:

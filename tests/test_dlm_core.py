@@ -250,6 +250,20 @@ class TestInputChecks:
                                               f"got {value!r}$"):
             cls(np.zeros(3), np.eye(3), **kwargs)
 
+    @pytest.mark.parametrize("scalar", [np.float32, np.float16, np.float64])
+    def test_checked_scalar_fields_are_stored_as_python_floats(self, scalar):
+        # a float32 or float16 field once carried its precision into the dof path;
+        # every value here is exact in float16
+        hp = HyperParams(scalar(0.875), scalar(0.875), scalar(2.75))
+        prior = PriorMoments(np.zeros(3), np.eye(3), scalar(8.0), scalar(0.5))
+        post = NormalGammaPosterior(np.zeros(3), np.eye(3), scalar(8.0), scalar(0.5))
+        for owner, given in ((hp, {"delta": 0.875, "beta": 0.875, "alpha": 2.75}),
+                             (prior, {"n_star": 8.0, "s_prev": 0.5}),
+                             (post, {"n": 8.0, "s": 0.5})):
+            for name, value in given.items():
+                v = getattr(owner, name)
+                assert type(v) is float and v == value, name
+
     @pytest.mark.parametrize("a", [np.zeros((3, 1)), np.zeros(0), np.array([0.0, math.nan, 0.0])],
                              ids=["2-d", "empty", "nan"])
     def test_state_vector_must_be_finite_and_1d(self, a):

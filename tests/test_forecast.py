@@ -103,6 +103,22 @@ class TestPredictiveYGivenZ:
             predictive_y_given_z(pr, alpha, z, RegressorInputs(variant, y_prev, x_prev))
 
 
+@pytest.mark.parametrize("variant", list(ModelClass))
+@pytest.mark.parametrize("z", [math.nan, math.inf, -1.0, 0.0])
+def test_every_class_holds_z_to_the_rv_update_rule(variant, z):
+    # the price-only layout once blamed a non-finite z on an x_now regressor it
+    # does not have, and floored a nonpositive z silently
+    d = variant.dim
+    pr = PriorMoments(np.zeros(d), 0.3 * np.eye(d), 7.0, 1.2)
+    reg = RegressorInputs(variant, 0.1, 0.01)
+    assert predictive_y_given_z(pr, 2.75, 1e-4, reg).dof > 0.0
+    message = f"^realized variance must be positive \\(floor it upstream\\), got {z!r}$"
+    with pytest.raises(DomainError, match=message):
+        rv_update(pr, z, 2.75)
+    with pytest.raises(DomainError, match=message):
+        predictive_y_given_z(pr, 2.75, z, reg)
+
+
 PINNED_R = np.array([[0.10, 0.002, -0.003, 0.001],
                      [0.002, 0.01, 0.0005, -0.0004],
                      [-0.003, 0.0005, 0.05, 0.004],

@@ -13,6 +13,7 @@ from rvdlm import (DataError, DomainError, HyperParams, ModelClass, NumericalErr
                    PriorMoments, SyntheticParams, build_regressor, build_series,
                    dof_sequences, evolve, generate_synthetic, price_update, run_filter,
                    rv_update, slowly_varying_theta, special, sv_volatility_update_path)
+from rvdlm import kernel
 from rvdlm.kernel import _LOOPS, _loop_source, _score_constants
 
 
@@ -445,3 +446,117 @@ def test_trajectory_bits_are_pinned(variant, digest):
     # no output is a view of another, or of a row buffer that it would keep alive
     for a, b in itertools.combinations(outputs + (traj.n_star,), 2):
         assert not np.shares_memory(a, b)
+
+
+def test_dof_sequences_takes_a_nonnegative_integer_T():
+    hp = hp_for(ModelClass.RVDLM)
+    for T in (0, np.int64(3)):
+        assert [v.size for v in dof_sequences(hp, 0.875, T, True)] == [int(T)] * 3
+    for T in (-3, 2.5, True, np.float64(4.0), "5"):
+        with pytest.raises(DomainError, match=f"^T must be a nonnegative integer, got "
+                                              f"{re.escape(repr(T))}$"):
+            dof_sequences(hp, 0.875, T, True)
+
+
+@pytest.mark.parametrize("n_star_1", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_dof_sequences_takes_a_finite_positive_n_star_1(n_star_1):
+    with pytest.raises(DomainError, match=f"^n_star_1 must be finite and positive, "
+                                          f"got {n_star_1!r}$"):
+        dof_sequences(hp_for(ModelClass.RVDLM), n_star_1, 10, True)
+
+
+@pytest.mark.parametrize("scalar", [np.float32, np.float16])
+def test_reduced_precision_scalars_give_the_float64_path(scalar):
+    # numpy 2 once ran the dof arithmetic in the precision of a float32 or float16
+    # field, and a shared plan would have kept those values under the float key
+    variant = ModelClass.RVDLM
+    y, z, x, y_prev, x_prev = make_series(200, seed=9)
+
+    def run(cast):
+        kernel._dof_plan.cache_clear()  # each side builds its own plan
+        hp = HyperParams(cast(0.999), cast(0.875), cast(2.75))
+        init = PriorMoments(np.zeros(3), np.diag([0.1, 0.01, 0.05]), cast(0.875), cast(1.4e-4))
+        return (run_filter(variant, hp, init, y, z, x, y_prev, x_prev),
+                dof_sequences(hp_for(variant), cast(0.875), 300, True))
+
+    want, want_path = run(lambda v: float(scalar(v)))
+    got, got_path = run(scalar)
+    for k in ("m", "C", "n", "s", "n_star", "forecast", "scale", "error", "log_density"):
+        assert getattr(got, k).dtype == np.float64, k
+        assert np.array_equal(getattr(got, k), getattr(want, k)), k
+    for a, b in zip(got_path, want_path):
+        assert a.dtype == np.float64 and np.array_equal(a, b)
+
+
+def grid_trajectories(T=300):
+    """The perfbench grid on one series: 3 classes x delta x beta, n*_1 = beta."""
+    y, z, x, y_prev, x_prev = make_series(T, seed=5)
+    out = {}
+    for variant in ModelClass:
+        for delta in (0.995, 0.998, 0.999):
+            for beta in (0.85, 0.875, 0.9):
+                hp = HyperParams(delta, beta, 2.75 if variant.uses_rv else 0.0)
+                out[variant, delta, beta] = run_filter(variant, hp, default_init(variant, hp),
+                                                       y, z, x, y_prev, x_prev)
+    return out
+
+
+def test_one_dof_plan_per_path():
+    kernel._dof_plan.cache_clear()
+    trajs = grid_trajectories()
+    # 27 cells, 6 paths: (beta, alpha) with alpha 0 for the price-only class
+    info = kernel._dof_plan.cache_info()
+    assert (info.misses, info.hits) == (6, 21)
+    a = trajs[ModelClass.RVDLM, 0.995, 0.875]
+    # delta and the regressor layout do not enter the path: the arrays are shared
+    for b in (trajs[ModelClass.RVDLM, 0.999, 0.875], trajs[ModelClass.RVLDLM, 0.998, 0.875]):
+        assert b.n is a.n and b.n_star is a.n_star
+    # beta and alpha do
+    for b in (trajs[ModelClass.RVDLM, 0.995, 0.9], trajs[ModelClass.SVDLM, 0.995, 0.875]):
+        assert b.n is not a.n and b.n_star is not a.n_star
+        assert not np.array_equal(b.n, a.n)
+    # and n*_1
+    hp = HyperParams(0.995, 0.875, 2.75)
+    y, z, x, y_prev, x_prev = make_series(300, seed=5)
+    init = PriorMoments(np.zeros(3), np.diag([0.10, 0.01, 0.05]), 2.0, 1.4e-4)
+    b = run_filter(ModelClass.RVDLM, hp, init, y, z, x, y_prev, x_prev)
+    assert b.n is not a.n and b.n_star is not a.n_star
+
+
+def test_shared_dof_arrays_are_read_only():
+    traj = grid_trajectories(50)[ModelClass.SVDLM, 0.999, 0.9]
+    for name in ("n", "n_star"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(traj, name)[0] = 1.0
+    for v in kernel._dof_plan(0.9, 0.0, 0.9, 50):
+        assert not v.flags.writeable
+
+
+# the five paths of test_dof_path_and_score_constants_match_full_evaluation
+@pytest.mark.parametrize("beta,alpha,n_star_1", [
+    (0.875, 2.75, 0.875), (0.925, 0.0, 0.925), (0.999, 2.75, 0.999), (0.875, 2.75, 100.0),
+    (1.0, 2.75, 1.0)], ids=["0.875-2.75", "0.925-0.0", "0.999-2.75", "falling", "unit_beta"])
+def test_dof_plan_equals_a_fresh_evaluation(beta, alpha, n_star_1):
+    hp = HyperParams(0.999, beta, alpha)
+    fresh = dof_sequences(hp, n_star_1, 3000, alpha > 0.0)
+    fresh += (_score_constants(fresh[1]),)
+    kernel._dof_plan.cache_clear()
+    for _ in range(2):  # built, then looked up
+        plan = kernel._dof_plan(beta, alpha, n_star_1, 3000)
+        assert len(plan) == 4
+        for got, want in zip(plan, fresh):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+def test_results_survive_eviction_from_the_dof_plan_cache():
+    before = grid_trajectories(120)
+    maxsize = kernel._dof_plan.cache_info().maxsize
+    for k in range(maxsize + 8):  # distinct paths push every grid path out
+        kernel._dof_plan(0.9, 2.75, 1.0 + k, 120)
+    assert kernel._dof_plan.cache_info().currsize == maxsize
+    after = grid_trajectories(120)
+    for cell, a in before.items():
+        b = after[cell]
+        assert b.n is not a.n  # rebuilt, not looked up
+        for k in ("m", "C", "n", "s", "n_star", "forecast", "scale", "error", "log_density"):
+            assert np.array_equal(getattr(a, k), getattr(b, k)), (cell, k)
