@@ -8,6 +8,10 @@ One filtering day decomposes into three pure stages:
                     variance (skipped by the SV variant)
   price_update      condition state and precision on the day's price
 
+The model classes are the rows of `ModelClass`: F's regressors and whether
+volatility learning observes the realized variance. Every alpha in use goes
+through one rule, `_learning_alpha` (0.0 for the SV variant).
+
 Scale bookkeeping: C and R are carried in variance units relative to the
 *current* volatility scale estimate, so the one-step predictive scale is
 q = s + F'RF and the carried posterior means `theta | phi ~ N(m, C/(s phi))`
@@ -23,6 +27,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,37 +38,39 @@ from .errors import DomainError, NumericalError
 
 
 class ModelClass(enum.Enum):
-    """Regressor layout selector.
+    """Regressor layout, one row per class: its value, whether its volatility
+    learning observes the realized variance z, and F's regressor names after
+    the intercept, which pick (y_prev, x_now, x_prev) as ar1, rv_now, rv_lag."""
 
-    SVDLM and RVDLM share F = (1, y_prev, x_prev); RVLDLM adds the
-    contemporaneous realized SD: F = (1, y_prev, x_now, x_prev). SVDLM ignores
-    the realized variance in volatility learning.
-    """
+    SVDLM = "svdlm", False, ("ar1", "rv_lag")
+    RVDLM = "rvdlm", True, ("ar1", "rv_lag")
+    RVLDLM = "rvldlm", True, ("ar1", "rv_now", "rv_lag")
 
-    SVDLM = "svdlm"
-    RVDLM = "rvdlm"
-    RVLDLM = "rvldlm"
-
-    @property
-    def dim(self) -> int:
-        return len(self.coefficient_names)
-
-    @property
-    def uses_rv(self) -> bool:
-        return self is not ModelClass.SVDLM
-
-    @property
-    def coefficient_names(self) -> tuple[str, ...]:
-        if self is ModelClass.RVLDLM:
-            return ("intercept", "ar1", "rv_now", "rv_lag")
-        return ("intercept", "ar1", "rv_lag")
+    def __new__(cls, value: str, uses_rv: bool, names: tuple):
+        member = object.__new__(cls)
+        member._value_, member.uses_rv = value, uses_rv
+        member.coefficient_names = ("intercept", *names)
+        member.dim = len(member.coefficient_names)
+        # the column order, resolved once: the generator calls regressors once a day
+        member._pick = operator.itemgetter(*map(("ar1", "rv_now", "rv_lag").index, names))
+        return member
 
     def regressors(self, y_prev, x_now, x_prev) -> tuple:
-        """F without its intercept, in coefficient order: (y_prev[, x_now],
-        x_prev). Floats and arrays alike."""
-        if self is ModelClass.RVLDLM:
-            return (y_prev, x_now, x_prev)
-        return (y_prev, x_prev)
+        """F without its intercept, in coefficient order. Floats and arrays alike."""
+        return self._pick((y_prev, x_now, x_prev))
+
+    def alpha(self, alpha) -> float:
+        """This layout's `_learning_alpha`: an RV layout needs alpha > 0."""
+        return _learning_alpha(alpha, self.uses_rv, self.value)
+
+
+def _learning_alpha(alpha, uses_rv: bool, owner: str = None) -> float:
+    """The one effective-alpha rule: float(alpha) where volatility learning
+    observes the realized variance, else 0.0. Given an `owner`, an alpha not
+    > 0 there is a DomainError "{owner} requires alpha > 0"."""
+    if uses_rv and owner is not None and not alpha > 0.0:
+        raise DomainError(f"{owner} requires alpha > 0")
+    return float(alpha) if uses_rv else 0.0
 
 
 @dataclass(frozen=True)
@@ -199,10 +207,11 @@ def evolve(post: NormalGammaPosterior, hp: HyperParams) -> PriorMoments:
     return PriorMoments(post.m.copy(), R, hp.beta * post.n, post.s)
 
 
-def _check_realized_variance(z) -> None:
-    """A realized variance is a finite float > 0, or a DomainError."""
-    if not (isinstance(z, (int, float)) and math.isfinite(z) and z > 0.0):
+def _realized_variance(z) -> float:
+    """A realized variance as a Python float: a finite real > 0, or a DomainError."""
+    if not (isinstance(z, numbers.Real) and math.isfinite(z) and z > 0.0):
         raise DomainError(f"realized variance must be positive (floor it upstream), got {z!r}")
+    return float(z)
 
 
 def rv_update(prior: PriorMoments, z: float, alpha: float) -> RvUpdatedPrior:
@@ -211,9 +220,8 @@ def rv_update(prior: PriorMoments, z: float, alpha: float) -> RvUpdatedPrior:
     n~ = n* + alpha and s~ = r~ s_prev with
     r~ = (n* + alpha z / s_prev) / n~. State moments pass through unchanged.
     """
-    _check_realized_variance(z)
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive for an RV update, got {alpha!r}")
+    z = _realized_variance(z)
+    alpha = _learning_alpha(alpha, True, "the realized-variance update")
     n_tilde = prior.n_star + alpha
     r_tilde = (prior.n_star + alpha * z / prior.s_prev) / n_tilde
     return RvUpdatedPrior(prior.a, prior.R, n_tilde, r_tilde * prior.s_prev)
@@ -277,7 +285,5 @@ def sv_volatility_update_path(prior: PriorMoments, y: float, F: np.ndarray):
 
 def limiting_dof(hp: HyperParams, uses_rv: bool = True) -> float:
     """Fixed point of n -> beta n + alpha + 1 (alpha = 0 on the SV path)."""
-    alpha = hp.alpha if uses_rv else 0.0
-    if hp.beta == 1.0:
-        return math.inf
-    return (1.0 + alpha) / (1.0 - hp.beta)
+    alpha = _learning_alpha(hp.alpha, uses_rv)
+    return math.inf if hp.beta == 1.0 else (1.0 + alpha) / (1.0 - hp.beta)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ScaledFParams, StudentTParams, sample_scaled_f
-from .dlm_core import (ModelClass, PriorMoments, _check_finite_positive, _check_realized_variance,
-                       rv_update)
+from .dlm_core import (ModelClass, PriorMoments, _check_finite_positive, _learning_alpha,
+                       _realized_variance)
 from .errors import DomainError
 from .rv_measures import DEFAULT_RV_FLOOR
 
@@ -44,19 +44,17 @@ class RegressorInputs:
 
 def predictive_z(prior: PriorMoments, alpha: float) -> ScaledFParams:
     """z is scaled-F: z / s_prev ~ F(alpha, n*)."""
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
-    return ScaledFParams(alpha, prior.n_star, prior.s_prev)
+    return ScaledFParams(_learning_alpha(alpha, True, "the realized-variance law"),
+                         prior.n_star, prior.s_prev)
 
 
 def _conditional_law(prior: PriorMoments, alpha: float, reg: RegressorInputs, z):
     """(dof, location, squared scale) of y given a floored z, a float or an
     array of draws: dof n~, location F'a and scale s~ + F'RF."""
     ns, sp = prior.n_star, prior.s_prev
-    dof, s_til = ns, sp  # the SV layout: z does not enter
-    if reg.model.uses_rv:
-        dof = ns + alpha
-        s_til = (ns + alpha * z / sp) / dof * sp
+    alpha = reg.model.alpha(alpha)  # 0.0 in the SV layout, where s~ = s_prev bit for bit
+    dof = ns + alpha
+    s_til = (ns + alpha * z / sp) / dof * sp
     # F0 holds the regressors known before the day (x_now = 0); the x_now
     # terms follow for a class that has them
     a, R, names = prior.a, prior.R, reg.model.coefficient_names
@@ -79,11 +77,7 @@ def predictive_y_given_z(prior: PriorMoments, alpha: float, z: float,
     influences nothing and the section reduces to the plain one-step t. In
     every layout z must be finite and > 0, as `rv_update` requires.
     """
-    if reg.model.uses_rv:
-        rv_update(prior, z, alpha)  # the DomainError for a bad z or alpha
-    else:
-        _check_realized_variance(z)  # unobserved, yet held to the same rule
-    z = max(z, reg.floor_eps)
+    z = max(_realized_variance(z), reg.floor_eps)  # unobserved in the SV layout, yet held to it
     return StudentTParams(*map(float, _conditional_law(prior, alpha, reg, z)))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .dlm_core import HyperParams, ModelClass, PriorMoments
+from .dlm_core import HyperParams, ModelClass, PriorMoments, _learning_alpha
 from .errors import DataError, DomainError, NumericalError
 
 
@@ -92,7 +92,7 @@ def dof_sequences(hp: HyperParams, n_star_1: float, T: int, uses_rv: bool):
         raise DomainError(f"T must be a nonnegative integer, got {T!r}")
     if not (math.isfinite(n_star_1) and n_star_1 > 0.0):
         raise DomainError(f"n_star_1 must be finite and positive, got {n_star_1!r}")
-    alpha = hp.alpha if uses_rv else 0.0
+    alpha = _learning_alpha(hp.alpha, uses_rv)
     vals = []
     ns = float(n_star_1)  # a reduced-precision scalar would carry its precision into the path
     for _ in range(T):
@@ -115,14 +115,18 @@ def _score_constants(n_tilde: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _dof_plan(beta: float, alpha: float, n_star_1: float, T: int) -> tuple:
     """(n*, n~, n, score constants) of one dof path, read-only and built once
-    per process: they depend on (beta, the effective alpha, n*_1, T) alone.
-    Keyed on Python floats and an int; alpha is 0.0 for the price-only class."""
+    per process: they depend on (beta, the effective alpha, n*_1, T) alone."""
     # delta plays no part in the path; uses_rv=True takes alpha as given
     n_star, n_tilde, n = dof_sequences(HyperParams(1.0, beta, alpha), n_star_1, T, True)
     plan = (n_star, n_tilde, n, _score_constants(n_tilde))
     for a in plan:
         a.flags.writeable = False
     return plan
+
+
+def _layout_plan(variant: ModelClass, hp: HyperParams, n_star_1: float, T: int) -> tuple:
+    """The one `_dof_plan` key of a filter run; the pipeline's quantile table shares it."""
+    return _dof_plan(hp.beta, variant.alpha(hp.alpha), float(n_star_1), T)
 
 
 def _sym_gather(d: int) -> np.ndarray:
@@ -172,17 +176,13 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
     if init.dim != variant.dim:
         raise DomainError(f"initial prior dimension {init.dim} does not match "
                           f"{variant.value} layout ({variant.dim})")
-    uses_rv = variant.uses_rv
-    alpha = hp.alpha if uses_rv else 0.0  # the price-only class ignores hp.alpha
-    if uses_rv:
-        if hp.alpha <= 0.0:
-            raise DomainError(f"{variant.value} requires alpha > 0")
-        if not np.all(z > 0.0):
-            t = int(np.argmin(z > 0.0))
-            raise DataError(f"nonpositive realized variance at step {t} (apply the floor)",
-                            _date(dates, t))
+    alpha = variant.alpha(hp.alpha)  # the price-only class ignores hp.alpha
+    if variant.uses_rv and not np.all(z > 0.0):
+        t = int(np.argmin(z > 0.0))
+        raise DataError(f"nonpositive realized variance at step {t} (apply the floor)",
+                        _date(dates, t))
 
-    n_star_seq, n_tilde_seq, n_arr, consts = _dof_plan(hp.beta, alpha, init.n_star, T)
+    n_star_seq, n_tilde_seq, n_arr, consts = _layout_plan(variant, hp, init.n_star, T)
 
     d = variant.dim
     npack = d * (d + 1) // 2

@@ -29,7 +29,7 @@ import numpy as np
 from .dlm_core import HyperParams, ModelClass, PriorMoments
 from .errors import ConfigError, DataError, DomainError, NumericalError, RvdlmError
 from .ingestion import CsvSchema, apply_split, read_ohlc, series_from_ohlc, write_columns_csv
-from .kernel import FilterTrajectory, _dof_plan, run_filter
+from .kernel import FilterTrajectory, _layout_plan, run_filter
 from .rv_measures import DEFAULT_RV_FLOOR
 from .scoring import log_score_z_path, running_log_bayes_factor
 from .special import _each, inv_reg_lower_gamma_lanes, on_distinct, student_t_quantile_lanes
@@ -118,6 +118,12 @@ class ModelSpec:
     n_star_1: float = None
 
     def __post_init__(self):
+        try:
+            if self.variant.alpha(self.hp.alpha) != self.hp.alpha:  # echoed, yet changing nothing
+                raise DomainError(f"alpha must be 0 for {self.variant.value}, which observes "
+                                  f"no realized variance, got {self.hp.alpha!r}")
+        except DomainError as exc:
+            raise ConfigError(f"model {self.name!r}: {exc}") from exc
         d = self.variant.dim
         a1, r1_diag = zip(*map(DEFAULT_PRIOR.get, self.variant.coefficient_names))
         for key, default in (("a1", a1), ("r1_diag", r1_diag), ("n_star_1", self.hp.beta)):
@@ -305,11 +311,6 @@ def _read_model(entry: dict) -> ModelSpec:
                                  **{k: v for k, v in given.items() if v is not None})
     except DomainError as exc:
         raise ConfigError(f"{owner}: {exc}") from exc
-    if variant.uses_rv and hp.alpha <= 0.0:
-        raise ConfigError(f"{owner}: {variant.value} requires alpha > 0")
-    if not variant.uses_rv and hp.alpha != 0.0:  # it would be echoed, yet change nothing
-        raise ConfigError(f"{owner}: alpha must be 0 for {variant.value}, which observes "
-                          f"no realized variance, got {hp.alpha!r}")
     return ModelSpec(variant=variant, hp=hp, **spec)
 
 
@@ -467,9 +468,7 @@ def _run_into(config: RunConfig, out_dir: str) -> dict:
         scores = {}
         with contextlib.suppress(RvdlmError):  # raised again below, naming its model
             _fill_quantiles(quantiles, np.concatenate([  # the plans run_filter takes below
-                _dof_plan(m.hp.beta, m.hp.alpha if m.variant.uses_rv else 0.0,
-                          float(m.n_star_1), len(frame))[2]
-                for m in config.models]))
+                _layout_plan(m.variant, m.hp, m.n_star_1, len(frame))[2] for m in config.models]))
         for mspec in config.models:
             try:
                 traj = run_filter(mspec.variant, mspec.hp, mspec.initial_prior(sspec.s1),

@@ -296,3 +296,73 @@ class TestInputChecks:
             call(prior, 0.1, np.ones(4))
         with pytest.raises(DomainError, match="^price observation must be finite, got nan$"):
             call(prior, math.nan, np.ones(3))
+
+
+class TestLayoutRows:
+    # each class is one row: its value, whether it observes z, its regressor names
+
+    @pytest.mark.parametrize("model", list(ModelClass))
+    def test_row_selects_the_named_columns(self, model):
+        y_prev, x_now, x_prev = object(), object(), object()
+        column = {"ar1": y_prev, "rv_now": x_now, "rv_lag": x_prev}
+        names = model.coefficient_names
+        assert names[0] == "intercept"
+        got = model.regressors(y_prev, x_now, x_prev)
+        assert len(got) == len(names) - 1
+        assert all(g is column[n] for g, n in zip(got, names[1:]))
+        assert model.dim == len(names)
+        assert ModelClass(model.value) is model
+
+    def test_rows(self):
+        assert [(m.value, m.uses_rv, m.coefficient_names[1:]) for m in ModelClass] == [
+            ("svdlm", False, ("ar1", "rv_lag")),
+            ("rvdlm", True, ("ar1", "rv_lag")),
+            ("rvldlm", True, ("ar1", "rv_now", "rv_lag"))]
+
+    @pytest.mark.parametrize("alpha", [2.75, 0.0, -1.0, math.nan, np.float32(2.75)])
+    def test_price_only_layout_learns_at_alpha_zero(self, alpha):
+        got = ModelClass.SVDLM.alpha(alpha)
+        assert type(got) is float and got == 0.0
+
+    @pytest.mark.parametrize("model", [ModelClass.RVDLM, ModelClass.RVLDLM])
+    def test_rv_layout_needs_positive_alpha(self, model):
+        for alpha in (0.0, -1.0, math.nan, np.float32(0.0)):
+            with pytest.raises(DomainError, match=f"^{model.value} requires alpha > 0$"):
+                model.alpha(alpha)
+        for alpha in (np.float32(2.75), np.float16(2.75), 2.75, 3):
+            got = model.alpha(alpha)
+            assert type(got) is float and got == float(alpha)
+
+
+def _bits(*values):
+    # a float and a Python float with its bits; any other type fails the comparison
+    return [(type(v), np.float64(v).tobytes()) for v in values]
+
+
+class TestFloatRule:
+    # z and alpha enter rv_update as Python floats: a numpy scalar gives the
+    # bits of the equal Python float, not a false error or its own precision
+
+    prior = PriorMoments(np.zeros(3), 0.01 * np.eye(3), 0.875, 1e-4)
+
+    @pytest.mark.parametrize("z, alpha", [(np.float32(1e-4), 2.75), (np.int64(1), 2.75),
+                                          (1e-4, np.float32(2.75)), (1e-4, np.float16(2.75)),
+                                          (np.float32(1e-4), np.float32(2.75))],
+                             ids=["z32", "z_int64", "alpha32", "alpha16", "both32"])
+    def test_rv_update_takes_numpy_scalars_as_floats(self, z, alpha):
+        got = rv_update(self.prior, z, alpha)
+        want = rv_update(self.prior, float(z), float(alpha))
+        assert _bits(got.n_tilde, got.s_tilde) == _bits(want.n_tilde, want.s_tilde)
+        assert type(got.n_tilde) is float and type(got.s_tilde) is float
+
+    @pytest.mark.parametrize("z", [np.float32(0.0), np.float32(-1e-4), np.float32(np.nan),
+                                   np.int64(0), "1e-4", np.array([1e-4])])
+    def test_rv_update_still_rejects_what_is_not_a_positive_real(self, z):
+        with pytest.raises(DomainError, match="^realized variance must be positive"):
+            rv_update(self.prior, z, 2.75)
+
+    def test_rv_update_alpha_must_be_positive(self):
+        for alpha in (0.0, -2.75, math.nan):
+            with pytest.raises(DomainError,
+                               match="^the realized-variance update requires alpha > 0$"):
+                rv_update(self.prior, 1e-4, alpha)

@@ -119,6 +119,60 @@ def test_every_class_holds_z_to_the_rv_update_rule(variant, z):
         predictive_y_given_z(pr, 2.75, z, reg)
 
 
+def _bits(*values):
+    # a float and a Python float with its bits; any other type fails the comparison
+    return [(type(v), np.float64(v).tobytes()) for v in values]
+
+
+FLOAT_RULE_PRIOR = PriorMoments(np.zeros(3), 0.01 * np.eye(3), 0.875, 1e-4)
+
+
+@pytest.mark.parametrize("variant", list(ModelClass))
+@pytest.mark.parametrize("alpha, z", [(np.float32(2.75), 1e-4), (2.75, np.float32(1e-4)),
+                                      (2.75, np.int64(1)), (np.float16(2.75), np.float32(1e-4))],
+                         ids=["alpha32", "z32", "z_int64", "both"])
+def test_forecast_laws_take_numpy_scalars_as_floats(variant, alpha, z):
+    # a float32 alpha once ran the scale in float32 (0.2217009961605072 where 2.75
+    # gives 0.22170099999999998), and a float32 or int64 z was a false error
+    d = variant.dim
+    prior = PriorMoments(np.zeros(d), 0.01 * np.eye(d), 0.875, 1e-4)
+    reg = RegressorInputs(variant, 4.6, 0.01)
+    got = predictive_y_given_z(prior, alpha, z, reg)
+    want = predictive_y_given_z(prior, float(alpha), float(z), reg)
+    assert _bits(got.dof, got.location, got.scale) == _bits(want.dof, want.location, want.scale)
+    zp = predictive_z(prior, alpha)
+    assert _bits(zp.dof_num) == _bits(float(alpha))
+    draws = [sample_joint(prior, a, reg, np.random.default_rng(5), 1000)
+             for a in (alpha, float(alpha))]
+    for got_draws, want_draws in zip(*draws):
+        assert got_draws.dtype == np.float64
+        assert got_draws.tobytes() == want_draws.tobytes()
+
+
+def test_float32_alpha_gives_the_float64_values():
+    reg = RegressorInputs(ModelClass.RVDLM, 4.6, 0.01)
+    assert predictive_y_given_z(FLOAT_RULE_PRIOR, np.float32(2.75), 1e-4, reg).scale \
+        == 0.22170099999999998
+    assert rv_update(FLOAT_RULE_PRIOR, 1e-4, np.float32(2.75)).n_tilde == 3.625
+    assert type(rv_update(FLOAT_RULE_PRIOR, 1e-4, np.float32(2.75)).n_tilde) is float
+
+
+@pytest.mark.parametrize("variant", [ModelClass.RVDLM, ModelClass.RVLDLM])
+def test_rv_layout_forecast_needs_positive_alpha(variant):
+    d = variant.dim
+    prior = PriorMoments(np.zeros(d), 0.01 * np.eye(d), 0.875, 1e-4)
+    reg = RegressorInputs(variant, 4.6, 0.01)
+    for alpha in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match=f"^{variant.value} requires alpha > 0$"):
+            predictive_y_given_z(prior, alpha, 1e-4, reg)
+        with pytest.raises(DomainError, match="^the realized-variance law requires alpha > 0$"):
+            predictive_z(prior, alpha)
+    # the price-only layout ignores alpha in the conditional law
+    sv = RegressorInputs(ModelClass.SVDLM, 4.6, 0.01)
+    p0, p1 = (predictive_y_given_z(FLOAT_RULE_PRIOR, a, 1e-4, sv) for a in (0.0, 2.75))
+    assert p0 == p1
+
+
 PINNED_R = np.array([[0.10, 0.002, -0.003, 0.001],
                      [0.002, 0.01, 0.0005, -0.0004],
                      [-0.003, 0.0005, 0.05, 0.004],

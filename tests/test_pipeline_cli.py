@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import rvdlm
-from rvdlm import (ConfigError, CsvSchema, DataError, ModelClass, NumericalError, OhlcBar,
-                   SyntheticParams, generate_synthetic, load_config, pipeline,
+from rvdlm import (ConfigError, CsvSchema, DataError, HyperParams, ModelClass, NumericalError,
+                   OhlcBar, SyntheticParams, generate_synthetic, kernel, load_config, pipeline,
                    run_filter_pipeline, slowly_varying_theta, write_csv)
 from rvdlm.cli import SYNTH_KEYS, main
 from rvdlm.ingestion import read_csv_rows
+from rvdlm.pipeline import ModelSpec, RunConfig, SeriesSpec
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +285,35 @@ class TestConfig:
         raw = base_config(data_csv[0], str(tmp_path / "o"))
         raw["schema"] = {"date": "Day"}
         assert load_config(raw).schema == CsvSchema(date="Day")
+
+
+@pytest.mark.parametrize("variant, alpha, message", [
+    (ModelClass.SVDLM, 2.75, "model 'A': alpha must be 0 for svdlm, which observes no "
+                             "realized variance, got 2.75"),
+    (ModelClass.RVDLM, 0.0, "model 'A': rvdlm requires alpha > 0"),
+    (ModelClass.RVLDLM, 0.0, "model 'A': rvldlm requires alpha > 0")],
+    ids=["svdlm", "rvdlm", "rvldlm"])
+def test_python_built_model_spec_keeps_the_alpha_rules(data_csv, tmp_path, variant, alpha,
+                                                       message):
+    # built in Python, an svdlm spec with alpha 2.75 once ran and echoed it, and an
+    # rvdlm spec with alpha 0 read the data first and failed as a DomainError (exit 4)
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError) as info:
+        run_filter_pipeline(RunConfig(
+            (SeriesSpec("A", data_csv[0], 1e-4),),
+            (ModelSpec("A", variant, HyperParams(0.999, 0.9, alpha)),),
+            dt.date(2001, 1, 31), dt.date(2001, 2, 1), str(out)))
+    assert str(info.value) == message
+    assert not out.exists()
+
+
+def test_pipeline_prefills_the_plans_its_filters_take(data_csv, tmp_path):
+    # the quantile table's dofs come from the key run_filter uses: svdlm and
+    # rvdlm build the two plans, rvldlm and the three filters look them up
+    kernel._dof_plan.cache_clear()
+    run_filter_pipeline(load_config(base_config(data_csv[0], str(tmp_path / "o"))))
+    info = kernel._dof_plan.cache_info()
+    assert (info.hits, info.misses) == (4, 2)
 
 
 class TestPipeline:
@@ -982,6 +1012,19 @@ def test_every_key_is_documented(section, table):
     text = README.read_text(encoding="utf-8").split(f"\n### {section}", 1)[1]
     text = text.split("\n#", 1)[0]
     assert [k for k in table if f'"{k}"' not in text] == []
+
+
+def test_model_table_matches_the_layout_rows():
+    # README's model table: one row per class in enum order, F with dim entries,
+    # and realized variance in the volatility learning exactly where it is observed
+    text = README.read_text(encoding="utf-8").split("\n| model ", 1)[1]
+    rows = [[c.strip() for c in line.strip("|").split("|")]
+            for line in text.split("\n\n", 1)[0].splitlines()[2:]]
+    assert [r[0] for r in rows] == [f"`{m.value}`" for m in ModelClass]
+    for (_, F, learning), m in zip(rows, ModelClass):
+        assert re.fullmatch(r"`\((.*)\)`", F), F
+        assert len(F[2:-2].split(", ")) == m.dim, F
+        assert ("realized variance" in learning) == m.uses_rv, learning
 
 
 def test_every_named_module_attribute_exists():
