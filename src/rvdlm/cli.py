@@ -5,12 +5,14 @@ Subcommands:
   synth   generate a synthetic OHLC file from the bivariate model
   score   recompute log-Bayes-factor trajectories from emitted increments
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical error.
+Exit codes: 0 success, 2 config error (also an unwritable output), 3 data
+error, 4 numerical error. A failed command leaves no file (`pipeline._staged`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import os
@@ -21,7 +23,7 @@ import numpy as np
 from .dlm_core import ModelClass
 from .errors import ConfigError, RvdlmError
 from .ingestion import write_columns_csv, write_csv
-from .pipeline import (CONFIG_KEYS, RunConfig, json_number, load_json, read_object,
+from .pipeline import (CONFIG_KEYS, RunConfig, _staged, json_number, load_json, read_object,
                        recompute_bayes_factors, run_filter_pipeline)
 from .synthetic import SyntheticParams, generate_synthetic, slowly_varying_theta
 
@@ -121,18 +123,24 @@ def _cmd_synth(args) -> int:
         target = os.path.abspath(path)
         if os.path.isdir(target):
             raise ConfigError(f"{flag} {path!r} is a directory, not a file path")
+        if os.path.lexists(target) and not os.path.isfile(target):  # the stage would replace it
+            raise ConfigError(f"{flag} {path!r} is not a regular file")
         if not os.path.isdir(os.path.dirname(target)):
             raise ConfigError(f"{flag} {path!r}: {os.path.dirname(target)} is not an "
                               f"existing directory")
     params = _synth_params(args)
     rng = np.random.default_rng(args.seed)
     bars, truth = generate_synthetic(params, rng)
-    write_csv(args.out, bars)
-    if args.truth_out:
-        header = ["date_iso"] + [f"theta_{i}" for i in range(params.model.dim)] + \
-                 ["obs_variance_v", "y_log_price", "z_realized_var"]
-        write_columns_csv(args.truth_out, header, [[d.isoformat() for d in truth.dates],
-                                                   *truth.theta.T, truth.v, truth.y, truth.z])
+    with contextlib.ExitStack() as stack:  # a write that fails leaves neither file
+        def staged(path):  # in a stage of its own; a link is written through to its file
+            folder, name = os.path.split(os.path.realpath(path))
+            return os.path.join(stack.enter_context(_staged(folder)), name)
+        write_csv(staged(args.out), bars)
+        if args.truth_out:
+            header = ["date_iso"] + [f"theta_{i}" for i in range(params.model.dim)] + \
+                     ["obs_variance_v", "y_log_price", "z_realized_var"]
+            write_columns_csv(staged(args.truth_out), header, [
+                [d.isoformat() for d in truth.dates], *truth.theta.T, truth.v, truth.y, truth.z])
     print(f"wrote {len(bars)} bars to {args.out} (seed={args.seed})")
     return 0
 

@@ -10,6 +10,7 @@ defines the lagged predictors, so N bars become N-1 modeled rows.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import dataclasses
 import datetime as dt
@@ -36,20 +37,27 @@ class CsvSchema:
     close: str = "close"
 
 
+@contextlib.contextmanager
+def _reading(path, error, name=None, encoding="utf-8", newline=None):
+    """`path` open as text; unreadable or not UTF-8, it raises `error` naming `name or path`."""
+    try:
+        with open(path, "r", encoding=encoding, newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise error(f"cannot read {name or path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{name or path} is not UTF-8 text ({exc.reason})") from exc
+
+
 def _read_rows(path) -> tuple[list[list[str]], list[int]]:
     # The non-blank rows of a CSV file and the physical line each ends on.
     rows, lines = [], []
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if "".join(row).strip():
-                    rows.append(row)
-                    lines.append(reader.line_num)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+    with _reading(path, DataError, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if "".join(row).strip():
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         raise DataError(f"{path} is empty")
     return rows, lines

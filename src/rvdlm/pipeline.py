@@ -19,7 +19,6 @@ import datetime as dt
 import json
 import math
 import os
-import shutil
 import tempfile
 from dataclasses import dataclass, field
 from functools import partial
@@ -28,7 +27,8 @@ import numpy as np
 
 from .dlm_core import HyperParams, ModelClass, PriorMoments
 from .errors import ConfigError, DataError, DomainError, NumericalError, RvdlmError
-from .ingestion import CsvSchema, apply_split, read_ohlc, series_from_ohlc, write_columns_csv
+from .ingestion import (CsvSchema, _reading, apply_split, read_ohlc, series_from_ohlc,
+                        write_columns_csv)
 from .kernel import FilterTrajectory, _layout_plan, run_filter
 from .rv_measures import DEFAULT_RV_FLOOR
 from .scoring import log_score_z_path, running_log_bayes_factor
@@ -234,12 +234,8 @@ def load_json(path, what: str):
     """The JSON document in `path`; a ConfigError naming `what` if unreadable,
     not UTF-8 or not JSON."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _reading(path, ConfigError, f"{what} {path}") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
@@ -412,19 +408,22 @@ def _write_bayes_factors(out_dir: str, ticker: str, scores: dict) -> dict:
 
 @contextlib.contextmanager
 def _staged(out_dir: str):
-    """Yield a temporary directory beside `out_dir`, or in its nearest
-    existing ancestor. On success `out_dir` and its missing parents are made
-    and every file is moved into it (summary.json last); the temporary
-    directory is removed either way, so a failed run leaves nothing."""
-    parent = _existing(os.path.dirname(os.path.abspath(out_dir)))
-    stage = tempfile.mkdtemp(prefix=".rvdlm-", dir=parent)
+    """The one way a command writes: yield a temporary directory in `out_dir`
+    or its nearest existing ancestor; on success make `out_dir` and its missing
+    parents and move every file in (summary.json last). The stage goes either
+    way, so a failed command leaves nothing; an unwritable output is a ConfigError."""
+    stage = None
     try:
-        yield stage
-        os.makedirs(out_dir, exist_ok=True)
-        for name in sorted(os.listdir(stage), key=lambda n: n == "summary.json"):
-            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+        with tempfile.TemporaryDirectory(prefix=".rvdlm-", dir=_existing(out_dir),
+                                         ignore_cleanup_errors=True) as stage:
+            yield stage
+            os.makedirs(out_dir, exist_ok=True)
+            for name in sorted(os.listdir(stage), key=lambda n: n == "summary.json"):
+                os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+    except OSError as exc:  # inputs fail as RvdlmErrors, so an output failed
+        name = f" ({os.path.basename(exc.filename)})" \
+            if os.path.dirname(str(exc.filename)) == stage else ""  # never the stage's path
+        raise ConfigError(f"cannot write {out_dir}: {exc.strerror or exc}{name}") from exc
 
 
 def run_filter_pipeline(config: RunConfig) -> dict:
@@ -552,39 +551,32 @@ def _scored_increments(path: str) -> tuple[np.ndarray, np.ndarray]:
     """(ISO dates as numpy bytes, float64 log score increments) of the scored
     rows of one trajectory CSV, the filter pass's form. Each line is split only
     up to the last of the three columns used: `write_columns_csv` never quotes."""
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    try:
-        with fh:
-            idx = {h: k for k, h in enumerate(fh.readline().rstrip("\r\n").split(","))}
-            for col in ("date_iso", "log_score_nats", "scored"):
-                if col not in idx:
-                    raise DataError(f"{path}: missing column {col!r}")
-            i_date, i_score, i_flag = idx["date_iso"], idx["log_score_nats"], idx["scored"]
-            last = max(i_date, i_score, i_flag)
-            dates, increments = [], []
-            for line_no, line in enumerate(fh, start=2):
-                fields = line.rstrip("\r\n").split(",", last + 1)
-                if len(fields) <= last:
-                    if not line.strip():
-                        continue
-                    raise DataError(f"{path}:{line_no}: row has {len(fields)} fields, "
-                                    f"expected at least {last + 1}")
-                flag = fields[i_flag]
-                if flag == "1":
-                    try:
-                        score = float(fields[i_score])
-                    except ValueError:
-                        score = math.nan
-                    if not math.isfinite(score):
-                        raise DataError(f"{path}:{line_no}: log score must be a finite number, "
-                                        f"got {fields[i_score]!r}")
-                    increments.append(score)
-                    dates.append(fields[i_date].encode())
-                elif flag != "0":
-                    raise DataError(f"{path}:{line_no}: scored flag must be 0 or 1, got {flag!r}")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+    with _reading(path, DataError, newline="") as fh:
+        idx = {h: k for k, h in enumerate(fh.readline().rstrip("\r\n").split(","))}
+        for col in ("date_iso", "log_score_nats", "scored"):
+            if col not in idx:
+                raise DataError(f"{path}: missing column {col!r}")
+        i_date, i_score, i_flag = idx["date_iso"], idx["log_score_nats"], idx["scored"]
+        last = max(i_date, i_score, i_flag)
+        dates, increments = [], []
+        for line_no, line in enumerate(fh, start=2):
+            fields = line.rstrip("\r\n").split(",", last + 1)
+            if len(fields) <= last:
+                if not line.strip():
+                    continue
+                raise DataError(f"{path}:{line_no}: row has {len(fields)} fields, "
+                                f"expected at least {last + 1}")
+            flag = fields[i_flag]
+            if flag == "1":
+                try:
+                    score = float(fields[i_score])
+                except ValueError:
+                    score = math.nan
+                if not math.isfinite(score):
+                    raise DataError(f"{path}:{line_no}: log score must be a finite number, "
+                                    f"got {fields[i_score]!r}")
+                increments.append(score)
+                dates.append(fields[i_date].encode())
+            elif flag != "0":
+                raise DataError(f"{path}:{line_no}: scored flag must be 0 or 1, got {flag!r}")
     return np.array(dates, "S"), np.array(increments, np.float64)

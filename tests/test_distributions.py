@@ -93,6 +93,10 @@ class TestScaledFLogpdf:
         unit = scaled_f_logpdf(z / scale, ScaledFParams(dof_num, dof_den, 1.0))
         assert with_scale == pytest.approx(unit - math.log(scale), rel=1e-11, abs=1e-11)
 
+    def test_mean_needs_dof_den_above_two(self):
+        with pytest.raises(DomainError, match="dof_den > 2"):
+            ScaledFParams(1.0, 2.0, 1.0).mean
+
     def test_nonpositive_z_rejected(self):
         with pytest.raises(DomainError):
             scaled_f_logpdf(0.0, ScaledFParams(2.0, 2.0, 1.0))

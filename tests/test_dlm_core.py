@@ -97,6 +97,12 @@ class TestBuildRegressor:
         b = build_regressor(ModelClass.RVDLM, 1.0, 99.0, 0.02)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("lag", ["y_prev", "x_prev"])
+    def test_non_finite_lag_rejected(self, lag):
+        given = {"y_prev": 4.6, "x_now": 0.01, "x_prev": 0.02, lag: math.nan}
+        with pytest.raises(DomainError, match=f"^{lag} must be finite, got nan$"):
+            build_regressor(ModelClass.RVLDLM, **given)
+
 
 class TestPriceUpdate:
     def test_orthogonal_prior_no_state_adaptation(self):

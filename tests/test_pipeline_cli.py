@@ -142,6 +142,8 @@ class TestConfig:
         # these failed with a traceback (exit 1) once every series had been filtered
         (None, "out_dir", ""),
         (None, "out_dir", __file__),
+        (None, "series", []),
+        (None, "models", []),
     ])
     def test_malformed_field_is_config_error(self, data_csv, tmp_path, capsys,
                                              owner, field, value):
@@ -633,6 +635,8 @@ class TestCli:
         ("y0", {"y0": math.nan}),
         ("theta path", {"theta_base": [0.0046, math.inf, 0.1]}),
         ("JSON object", [0.0046, 0.999, 0.1]),
+        ("theta_path has shape (1, 3), --days is 2", {"theta_path": [[0.0046, 0.999, 0.1]]}),
+        ("beta must be in (0, 1], got 1.5", {"beta": 1.5}),
     ])
     def test_synth_bad_params_are_config_errors(self, tmp_path, capsys, field, params):
         path = tmp_path / "params.json"
@@ -654,6 +658,45 @@ class TestCli:
                      *(a for kv in paths.items() for a in kv)]) == 2
         assert f"error [synth]: {flag} " in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("flag", ["--out", "--truth-out"])
+    def test_synth_output_naming_a_directory_is_config_error(self, tmp_path, capsys, flag):
+        (tmp_path / "a_dir").mkdir()
+        paths = {"--out": str(tmp_path / "s.csv"), "--truth-out": str(tmp_path / "t.csv")}
+        paths[flag] = str(tmp_path / "a_dir")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["synth", "--model", "rvdlm", "--days", "5",
+                     *(a for kv in paths.items() for a in kv)]) == 2
+        assert f"error [synth]: {flag} {paths[flag]!r} is a directory, not a file path" in \
+            capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("kind", ["fifo", "dangling link"])
+    def test_synth_output_that_is_not_a_regular_file_is_config_error(self, tmp_path, capsys,
+                                                                     kind):
+        # the stage would replace it, where a direct write went into a device or failed
+        target = tmp_path / "x.csv"
+        if kind == "fifo":
+            os.mkfifo(target)
+        else:
+            target.symlink_to(tmp_path / "missing" / "x.csv")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["synth", "--model", "rvdlm", "--days", "5", "--out", str(target)]) == 2
+        assert capsys.readouterr().err == \
+            f"error [synth]: --out {str(target)!r} is not a regular file\n"
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.path.islink(target) if kind != "fifo" else not os.path.isfile(target)
+
+    def test_synth_writes_through_a_link(self, tmp_path):
+        # the file a link names is replaced, and the link is kept
+        args = ["synth", "--model", "rvdlm", "--days", "5"]
+        (tmp_path / "real.csv").write_text("old\n")
+        (tmp_path / "link.csv").symlink_to(tmp_path / "real.csv")
+        assert main(args + ["--out", str(tmp_path / "link.csv")]) == 0
+        assert main(args + ["--out", str(tmp_path / "direct.csv")]) == 0
+        assert os.path.islink(tmp_path / "link.csv")
+        assert (tmp_path / "real.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["direct.csv", "link.csv", "real.csv"]
 
     @pytest.mark.parametrize("one,two", [("--params", "--out"), ("--params", "--truth-out"),
                                          ("--out", "--truth-out")])
@@ -870,6 +913,112 @@ class TestCli:
         assert _digests(str(out)) == before
         assert sorted(os.listdir(tmp_path)) == ["score_two"]
 
+    # A file name longer than NAME_MAX (255 bytes on the usual Linux file
+    # systems) cannot be written, whoever runs the test: the one write failure
+    # that does not need a read-only directory.
+    LONG = "x" * 300
+
+    @pytest.mark.parametrize("long_flag", ["--out", "--truth-out"])
+    def test_synth_unwritable_output_is_config_error(self, tmp_path, capsys, long_flag):
+        paths = {"--out": str(tmp_path / "ok.csv"), "--truth-out": str(tmp_path / "t.csv")}
+        paths[long_flag] = str(tmp_path / f"{self.LONG}.csv")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["synth", "--model", "rvdlm", "--days", "5",
+                     *(a for kv in paths.items() for a in kv)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error [synth]: cannot write {tmp_path}: File name too long " \
+                      f"({self.LONG}.csv)\n"
+        assert sorted(os.listdir(tmp_path)) == before  # neither file, and no stage
+
+    @pytest.mark.parametrize("too_long", ["ticker", "out_dir"])
+    def test_filter_unwritable_output_is_config_error(self, data_csv, tmp_path, capsys,
+                                                      too_long):
+        # a 250-character ticker makes a trajectory file name of 261 characters,
+        # which fails in the stage; a 300-character directory fails once the
+        # run has succeeded, when out_dir is made
+        out = tmp_path / (self.LONG if too_long == "out_dir" else "o") / "run"
+        raw = base_config(data_csv[0], str(out))
+        if too_long == "ticker":
+            raw["series"][0]["ticker"] = "T" * 250
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        before = sorted(os.listdir(tmp_path))
+        assert main(["filter", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [filter]: cannot write {out}: File name too long")
+        assert err.endswith(f" ({'T' * 250}__svdlm.csv)\n" if too_long == "ticker" else
+                            "File name too long\n")
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before  # no out_dir, and no stage
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_stage_is_made_in_the_nearest_existing_directory(self, data_csv, tmp_path,
+                                                             monkeypatch, exists):
+        # in out_dir itself if it exists, else in its nearest existing ancestor;
+        # the score of a run stages in its run directory, synth beside its file
+        out = tmp_path / "a" / "b"
+        if exists:
+            out.mkdir(parents=True)
+        stages, write = [], pipeline.write_columns_csv
+
+        def spy(path, header, columns):
+            stages.append(os.path.dirname(os.path.dirname(path)))
+            return write(path, header, columns)
+
+        monkeypatch.setattr(pipeline, "write_columns_csv", spy)
+        run_filter_pipeline(load_config(base_config(data_csv[0], str(out))))
+        assert set(stages) == {str(out if exists else tmp_path)}
+        stages.clear()
+        assert main(["score", "--run-dir", str(out)]) == 0
+        assert set(stages) == {str(out)}
+        monkeypatch.setattr(rvdlm.cli, "write_columns_csv", spy)
+        monkeypatch.setattr(rvdlm.cli, "write_csv",
+                            lambda path, bars: spy(path, ["date"], [[b.date for b in bars]]))
+        stages.clear()
+        assert main(["synth", "--model", "rvdlm", "--days", "5", "--out", str(out / "s.csv"),
+                     "--truth-out", str(tmp_path / "t.csv")]) == 0
+        assert stages == [str(out), str(tmp_path)]
+
+    def test_filter_missing_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["filter", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error [filter]: cannot read config {path}: [Errno 2] No such file")
+        assert os.listdir(tmp_path) == []
+
+    def test_score_missing_trajectory_is_data_error(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_filter_pipeline(load_config(base_config(data_csv[0], str(out))))
+        path = out / "TIC__rvdlm.csv"
+        path.unlink()
+        before = _digests(str(out))
+        assert main(["score", "--run-dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error [score]: cannot read {path}: ")
+        assert _digests(str(out)) == before
+        assert os.listdir(tmp_path) == ["run"]
+
+    def test_score_trajectory_without_its_score_column_is_data_error(self, data_csv, tmp_path,
+                                                                     capsys):
+        out = tmp_path / "run"
+        run_filter_pipeline(load_config(base_config(data_csv[0], str(out))))
+        path = out / "TIC__rvdlm.csv"
+        path.write_text(path.read_text().replace("log_score_nats", "log_score", 1))
+        before = _digests(str(out))
+        assert main(["score", "--run-dir", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            f"error [score]: {path}: missing column 'log_score_nats'\n"
+        assert _digests(str(out)) == before
+
+    def test_score_skips_a_blank_line(self, data_csv, tmp_path):
+        out = tmp_path / "run"
+        run_filter_pipeline(load_config(base_config(data_csv[0], str(out))))
+        path = out / "TIC__rvdlm.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-2] + ["\n"] + lines[-2:]))  # between two scored rows
+        before = _digests(str(out))
+        assert main(["score", "--run-dir", str(out)]) == 0
+        assert _digests(str(out)) == before
+
 
 GOLDEN_MODELS = [
     {"name": "svdlm", "variant": "svdlm"},
@@ -1036,3 +1185,19 @@ def test_every_named_module_attribute_exists():
     assert named
     assert [f"{mod}.{name}" for mod, name in named
             if not hasattr(importlib.import_module(f"rvdlm.{mod}"), name)] == []
+
+
+def test_library_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # README's quick-start block, run as written on a synthetic xlb.csv, so
+    # that the snippet cannot drift from the API
+    block = README.read_text(encoding="utf-8").split("\n## Library quick start", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    theta = slowly_varying_theta(ModelClass.RVLDLM, 300, base=[0.0046, 0.999, -0.5, 0.4])
+    bars, _ = generate_synthetic(SyntheticParams(model=ModelClass.RVLDLM, theta=theta),
+                                 np.random.default_rng(5))
+    write_csv(tmp_path / "xlb.csv", bars)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert len(namespace["frame"]) == 300 and namespace["traj"].m.shape == (300, 4)
+    assert capsys.readouterr().out

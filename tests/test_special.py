@@ -42,6 +42,11 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             special.log_gamma(bad)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_array_domain_errors(self, bad):
+        with pytest.raises(DomainError, match="finite positive entries"):
+            special.log_gamma_array([1.0, bad])
+
 
 class TestIncompleteGamma:
     def test_against_scipy(self):
@@ -162,6 +167,30 @@ def test_no_numpy_transcendental_in_src():
              for where, name in _numpy_names(ast.parse(path.read_text(encoding="utf-8")))
              if name in _TRANSCENDENTAL}
     assert found == {("ingestion.py", "_write_floats", "log10")}
+
+
+def _open_calls(node, where="<module>"):
+    """The enclosing function of every call to `open` (or to any `.open`)
+    in a module's syntax tree."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    if isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "open"
+                                       or getattr(node.func, "attr", None) == "open"):
+        yield where
+    for child in ast.iter_child_nodes(node):
+        yield from _open_calls(child, where)
+
+
+def test_one_read_and_one_write_path_in_src():
+    # every input is read through `ingestion._reading`, with its one failure
+    # policy; every output is a CSV of `write_columns_csv` or summary.json,
+    # each written into the stage of `pipeline._staged`. A fourth file access
+    # would fork the contract.
+    found = sorted((path.name, where)
+                   for path in Path(special.__file__).parent.glob("*.py")
+                   for where in _open_calls(ast.parse(path.read_text(encoding="utf-8"))))
+    assert found == [("ingestion.py", "_reading"), ("ingestion.py", "write_columns_csv"),
+                     ("pipeline.py", "_run_into")]
 
 
 def test_normal_quantile_sane():
@@ -318,6 +347,14 @@ def test_one_lane_call_equals_the_scalar_solver():
         bits(special.student_t_quantile(0.95, 7.0))
     with pytest.raises(DomainError):
         special.student_t_quantile_lanes(0.5, 0.0)
+
+
+@pytest.mark.parametrize("solve", [lambda u: special.inv_reg_lower_gamma_lanes(3.0, u),
+                                   lambda u: special.student_t_quantile_lanes(u, 3.0)],
+                         ids=["gamma", "t"])
+def test_lane_solvers_reject_a_level_outside_the_unit_interval(solve):
+    with pytest.raises(DomainError, match=r"^quantile level must be in \(0, 1\), got 1.5$"):
+        solve([0.5, 1.5])
 
 
 LEVELS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)

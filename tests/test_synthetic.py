@@ -75,6 +75,12 @@ class TestGenerator:
         with pytest.raises(ConfigError):
             SyntheticParams(model=ModelClass.RVLDLM, theta=np.zeros((100, 3)))
 
+    def test_one_day_theta_rejected(self):
+        # SyntheticParams takes any theta path; the generator needs two days
+        params = SyntheticParams(model=ModelClass.SVDLM, theta=np.array([[0.0046, 0.999, 0.1]]))
+        with pytest.raises(ConfigError, match="^need at least 2 modeled days, got 1$"):
+            generate_synthetic(params, np.random.default_rng(1))
+
     def test_weekday_calendar(self):
         bars, _ = generate_synthetic(rvl_params(T=50), np.random.default_rng(1))
         assert all(b.date.weekday() < 5 for b in bars)
