@@ -15,27 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .errors import DomainError
-
-
-def _require_finite(name: str, value: float) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return v
-
-
-def _require_positive(name: str, value: float) -> float:
-    v = _require_finite(name, value)
-    if v <= 0.0:
-        raise DomainError(f"{name} must be positive, got {value!r}")
-    return v
-
-
-def _require_count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
-    return int(value)
+from .errors import DomainError, number, number_fields
 
 
 @dataclass(frozen=True)
@@ -47,9 +27,8 @@ class StudentTParams:
     scale: float  # squared scale
 
     def __post_init__(self):
-        _require_positive("dof", self.dof)
-        _require_finite("location", self.location)
-        _require_positive("scale", self.scale)
+        number_fields(self, "finite and positive", "dof", "scale")
+        number_fields(self, "finite", "location")
 
 
 @dataclass(frozen=True)
@@ -61,9 +40,7 @@ class ScaledFParams:
     scale: float
 
     def __post_init__(self):
-        _require_positive("dof_num", self.dof_num)
-        _require_positive("dof_den", self.dof_den)
-        _require_positive("scale", self.scale)
+        number_fields(self, "finite and positive", "dof_num", "dof_den", "scale")
 
     @property
     def mean(self) -> float:
@@ -81,12 +58,11 @@ class GammaParams:
     rate: float
 
     def __post_init__(self):
-        _require_positive("shape", self.shape)
-        _require_positive("rate", self.rate)
+        number_fields(self, "finite and positive", "shape", "rate")
 
 
 def student_t_logpdf(y: float, p: StudentTParams) -> float:
-    y = _require_finite("y", y)
+    y = number(y, "y")
     half = 0.5 * (p.dof + 1.0)
     return (special.log_gamma(half) - special.log_gamma(0.5 * p.dof)
             - 0.5 * math.log(p.dof * math.pi * p.scale)
@@ -94,9 +70,7 @@ def student_t_logpdf(y: float, p: StudentTParams) -> float:
 
 
 def scaled_f_logpdf(z: float, p: ScaledFParams) -> float:
-    z = _require_finite("z", z)
-    if z <= 0.0:
-        raise DomainError(f"scaled-F support is z > 0, got {z!r}")
+    z = number(z, "z", "finite and positive")  # the support is z > 0
     x = z / p.scale
     d1, d2 = p.dof_num, p.dof_den
     return (special.log_gamma(0.5 * (d1 + d2))
@@ -114,7 +88,7 @@ def gamma_quantile(u: float, p: GammaParams) -> float:
 def sample_scaled_f(p: ScaledFParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """`size` compositional scaled-F draws, as an array: precisions from the
     gamma margin, then conditional-gamma draws divided by them in place."""
-    phi = rng.standard_gamma(0.5 * p.dof_den, _require_count("size", size))
+    phi = rng.standard_gamma(0.5 * p.dof_den, number(size, "size", "a nonnegative integer"))
     phi /= 0.5 * p.dof_den * p.scale
     phi *= 0.5 * p.dof_num
     return np.divide(rng.standard_gamma(0.5 * p.dof_num, phi.size), phi, out=phi)

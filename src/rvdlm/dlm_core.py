@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import StudentTParams, student_t_logpdf
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, number, number_fields
 
 
 class ModelClass(enum.Enum):
@@ -65,12 +65,12 @@ class ModelClass(enum.Enum):
 
 
 def _learning_alpha(alpha, uses_rv: bool, owner: str = None) -> float:
-    """The one effective-alpha rule: float(alpha) where volatility learning
-    observes the realized variance, else 0.0. Given an `owner`, an alpha not
-    > 0 there is a DomainError "{owner} requires alpha > 0"."""
-    if uses_rv and owner is not None and not alpha > 0.0:
+    """The one effective-alpha rule: alpha, a finite number kept as a float,
+    where volatility learning observes the realized variance, else 0.0. Given
+    an `owner`, an alpha not > 0 there is a DomainError "{owner} requires alpha > 0"."""
+    if uses_rv and owner is not None and isinstance(alpha, numbers.Real) and not alpha > 0.0:
         raise DomainError(f"{owner} requires alpha > 0")
-    return float(alpha) if uses_rv else 0.0
+    return number(alpha, "alpha") if uses_rv else 0.0
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,8 @@ class HyperParams:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise DomainError(f"delta must be in (0, 1], got {self.delta!r}")
-        if not 0.0 < self.beta <= 1.0:
-            raise DomainError(f"beta must be in (0, 1], got {self.beta!r}")
-        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
-            raise DomainError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
-        _store_floats(self, "delta", "beta", "alpha")
+        number_fields(self, "in (0, 1]", "delta", "beta")
+        number_fields(self, "finite and nonnegative", "alpha")
 
 
 def _as_state_matrix(M, dim: int, name: str) -> np.ndarray:
@@ -105,22 +100,6 @@ def _as_state_matrix(M, dim: int, name: str) -> np.ndarray:
     if not np.allclose(M, M.T, rtol=0.0, atol=1e-8 * max(1.0, float(np.abs(M).max()))):
         raise DomainError(f"{name} must be symmetric")
     return M
-
-
-def _store_floats(owner, *names) -> None:
-    # checked fields as Python floats: a float32 or float16 scalar would carry
-    # its precision into all the arithmetic it enters
-    for name in names:
-        object.__setattr__(owner, name, float(getattr(owner, name)))
-
-
-def _check_finite_positive(owner, *names) -> None:
-    """Each named field must be finite and positive; it is stored as a float."""
-    for name in names:
-        v = getattr(owner, name)
-        if not (math.isfinite(v) and v > 0.0):
-            raise DomainError(f"{name} must be finite and positive, got {v!r}")
-    _store_floats(owner, *names)
 
 
 def _as_state_vector(v, name: str) -> np.ndarray:
@@ -145,7 +124,7 @@ class NormalGammaPosterior:
         C = _as_state_matrix(self.C, m.size, "C")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "C", C)
-        _check_finite_positive(self, "n", "s")
+        number_fields(self, "finite and positive", "n", "s")
 
     @property
     def dim(self) -> int:
@@ -167,7 +146,7 @@ class PriorMoments:
         R = _as_state_matrix(self.R, a.size, "R")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "R", R)
-        _check_finite_positive(self, "n_star", "s_prev")
+        number_fields(self, "finite and positive", "n_star", "s_prev")
 
     @property
     def dim(self) -> int:
@@ -209,9 +188,7 @@ def evolve(post: NormalGammaPosterior, hp: HyperParams) -> PriorMoments:
 
 def _realized_variance(z) -> float:
     """A realized variance as a Python float: a finite real > 0, or a DomainError."""
-    if not (isinstance(z, numbers.Real) and math.isfinite(z) and z > 0.0):
-        raise DomainError(f"realized variance must be positive (floor it upstream), got {z!r}")
-    return float(z)
+    return number(z, "realized variance", "positive (floor it upstream)")
 
 
 def rv_update(prior: PriorMoments, z: float, alpha: float) -> RvUpdatedPrior:
@@ -229,18 +206,15 @@ def rv_update(prior: PriorMoments, z: float, alpha: float) -> RvUpdatedPrior:
 
 def build_regressor(mc: ModelClass, y_prev: float, x_now: float, x_prev: float) -> np.ndarray:
     """Regression vector in the fixed ordering (1, y_prev[, x_now], x_prev)."""
-    for name, v in (("y_prev", y_prev), ("x_now", x_now), ("x_prev", x_prev)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v!r}")
-    return np.array([1.0, *mc.regressors(y_prev, x_now, x_prev)])
+    return np.array([1.0, *mc.regressors(number(y_prev, "y_prev"), number(x_now, "x_now"),
+                                         number(x_prev, "x_prev"))])
 
 
 def _observe_price(a: np.ndarray, R: np.ndarray, dof: float, vol_scale: float,
                    y: float, F: np.ndarray) -> tuple[NormalGammaPosterior, OneStepStats]:
     if F.shape != a.shape:
         raise DomainError(f"regressor dimension {F.shape} does not match state {a.shape}")
-    if not math.isfinite(y):
-        raise DomainError(f"price observation must be finite, got {y!r}")
+    y = number(y, "price observation")
     Rf = R @ F
     f = float(F @ a)
     q = vol_scale + float(F @ Rf)

@@ -10,15 +10,13 @@ and scale both move with z; in the other layouts z moves only the scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import ScaledFParams, StudentTParams, sample_scaled_f
-from .dlm_core import (ModelClass, PriorMoments, _check_finite_positive, _learning_alpha,
-                       _realized_variance)
-from .errors import DomainError
+from .dlm_core import ModelClass, PriorMoments, _learning_alpha, _realized_variance
+from .errors import number_fields
 from .rv_measures import DEFAULT_RV_FLOOR
 
 
@@ -36,10 +34,8 @@ class RegressorInputs:
     floor_eps: float = DEFAULT_RV_FLOOR
 
     def __post_init__(self):
-        for name, v in (("y_prev", self.y_prev), ("x_prev", self.x_prev)):
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v!r}")
-        _check_finite_positive(self, "floor_eps")
+        number_fields(self, "finite", "y_prev", "x_prev")
+        number_fields(self, "finite and positive", "floor_eps")
 
 
 def predictive_z(prior: PriorMoments, alpha: float) -> ScaledFParams:
@@ -78,7 +74,7 @@ def predictive_y_given_z(prior: PriorMoments, alpha: float, z: float,
     every layout z must be finite and > 0, as `rv_update` requires.
     """
     z = max(_realized_variance(z), reg.floor_eps)  # unobserved in the SV layout, yet held to it
-    return StudentTParams(*map(float, _conditional_law(prior, alpha, reg, z)))
+    return StudentTParams(*_conditional_law(prior, alpha, reg, z))
 
 
 _BLOCK_DRAWS = 1 << 16  # draws per application of the conditional law in sample_joint

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import linecache
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import special
 from .dlm_core import HyperParams, ModelClass, PriorMoments, _learning_alpha
-from .errors import DataError, DomainError, NumericalError
+from .errors import DataError, DomainError, NumericalError, number
 
 
 @dataclass
@@ -82,19 +81,16 @@ class FilterTrajectory:
         if t == 0:
             return self.init
         return PriorMoments(self.m[t - 1].copy(), self.C[t - 1] * (1.0 / self.hp.delta),
-                            self.hp.beta * float(self.n[t - 1]), float(self.s[t - 1]))
+                            self.hp.beta * self.n[t - 1], self.s[t - 1])
 
 
 def dof_sequences(hp: HyperParams, n_star_1: float, T: int, uses_rv: bool):
     """Data-independent (n*_t, n~_t, n_t) paths for T >= 0 days from a finite
     positive n*_1; other arguments are a DomainError."""
-    if isinstance(T, bool) or not isinstance(T, numbers.Integral) or T < 0:
-        raise DomainError(f"T must be a nonnegative integer, got {T!r}")
-    if not (math.isfinite(n_star_1) and n_star_1 > 0.0):
-        raise DomainError(f"n_star_1 must be finite and positive, got {n_star_1!r}")
+    T = number(T, "T", "a nonnegative integer")
+    ns = number(n_star_1, "n_star_1", "finite and positive")
     alpha = _learning_alpha(hp.alpha, uses_rv)
     vals = []
-    ns = float(n_star_1)  # a reduced-precision scalar would carry its precision into the path
     for _ in range(T):
         vals.append(ns)
         nxt = hp.beta * (ns + alpha + 1.0)
@@ -126,7 +122,7 @@ def _dof_plan(beta: float, alpha: float, n_star_1: float, T: int) -> tuple:
 
 def _layout_plan(variant: ModelClass, hp: HyperParams, n_star_1: float, T: int) -> tuple:
     """The one `_dof_plan` key of a filter run; the pipeline's quantile table shares it."""
-    return _dof_plan(hp.beta, variant.alpha(hp.alpha), float(n_star_1), T)
+    return _dof_plan(hp.beta, variant.alpha(hp.alpha), n_star_1, T)
 
 
 def _sym_gather(d: int) -> np.ndarray:
@@ -192,7 +188,7 @@ def run_filter(variant: ModelClass, hp: HyperParams, init: PriorMoments,
     block = np.column_stack([y, alpha * z, *variant.regressors(y_prev, x, x_prev),
                              n_star_seq, n_tilde_seq, n_arr])
     buf = bytearray()
-    bad_q = _LOOPS[d](hp.delta, init.a, init.R, float(init.s_prev), buf,
+    bad_q = _LOOPS[d](hp.delta, init.a, init.R, init.s_prev, buf,
                       struct.Struct(f"{width}d").pack,
                       struct.iter_unpack(f"{block.shape[1]}d", block))
     # one row per day the loop finished: m (d), packed upper triangle of C, then s, f, q;

@@ -26,7 +26,8 @@ from functools import partial
 import numpy as np
 
 from .dlm_core import HyperParams, ModelClass, PriorMoments
-from .errors import ConfigError, DataError, DomainError, NumericalError, RvdlmError
+from .errors import (ConfigError, DataError, DomainError, NumericalError, RvdlmError,
+                     number_fields)
 from .ingestion import (CsvSchema, _reading, apply_split, read_ohlc, series_from_ohlc,
                         write_columns_csv)
 from .kernel import FilterTrajectory, _layout_plan, run_filter
@@ -99,16 +100,15 @@ class SeriesSpec:
     s1: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.s1) and self.s1 > 0.0):
-            raise ConfigError(f"series {self.ticker!r}: s1 must be finite and positive, "
-                              f"got {self.s1!r}")
+        number_fields(self, "finite and positive", "s1", error=ConfigError,
+                      prefix=f"series {self.ticker!r}: ")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """One configured model. A prior field left as None takes its default:
     per coefficient name, `DEFAULT_PRIOR` holds its a1 and r1_diag entries;
-    n*_1 = beta. Given values are kept as given, so the summary echoes them."""
+    n*_1 = beta. Given a1 and r1_diag are kept as given, for the summary's echo."""
 
     name: str
     variant: ModelClass
@@ -140,10 +140,8 @@ class ModelSpec:
             if not ok(v).all():
                 raise ConfigError(f"model {self.name!r}: {key} entries must be {rule}, "
                                   f"got {list(vec)}")
-        n1 = self.n_star_1
-        if not (math.isfinite(n1) and n1 > 0.0):
-            raise ConfigError(f"model {self.name!r}: n_star_1 must be finite and positive, "
-                              f"got {n1!r}")
+        number_fields(self, "finite and positive", "n_star_1", error=ConfigError,
+                      prefix=f"model {self.name!r}: ")
 
     def initial_prior(self, s1: float) -> PriorMoments:
         return PriorMoments(np.array(self.a1, dtype=float),
@@ -168,8 +166,8 @@ class RunConfig:
         if not self.models:
             raise ConfigError("config lists no models")
         _check_output_names([s.ticker for s in self.series], [m.name for m in self.models])
-        if not (math.isfinite(self.floor_eps) and self.floor_eps > 0.0):
-            raise ConfigError(f"floor_eps must be finite and positive, got {self.floor_eps!r}")
+        number_fields(self, "finite and positive", "floor_eps", error=ConfigError)
+        number_fields(self, "an integer", "seed", error=ConfigError)
         if not self.out_dir:
             raise ConfigError("out_dir must be non-empty")
         head = _existing(self.out_dir)

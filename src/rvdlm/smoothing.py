@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _require_count
-from .errors import NumericalError
+from .errors import NumericalError, number
 from .kernel import FilterTrajectory
 
 
@@ -102,7 +101,7 @@ def backward_sample(traj: FilterTrajectory, rng: np.random.Generator, n_samples:
     """
     delta, beta = traj.hp.delta, traj.hp.beta
     T, d = len(traj), traj.dim
-    ns = _require_count("n_samples", n_samples)
+    ns = number(n_samples, "n_samples", "a nonnegative integer")
     L = _cholesky_all(traj)
     theta = np.empty((T, ns, d))
     phi = np.empty((T, ns))

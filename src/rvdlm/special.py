@@ -1,8 +1,8 @@
 """Special functions: log-gamma, regularized incomplete gamma/beta, and the
 safeguarded quantile solvers built on them.
 
-The scalar functions are plain-float so the sequential kernel can call them
-without array overhead. `log_gamma_array` is the vectorized log-gamma of the
+The scalar functions check their arguments once (`errors.number`) and
+iterate on plain floats. `log_gamma_array` is the vectorized log-gamma of the
 scoring constants and the lane solvers: `inv_reg_lower_gamma_lanes` and
 `student_t_quantile_lanes` solve many lanes (shapes, dofs, levels) at once in
 one shared loop, `_converge`, bit-identical to the scalar solvers lane by lane.
@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, number
 
 # Lanczos approximation, g = 7, nine-term double-precision coefficient set.
 _LANCZOS_G = 7.0
@@ -60,8 +60,7 @@ def on_distinct(fn, v: np.ndarray) -> np.ndarray:
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for finite x > 0."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0.0:
-        raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
+    x = number(x, "x", "finite and positive", prefix="log_gamma: ")
     if x < 0.5:
         # Reflection keeps the Lanczos argument in its accurate range.
         return _LOG_PI - math.log(math.sin(math.pi * x)) - log_gamma(1.0 - x)
@@ -156,10 +155,8 @@ def _lower_gamma(x: float, a: float, lga: float, itmax: int) -> float:
 
 def reg_lower_gamma(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x)."""
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"shape must be positive, got {a!r}")
-    if not (x >= 0.0 and math.isfinite(x)):
-        raise DomainError(f"argument must be finite and nonnegative, got {x!r}")
+    a = number(a, "shape", "finite and positive")
+    x = number(x, "argument", "finite and nonnegative")
     return _lower_gamma(x, a, log_gamma(a), _max_terms(a))
 
 
@@ -168,8 +165,7 @@ def normal_quantile(u: float) -> float:
 
     About 1e-9 relative accuracy; used only to seed Newton solvers.
     """
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {u!r}")
+    u = number(u, "quantile level", "in (0, 1)")
     a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
     b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
@@ -226,10 +222,8 @@ def _newton(cdf, log_pdf, x: float, u: float, tol: float, floor: float, what: st
 
 def inv_reg_lower_gamma(a: float, u: float) -> float:
     """Solve P(a, x) = u for x by bracketed Newton with bisection fallback."""
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {u!r}")
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError(f"shape must be positive, got {a!r}")
+    u = number(u, "quantile level", "in (0, 1)")
+    a = number(a, "shape", "finite and positive")
     # Wilson-Hilferty starting point.
     z = normal_quantile(u)
     g = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))
@@ -261,37 +255,48 @@ def _betacf(a: float, b: float, x: float) -> float:
     raise NumericalError(f"incomplete beta continued fraction failed (a={a}, b={b}, x={x})")
 
 
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"beta shapes must be positive, got ({a!r}, {b!r})")
+def _inc_beta(a: float, b: float, x: float, log_beta: float) -> float:
+    """I_x(a, b) of floats, given log_beta = ln Gamma(a+b) - ln Gamma(a) - ln Gamma(b),
+    summed in that order: 0 at x <= 0 and 1 at x >= 1."""
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    ln_front = (log_gamma(a + b) - log_gamma(a) - log_gamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
+    ln_front = log_beta + a * math.log(x) + b * math.log1p(-x)
     if x < (a + 1.0) / (a + b + 2.0):
         return math.exp(ln_front) * _betacf(a, b, x) / a
     return 1.0 - math.exp(ln_front) * _betacf(b, a, 1.0 - x) / b
 
 
-def student_t_cdf(t: float, dof: float) -> float:
-    """CDF of the standard Student-t with `dof` degrees of freedom."""
-    if not (dof > 0.0 and math.isfinite(dof)):
-        raise DomainError(f"degrees of freedom must be positive, got {dof!r}")
+def reg_inc_beta(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b); 0 at x <= 0 and 1 at x >= 1."""
+    a = number(a, "a", "finite and positive", prefix="reg_inc_beta: ")
+    b = number(b, "b", "finite and positive", prefix="reg_inc_beta: ")
+    x = number(x, "x", "a number", prefix="reg_inc_beta: ")
+    return _inc_beta(a, b, x, log_gamma(a + b) - log_gamma(a) - log_gamma(b))
+
+
+def _t_cdf(t: float, dof: float, log_beta: float) -> float:
+    """`student_t_cdf` of floats; log_beta is `_inc_beta`'s constant for (dof/2, 1/2)."""
     if t == 0.0:
         return 0.5
-    tail = 0.5 * reg_inc_beta(0.5 * dof, 0.5, dof / (dof + t * t))
+    tail = 0.5 * _inc_beta(0.5 * dof, 0.5, dof / (dof + t * t), log_beta)
     return tail if t < 0.0 else 1.0 - tail
+
+
+def student_t_cdf(t: float, dof: float) -> float:
+    """CDF of the standard Student-t with `dof` degrees of freedom."""
+    dof = number(dof, "degrees of freedom", "finite and positive")
+    t = number(t, "t", "a number")  # the cdf is 0 at -inf and 1 at inf
+    return _t_cdf(t, dof, log_gamma(0.5 * dof + 0.5) - log_gamma(0.5 * dof) - _LOG_GAMMA_HALF)
 
 
 # Below the levels u whose reflection 1 - u rounds to 1 (about 5.6e-17), the
 # t quantile -e^s solves -ln F(-e^s) = -ln u for s: Newton to a residual
-# relative to u, on the direct branch of `reg_inc_beta` in logs. There t^2 =
+# relative to u, on the direct branch of `_inc_beta` in logs. There t^2 =
 # e^{2s} may overflow, so x = dof/(dof + t^2) is formed from r = dof e^{-2s},
 # and d/ds -ln F(-e^s) = dof / (the continued fraction). t > sqrt(3) there, so
-# the direct branch is the one `reg_inc_beta` takes.
+# the direct branch is the one `_inc_beta` takes.
 _LOG_HUGE = math.log(1.7976931348623157e308)
 _LOG_GAMMA_HALF = log_gamma(0.5)
 
@@ -313,10 +318,8 @@ def _log_t_tail_slope(s: float, dof: float) -> float:
 def student_t_quantile(u: float, dof: float) -> float:
     """Standard-t quantile by bracketed Newton on the CDF, or on the log of
     the lower tail below the levels whose reflection rounds to 1."""
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {u!r}")
-    if not (dof > 0.0 and math.isfinite(dof)):
-        raise DomainError(f"degrees of freedom must be positive, got {dof!r}")
+    u = number(u, "quantile level", "in (0, 1)")
+    dof = number(dof, "degrees of freedom", "finite and positive")
     if u == 0.5:
         return 0.0
     far = 1.0 - u == 1.0
@@ -325,14 +328,14 @@ def student_t_quantile(u: float, dof: float) -> float:
     z = normal_quantile(u)
     x = z + (z ** 3 + z) / (4.0 * dof)  # first-order tail correction
     what = f"t quantile solver failed (dof={dof}, u={u})"
+    lb = log_gamma(0.5 * dof + 0.5) - log_gamma(0.5 * dof) - _LOG_GAMMA_HALF
     if far:
-        lb = log_gamma(0.5 * dof + 0.5) - log_gamma(0.5 * dof) - _LOG_GAMMA_HALF
         s = _newton(lambda s: -_log_t_tail(s, dof, lb), lambda s: _log_t_tail_slope(s, dof),
                     math.log(-x), -math.log(u), _T_TOL, -math.inf, what)
         return -math.exp(s) if s <= _LOG_HUGE else -math.inf  # math.exp raises past it
     # the t log density is c - (dof + 1)/2 log1p(x^2/dof)
     c = log_gamma(0.5 * (dof + 1.0)) - log_gamma(0.5 * dof) - 0.5 * math.log(dof * math.pi)
-    return _newton(lambda t: student_t_cdf(t, dof),
+    return _newton(lambda t: _t_cdf(t, dof, lb),
                    lambda t: c - 0.5 * (dof + 1.0) * math.log1p(t * t / dof),
                    x, u, _T_TOL, -math.inf, what)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dlm_core import ModelClass
-from .errors import ConfigError
+from .errors import ConfigError, number_fields
 from .rv_measures import DEFAULT_RV_FLOOR, OhlcBar
 from .special import _each
 
@@ -52,15 +52,13 @@ class SyntheticParams:
             raise ConfigError(
                 f"theta path must be (T, {self.model.dim}) for {self.model.value}, "
                 f"got shape {theta.shape}")
-        if not (np.isfinite(theta).all() and math.isfinite(self.y0)):
-            raise ConfigError("theta path and y0 must be finite")
+        if not np.isfinite(theta).all():
+            raise ConfigError("theta path must be finite")
         object.__setattr__(self, "theta", theta)
-        for name, v in (("v0", self.v0), ("alpha", self.alpha), ("vol_info", self.vol_info),
-                        ("floor_eps", self.floor_eps)):
-            if not (math.isfinite(v) and v > 0.0):
-                raise ConfigError(f"{name} must be finite and positive, got {v!r}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ConfigError(f"beta must be in (0, 1], got {self.beta!r}")
+        number_fields(self, "finite and positive", "v0", "alpha", "vol_info", "floor_eps",
+                      error=ConfigError)
+        number_fields(self, "in (0, 1]", "beta", error=ConfigError)
+        number_fields(self, "finite", "y0", error=ConfigError)
 
     @property
     def days(self) -> int:

@@ -204,3 +204,17 @@ def test_every_logpdf_normalizes():
                             + (g.shape - 1.0) * math.log(x) - g.rate * x)),
         0.0, np.inf, limit=400)
     assert g_total == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("cast", [np.float32, np.int64])
+@pytest.mark.parametrize("call", [
+    lambda c: student_t_logpdf(c(1), StudentTParams(c(5), c(0), c(2))),
+    lambda c: scaled_f_logpdf(c(2), ScaledFParams(c(3), c(7), c(1))),
+    lambda c: gamma_quantile(0.95, GammaParams(c(3), c(2))),
+], ids=["student_t_logpdf", "scaled_f_logpdf", "gamma_quantile"])
+def test_numpy_parameters_give_the_bits_of_python_floats(cast, call):
+    # a float32 dof or shape once reached log_gamma unconverted, which refused it:
+    # StudentTParams(np.float32(5.0), 0.0, 1.0) raised "log_gamma requires finite x > 0"
+    got, want = call(cast), call(lambda v: float(cast(v)))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -19,7 +19,7 @@ from rvdlm import (ConfigError, CsvSchema, DataError, HyperParams, ModelClass, N
                    run_filter_pipeline, slowly_varying_theta, write_csv)
 from rvdlm.cli import SYNTH_KEYS, main
 from rvdlm.ingestion import read_csv_rows
-from rvdlm.pipeline import ModelSpec, RunConfig, SeriesSpec
+from rvdlm.pipeline import DEFAULT_HYPERPARAMS, ModelSpec, RunConfig, SeriesSpec
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +307,27 @@ def test_python_built_model_spec_keeps_the_alpha_rules(data_csv, tmp_path, varia
             dt.date(2001, 1, 31), dt.date(2001, 2, 1), str(out)))
     assert str(info.value) == message
     assert not out.exists()
+
+
+def test_numpy_scalars_in_a_python_built_config_write_the_float_run(data_csv, tmp_path):
+    # built in Python with numpy scalars, a config once filtered every pair and then
+    # failed writing summary.json: "Object of type float32 is not JSON serializable"
+    out = tmp_path / "o"
+
+    def run(cast, seed):
+        config = RunConfig(
+            (SeriesSpec("TIC", data_csv[0], cast(1e-4)),),
+            tuple(ModelSpec(v.value, v, DEFAULT_HYPERPARAMS[v], n_star_1=cast(0.875))
+                  for v in ModelClass),
+            dt.date(2001, 1, 31), dt.date(2001, 2, 1), str(out), seed=seed)
+        run_filter_pipeline(config)
+        files = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+        for f in files:
+            (out / f).unlink()
+        return files
+
+    got = run(np.float32, np.int64(3))
+    assert len(got) == 7 and got == run(lambda v: float(np.float32(v)), 3)
 
 
 def test_pipeline_prefills_the_plans_its_filters_take(data_csv, tmp_path):

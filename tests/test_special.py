@@ -460,3 +460,32 @@ def test_on_distinct_calls_fn_once_on_the_sorted_distinct_values():
     rows = special.on_distinct(lambda d: np.stack([d, -d, d * d, d + 1.0], axis=1), path)
     assert rows.shape == (path.size, 4)
     assert np.array_equal(rows, np.stack([path, -path, path * path, path + 1.0], axis=1))
+
+
+@pytest.mark.parametrize("fn, args", [
+    (special.log_gamma, (2.75,)), (special.log_gamma, (0.375,)),
+    (special.reg_lower_gamma, (2.75, 1.5)), (special.normal_quantile, (0.95,)),
+    (special.inv_reg_lower_gamma, (2.75, 0.95)), (special.reg_inc_beta, (2.5, 0.5, 0.375)),
+    (special.student_t_cdf, (1.5, 5.0)), (special.student_t_cdf, (-1.5, 5.0)),
+    (special.student_t_quantile, (0.95, 5.0)), (special.student_t_quantile, (0.05, 5.0)),
+    (special.student_t_quantile, (1e-20, 5.0)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_scalar_functions_take_float32_as_the_equal_float(fn, args):
+    # a float32 shape or dof once failed in log_gamma, and a float32 level ran the
+    # t solver in float32: student_t_quantile(np.float32(0.95), 5.0) was np.float32(2.0150483)
+    got = fn(*map(np.float32, args))
+    want = fn(*(float(np.float32(a)) for a in args))
+    assert type(got) is float
+    assert bits(got) == bits(want)
+
+
+def test_cdfs_hold_at_the_infinities_and_refuse_nan():
+    assert special.student_t_cdf(-math.inf, 5.0) == 0.0
+    assert special.student_t_cdf(math.inf, 5.0) == 1.0
+    assert special.reg_inc_beta(2.5, 0.5, -math.inf) == 0.0
+    assert special.reg_inc_beta(2.5, 0.5, math.inf) == 1.0
+    # NaN once ran the continued fraction until it failed as a NumericalError
+    with pytest.raises(DomainError, match="^t must be a number, got nan$"):
+        special.student_t_cdf(math.nan, 5.0)
+    with pytest.raises(DomainError, match="^reg_inc_beta: x must be a number, got nan$"):
+        special.reg_inc_beta(2.5, 0.5, math.nan)

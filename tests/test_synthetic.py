@@ -71,6 +71,19 @@ class TestGenerator:
         h.update("".join(day.isoformat() for day in truth.dates).encode())
         assert h.hexdigest() == digest
 
+    def test_float32_settings_draw_the_float_path(self):
+        # a float32 v0, alpha or beta once ran the precision path in float32
+        theta = slowly_varying_theta(ModelClass.RVDLM, 200, [0.0046, 0.999, 0.1])
+
+        def run(cast):
+            params = SyntheticParams(model=ModelClass.RVDLM, theta=theta, v0=cast(1e-4),
+                                     beta=cast(0.875), alpha=cast(2.75))
+            bars, truth = generate_synthetic(params, np.random.default_rng(13))
+            prices = np.array([[b.open, b.high, b.low, b.close] for b in bars])
+            return [prices.tobytes()] + [v.tobytes() for v in (truth.v, truth.y, truth.z)]
+
+        assert run(np.float32) == run(lambda v: float(np.float32(v)))
+
     def test_dimension_checked(self):
         with pytest.raises(ConfigError):
             SyntheticParams(model=ModelClass.RVLDLM, theta=np.zeros((100, 3)))
