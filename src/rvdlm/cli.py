@@ -23,8 +23,8 @@ import numpy as np
 from .dlm_core import ModelClass
 from .errors import ConfigError, RvdlmError
 from .ingestion import write_columns_csv, write_csv
-from .pipeline import (CONFIG_KEYS, RunConfig, _staged, json_number, load_json, read_object,
-                       recompute_bayes_factors, run_filter_pipeline)
+from .pipeline import (CONFIG_KEYS, RunConfig, _staged, as_given, json_number, load_json,
+                       read_object, recompute_bayes_factors, run_filter_pipeline)
 from .synthetic import SyntheticParams, generate_synthetic, slowly_varying_theta
 
 
@@ -83,7 +83,7 @@ def _json_numeric(value) -> np.ndarray:
 SYNTH_KEYS = {
     "theta_path": (_json_numeric, None), "theta_base": (_json_numeric, None),
     "theta_amplitude": (_json_numeric, None), "theta_period": (_json_numeric, None),
-    **{f.name: (json_number, f.default) for f in dataclasses.fields(SyntheticParams)
+    **{f.name: (as_given, f.default) for f in dataclasses.fields(SyntheticParams)
        if isinstance(f.default, float)},
 }
 

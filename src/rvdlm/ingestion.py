@@ -17,6 +17,7 @@ import datetime as dt
 import math
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -276,24 +277,32 @@ def write_columns_csv(path, header, columns) -> None:
             fh.writelines(_csv_blocks(columns, lengths[0]))
 
 
-def _parsed(fn, texts) -> tuple[list, int]:
-    # fn of each text up to the first one it rejects, and that text's index
-    out = []
+def _row_fault(row: list, cols: list) -> str:
+    """The first fault of an OHLC row, or "": too few fields for `cols`, an
+    unparseable date, then per price in order missing, unparseable or non-finite."""
+    if len(row) <= max(cols):
+        return f"row has {len(row)} fields, expected at least {max(cols) + 1}"
     try:
-        out.extend(map(fn, texts))
+        dt.date.fromisoformat(row[cols[0]].strip())
     except ValueError:
-        pass
-    return out, len(out)
+        return f"unparseable date {row[cols[0]]!r}"
+    for field, col in zip(PRICE_FIELDS, cols[1:]):
+        text = row[col].strip()
+        try:
+            if not math.isfinite(float(text)):
+                return f"non-finite {field}"
+        except ValueError:
+            return f"unparseable {field} {text!r}" if text else f"missing {field}"
+    return ""
 
 
 def read_ohlc(path, schema: CsvSchema = CsvSchema()) -> tuple:
     """Read, check and date-sort an OHLC file into columns: the dates and
     the open, high, low and close float arrays.
 
-    The first row, in file order, with a missing or unparseable field is
-    rejected with its physical line number, naming its first bad field in
-    date, open, high, low, close order. Duplicate dates are an error naming
-    the date.
+    The first row in file order with a fault (see `_row_fault`) is rejected,
+    naming its physical line and its first fault. Duplicate dates are an
+    error naming the date.
     """
     rows, lines = _read_rows(path)
     header, body = rows[0], rows[1:]
@@ -308,34 +317,17 @@ def read_ohlc(path, schema: CsvSchema = CsvSchema()) -> tuple:
                             f"more than once")
         cols.append(names.index(want))
 
-    # Each check looks only at the rows before the earliest failure found so
-    # far, so the row reported is the first bad one and, on it, the first check.
-    need = max(cols) + 1
-    short = np.fromiter(map(len, body), dtype=np.int64, count=len(body)) < need
-    limit, error = len(body), ""
-    if short.any():
-        limit = int(short.argmax())
-        error = f"row has {len(body[limit])} fields, expected at least {need}"
-    texts = [row[cols[0]] for row in body[:limit]]
-    dates, k = _parsed(dt.date.fromisoformat, map(str.strip, texts))
-    if k < limit:
-        limit, error = k, f"unparseable date {texts[k]!r}"
-    prices = []
-    for field, col in zip(PRICE_FIELDS, cols[1:]):
-        texts = [row[col] for row in body[:limit]]
-        try:
-            values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
-        except ValueError:
-            parsed, k = _parsed(float, texts)
-            text = texts[k].strip()
-            limit, error = k, (f"unparseable {field} {text!r}" if text else f"missing {field}")
-            values = np.array(parsed, dtype=float)
-        finite = np.isfinite(values)
-        if not finite.all():
-            limit, error = int(finite.argmin()), f"non-finite {field}"
-        prices.append(values)
-    if error:
-        raise DataError(f"{path}:{lines[limit + 1]}: {error}")
+    try:  # whole columns; on any fault, the row scan below names the first
+        dates = list(map(dt.date.fromisoformat, map(str.strip, map(itemgetter(cols[0]), body))))
+        prices = [np.fromiter(map(float, map(itemgetter(col), body)), float, len(body))
+                  for col in cols[1:]]
+        clean = all(np.isfinite(p).all() for p in prices)
+    except (IndexError, ValueError):
+        clean = False
+    if not clean:
+        line, fault = next((line, fault) for line, row in zip(lines[1:], body)
+                           if (fault := _row_fault(row, cols)))
+        raise DataError(f"{path}:{line}: {fault}")
 
     days = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
     if (np.diff(days) < 0).any():

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .dlm_core import HyperParams, ModelClass, PriorMoments
-from .errors import (ConfigError, DataError, DomainError, NumericalError, RvdlmError,
+from .errors import (ConfigError, DataError, DomainError, NumericalError, RvdlmError, number,
                      number_fields)
 from .ingestion import (CsvSchema, _reading, apply_split, read_ohlc, series_from_ohlc,
                         write_columns_csv)
@@ -129,19 +129,14 @@ class ModelSpec:
         for key, default in (("a1", a1), ("r1_diag", r1_diag), ("n_star_1", self.hp.beta)):
             if getattr(self, key) is None:
                 object.__setattr__(self, key, default)
-        for key, vec, rule, ok in (
-                ("a1", self.a1, "finite", np.isfinite),
-                ("r1_diag", self.r1_diag, "finite and >= 0",
-                 lambda v: np.isfinite(v) & (v >= 0.0))):
-            v = np.asarray(vec, dtype=float)
-            if v.shape != (d,):
-                raise ConfigError(f"model {self.name!r}: {key} must have length {d}, "
-                                  f"got {list(vec)}")
-            if not ok(v).all():
-                raise ConfigError(f"model {self.name!r}: {key} entries must be {rule}, "
-                                  f"got {list(vec)}")
-        number_fields(self, "finite and positive", "n_star_1", error=ConfigError,
-                      prefix=f"model {self.name!r}: ")
+        prefix = f"model {self.name!r}: "
+        for key, wording in (("a1", "finite"), ("r1_diag", "finite and nonnegative")):
+            vec = getattr(self, key)
+            for v in vec:
+                number(v, f"{key} entry", wording, ConfigError, prefix)
+            if len(vec) != d:
+                raise ConfigError(f"{prefix}{key} must have length {d}, got {list(vec)}")
+        number_fields(self, "finite and positive", "n_star_1", error=ConfigError, prefix=prefix)
 
     def initial_prior(self, s1: float) -> PriorMoments:
         return PriorMoments(np.array(self.a1, dtype=float),
@@ -189,23 +184,21 @@ class RunConfig:
 
 
 def json_number(value) -> float:
+    # where a None default means absent (so a null is refused), and in theta arrays
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a JSON number, got {type(value).__name__}")
     return float(value)
 
 
-def _json_numbers(value) -> tuple:
-    """A JSON array of JSON numbers, kept as given (the summary echoes it)."""
+def _json_array(value) -> tuple:
+    """A JSON array, kept as given (the summary echoes it)."""
     if not isinstance(value, list):
         raise TypeError(f"expected a JSON array, got {type(value).__name__}")
-    for v in value:
-        json_number(v)
     return tuple(value)
 
 
-def _json_integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected a JSON integer, got {type(value).__name__}")
+def as_given(value):
+    """A JSON value whose spec's number rule checks it."""
     return value
 
 
@@ -266,11 +259,11 @@ def read_object(raw, table: dict, owner: str) -> dict:
 # One table per JSON object of the config; the keys are the fields of the
 # spec each object builds. README's "Config schema" documents every key.
 SERIES_KEYS = {"ticker": (json_string, REQUIRED), "path": (json_string, REQUIRED),
-               "s1": (json_number, REQUIRED)}
+               "s1": (as_given, REQUIRED)}
 MODEL_KEYS = {  # None: the variant's name, DEFAULT_HYPERPARAMS or default prior
     "name": (json_string, None), "variant": (_json_variant, REQUIRED),
     "delta": (json_number, None), "beta": (json_number, None), "alpha": (json_number, None),
-    "a1": (_json_numbers, None), "r1_diag": (_json_numbers, None),
+    "a1": (_json_array, None), "r1_diag": (_json_array, None),
     "n_star_1": (json_number, None),
 }
 SCHEMA_KEYS = {f.name: (json_string, f.default) for f in dataclasses.fields(CsvSchema)}
@@ -280,8 +273,8 @@ CONFIG_KEYS = {
     "train_end": (dt.date.fromisoformat, REQUIRED),  # a str only: TypeError otherwise
     "eval_start": (dt.date.fromisoformat, REQUIRED),
     "out_dir": (json_string, "out"),
-    "seed": (_json_integer, 0),
-    "floor_eps": (json_number, DEFAULT_RV_FLOOR),
+    "seed": (as_given, 0),
+    "floor_eps": (as_given, DEFAULT_RV_FLOOR),
     "schema": (lambda v: CsvSchema(**read_object(v, SCHEMA_KEYS, "schema")), CsvSchema()),
 }
 
@@ -409,14 +402,19 @@ def _staged(out_dir: str):
     """The one way a command writes: yield a temporary directory in `out_dir`
     or its nearest existing ancestor; on success make `out_dir` and its missing
     parents and move every file in (summary.json last). The stage goes either
-    way, so a failed command leaves nothing; an unwritable output is a ConfigError."""
+    way, so a failed command leaves nothing; an unwritable output, or one whose
+    name is taken by other than a regular file, is a ConfigError."""
     stage = None
     try:
         with tempfile.TemporaryDirectory(prefix=".rvdlm-", dir=_existing(out_dir),
                                          ignore_cleanup_errors=True) as stage:
             yield stage
+            names = sorted(os.listdir(stage), key=lambda n: n == "summary.json")
+            for name in names:  # refused before anything moves
+                if os.path.lexists(t := os.path.join(out_dir, name)) and not os.path.isfile(t):
+                    raise ConfigError(f"cannot write {out_dir}: {name} is not a regular file")
             os.makedirs(out_dir, exist_ok=True)
-            for name in sorted(os.listdir(stage), key=lambda n: n == "summary.json"):
+            for name in names:
                 os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
     except OSError as exc:  # inputs fail as RvdlmErrors, so an output failed
         name = f" ({os.path.basename(exc.filename)})" \

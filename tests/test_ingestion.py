@@ -320,6 +320,16 @@ def _bar_bits(bars):
 @example("date,open,high,low,close\n2020-01-02,1,1,1,1\n2020-01-03,1e300,1e300,1e-300,1e300\n",
          1e-12)
 @example("date,open,high,low,close\n2020-01-02,1e-300,1e300,1e-300,1e-300\n", 1e-12)
+# the first faulty row in file order, and on it the first faulty field
+@example("date,open,high,low,close\n2020-01-02,1,1,1,1\n2020-01-03,1,1,1,x\n"
+         "2020-01-06,,1,1,1\n2020-01-07,1,1,1,1\n2020-13-08,1,1,1,1\n", 1e-12)  # three rows
+@example("date,open,high,low,close\n2020-01-02,1,1,1,1\n2020-01-03,1,1,abc,\n", 1e-12)
+@example("date,open,high,low,close\n2020-01-02,1,1,1,1\n2020-01-03,1,1,nan,x\n"
+         "2020-01-06,1,inf,1,1\n2020-01-07,y,1,1,1\n", 1e-12)  # non-finite before unparseable
+@example("date,open,high,low,close\n2020-01-02,1,1,1,1\n2020-01-03,1,1,-inf,1\n"
+         "2020-01-06,1,1\n", 1e-12)  # a short row after a bad field
+@example("date,open,high,low,close\n2020-01-02,1,1,1,1\n2020-01-03,1,1, ,1\n"
+         "2020-01-06,1,1\n", 1e-12)
 def test_columnar_ingestion_equals_per_bar_reference(tmp_path_factory, text, floor_eps):
     path = tmp_path_factory.getbasetemp() / "property.csv"
     path.write_bytes(text.encode())

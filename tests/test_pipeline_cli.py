@@ -121,6 +121,11 @@ class TestConfig:
         ("rvdlm", "a1", ["0", "1", "0"]),
         ("rvdlm", "a1", "010"),
         ("rvdlm", "r1_diag", 0.1),
+        # a None default means absent: a JSON null is refused, not taken as absent
+        ("rvdlm", "delta", None),
+        ("rvdlm", "beta", None),
+        ("rvdlm", "alpha", None),
+        ("rvdlm", "n_star_1", None),
         # names, paths and dates are JSON strings, never coerced by str()
         ("series", "ticker", 5),
         ("series", "ticker", ["a"]),
@@ -933,6 +938,40 @@ class TestCli:
         assert f"{path}:" in capsys.readouterr().err
         assert _digests(str(out)) == before
         assert sorted(os.listdir(tmp_path)) == ["score_two"]
+
+    @pytest.mark.parametrize("command", ["filter", "score"])
+    def test_output_name_taken_by_a_directory_moves_no_file(self, data_csv, tmp_path, capsys,
+                                                            command):
+        # the stage once moved its files in one by one and failed at the
+        # directory, leaving a run directory half new and half old
+        out = tmp_path / "run"
+        raw = base_config(data_csv[0], str(out))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["filter", "--config", str(cfg)]) == 0
+        if command == "filter":  # every file of the rerun differs; summary.json moves last
+            taken = out / "summary.json"
+            raw["series"][0]["s1"] = 2e-4
+            cfg.write_text(json.dumps(raw))
+            argv = ["filter", "--config", str(cfg)]
+        else:  # two of the three Bayes-factor files differ
+            taken = out / "TIC__BF__rvldlm_over_rvdlm.csv"
+            path = out / "TIC__svdlm.csv"
+            lines = path.read_text().splitlines(keepends=True)
+            fields = lines[-1].split(",")  # the last day is scored
+            fields[7] = "-1.5"
+            path.write_text("".join(lines[:-1] + [",".join(fields)]))
+            argv = ["score", "--run-dir", str(out)]
+        taken.unlink()
+        taken.mkdir()
+        before = {name: (out / name).is_dir() or (out / name).read_bytes()
+                  for name in os.listdir(out)}
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            f"error [{command}]: cannot write {out}: {taken.name} is not a regular file\n"
+        assert {name: (out / name).is_dir() or (out / name).read_bytes()
+                for name in os.listdir(out)} == before  # no stage left either
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "run"]
 
     # A file name longer than NAME_MAX (255 bytes on the usual Linux file
     # systems) cannot be written, whoever runs the test: the one write failure
